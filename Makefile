@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race race-fault race-io race-attr race-parallel race-cedard smoke-cedard bench bench-engine bench-telemetry fuzz-equivalence fault-soak cover ci
+.PHONY: all build test bench-unit vet race race-fault race-io race-attr race-parallel race-cedard smoke-cedard bench bench-engine bench-telemetry fuzz-equivalence fault-soak cover ci
 
 all: ci
 
@@ -14,6 +14,13 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# The benchmark under bench/ is a Go module of its own, so `go test ./...`
+# above never reaches it: run its unit tests (population, statistics and
+# golden checks; -short skips the smoke test that builds and runs the
+# binaries).
+bench-unit:
+	cd bench && $(GO) test -short ./...
 
 # The simulator is single-goroutine per machine, but tests run machines
 # concurrently; -race guards the harness and any future parallelism.
@@ -169,4 +176,4 @@ cover:
 	awk -v p="$$pct" -v f="$(TELEMETRY_COVER_FLOOR)" 'BEGIN { exit (p+0 >= f) ? 0 : 1 }' || \
 	{ echo "telemetry coverage below floor"; exit 1; }
 
-ci: vet test race race-fault race-io race-attr race-parallel race-cedard smoke-cedard fuzz-equivalence fault-soak bench-engine bench-telemetry
+ci: vet test bench-unit race race-fault race-io race-attr race-parallel race-cedard smoke-cedard fuzz-equivalence fault-soak bench-engine bench-telemetry

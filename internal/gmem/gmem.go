@@ -18,6 +18,7 @@ package gmem
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"repro/internal/network"
 	"repro/internal/sim"
@@ -52,9 +53,32 @@ func Default() Config {
 
 // Global is the shared memory system: the backing store plus the modules.
 type Global struct {
-	cfg   Config
+	cfg Config
+	store
+	mods []*Module
+}
+
+// store is a global memory's backing array. Words at and above dirty have
+// never been written, so they are still zero.
+type store struct {
 	words []uint64
-	mods  []*Module
+	dirty int
+}
+
+// spare is the backing array of the most recently released memory, kept
+// for the next New. Reusing it clears only its written prefix, where a
+// fresh allocation that lands on a recycled heap span zeroes, and so makes
+// resident, every page of it. It is one slot rather than a sync.Pool: a
+// pool keeps a store per P, and idle stores count as live heap, which
+// swelled a job server's resident set between jobs.
+var spare atomic.Pointer[store]
+
+func newStore(words int) store {
+	if s := spare.Swap(nil); s != nil && len(s.words) == words {
+		clear(s.words[:s.dirty])
+		return store{words: s.words}
+	}
+	return store{words: make([]uint64, words)}
 }
 
 // New builds a global memory. Replies are injected into rev at the input
@@ -70,7 +94,7 @@ func New(cfg Config, rev *network.Network) (*Global, error) {
 	if cfg.QueueWords <= 0 {
 		cfg.QueueWords = 4
 	}
-	g := &Global{cfg: cfg, words: make([]uint64, cfg.Words)}
+	g := &Global{cfg: cfg, store: newStore(cfg.Words)}
 	g.mods = make([]*Module, cfg.Modules)
 	for m := range g.mods {
 		g.mods[m] = &Module{
@@ -85,6 +109,17 @@ func New(cfg Config, rev *network.Network) (*Global, error) {
 	return g, nil
 }
 
+// Release hands the backing store to the next New, replacing any store
+// released earlier and not yet reused. The memory's contents
+// are gone: any load or store after Release panics. Modules and their
+// counters stay readable.
+func (g *Global) Release() {
+	if g.words != nil {
+		spare.Store(&store{words: g.words, dirty: g.dirty})
+		g.store = store{}
+	}
+}
+
 // Config returns the configuration the memory was built with.
 func (g *Global) Config() Config { return g.cfg }
 
@@ -96,7 +131,7 @@ func (g *Global) Module(m int) *Module { return g.mods[m] }
 func (g *Global) Modules() int { return len(g.mods) }
 
 // Words returns the capacity in 64-bit words.
-func (g *Global) Words() int { return len(g.words) }
+func (g *Global) Words() int { return g.cfg.Words }
 
 // ModuleOf returns the module index holding word address a.
 func (g *Global) ModuleOf(a uint64) int { return int(a % uint64(len(g.mods))) }
@@ -106,20 +141,25 @@ func (g *Global) ModuleOf(a uint64) int { return int(a % uint64(len(g.mods))) }
 func (g *Global) LoadWord(a uint64) uint64 { return g.words[a] }
 
 // StoreWord sets the raw word at address a.
-func (g *Global) StoreWord(a uint64, v uint64) { g.words[a] = v }
+func (g *Global) StoreWord(a uint64, v uint64) {
+	g.words[a] = v
+	if int(a) >= g.dirty {
+		g.dirty = int(a) + 1
+	}
+}
 
 // LoadFloat returns the word at a interpreted as a float64.
 func (g *Global) LoadFloat(a uint64) float64 { return math.Float64frombits(g.words[a]) }
 
 // StoreFloat stores a float64 at a.
-func (g *Global) StoreFloat(a uint64, v float64) { g.words[a] = math.Float64bits(v) }
+func (g *Global) StoreFloat(a uint64, v float64) { g.StoreWord(a, math.Float64bits(v)) }
 
 // LoadInt returns the word at a interpreted as an int64 (the view the
 // synchronization processor uses).
 func (g *Global) LoadInt(a uint64) int64 { return int64(g.words[a]) }
 
 // StoreInt stores an int64 at a.
-func (g *Global) StoreInt(a uint64, v int64) { g.words[a] = uint64(v) }
+func (g *Global) StoreInt(a uint64, v int64) { g.StoreWord(a, uint64(v)) }
 
 // Module is one interleaved memory bank with its synchronization
 // processor. It is a network.Sink for the forward network and a

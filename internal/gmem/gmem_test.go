@@ -2,6 +2,7 @@ package gmem
 
 import (
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -405,4 +406,78 @@ func TestFaultBusyModuleStaysFastForwardable(t *testing.T) {
 	if ne := m.NextEvent(0); ne != 50 {
 		t.Fatalf("NextEvent = %d with queued request under busy window, want 50", ne)
 	}
+}
+
+// TestReleasedStoreReusedZeroed: a memory built after another released
+// its store reads zero everywhere the released one wrote, whether or not
+// the pool handed the store back, and the released memory panics on any
+// later access instead of aliasing the new one.
+func TestReleasedStoreReusedZeroed(t *testing.T) {
+	cfg := Config{Words: 4096, Modules: 8}
+	rev := network.MustNew("r", 8, 8, 0)
+	addrs := []uint64{0, 7, 1000, 4095}
+	for round := 0; round < 4; round++ {
+		g, err := New(cfg, rev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range addrs {
+			if v := g.LoadWord(a); v != 0 {
+				t.Fatalf("round %d: word %d = %d in a new memory, want 0", round, a, v)
+			}
+		}
+		g.StoreWord(addrs[0], 1)
+		g.StoreInt(addrs[1], -2)
+		g.StoreFloat(addrs[2], 3.5)
+		g.StoreWord(addrs[3], 4)
+		g.Release()
+		if g.Words() != cfg.Words {
+			t.Fatalf("Words() = %d after Release, want %d", g.Words(), cfg.Words)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("load from a released memory did not panic")
+				}
+			}()
+			g.LoadWord(addrs[0])
+		}()
+	}
+}
+
+// TestReleasedStoreConcurrent: memories built and released from several
+// goroutines at once (a job server's workers) never share a store and
+// always start zeroed.
+func TestReleasedStoreConcurrent(t *testing.T) {
+	cfg := Config{Words: 4096, Modules: 8}
+	rev := network.MustNew("r", 8, 8, 0)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				g, err := New(cfg, rev)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for a := uint64(0); a < 64; a++ {
+					if v := g.LoadWord(a); v != 0 {
+						t.Errorf("worker %d: word %d = %d in a new memory, want 0", w, a, v)
+						return
+					}
+					g.StoreWord(a, uint64(w+1))
+				}
+				for a := uint64(0); a < 64; a++ {
+					if v := g.LoadWord(a); v != uint64(w+1) {
+						t.Errorf("worker %d: word %d = %d, another memory shares the store", w, a, v)
+						return
+					}
+				}
+				g.Release()
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -80,8 +80,11 @@ func (n *Network) DropEntryHead(p int, allow func(*Packet) bool) *Packet {
 	if pk == nil || (allow != nil && !allow(pk)) {
 		return nil
 	}
-	n.entry[p].pop()
-	n.entryCount--
+	q := &n.entry[p]
+	q.pop()
+	if q.n == 0 {
+		n.entryMask[p>>6] &^= 1 << uint(p&63)
+	}
 	n.Dropped++
 	return pk
 }
@@ -96,13 +99,15 @@ func (n *Network) DropSwitchHead(s, swi, in int, allow func(*Packet) bool) *Pack
 	if s < 0 || s >= n.stages || swi < 0 || swi >= len(n.sw[s]) || in < 0 || in >= n.radix {
 		panic(fmt.Sprintf("network %s: DropSwitchHead (%d,%d,%d) out of range", n.name, s, swi, in))
 	}
-	x := n.sw[s][swi]
+	x := &n.sw[s][swi]
 	pk := x.in[in].head()
 	if pk == nil || (allow != nil && !allow(pk)) {
 		return nil
 	}
 	x.in[in].pop()
-	x.inPkts--
+	if x.in[in].n == 0 {
+		x.inMask &^= 1 << uint(in)
+	}
 	n.Dropped++
 	return pk
 }

@@ -1,10 +1,6 @@
 package network
 
-import (
-	"sort"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // Ideal mode. The paper reports (citing [Turn93]) that the contention
 // degradation it measures "is not inherent in the type of network used
@@ -66,14 +62,9 @@ func (n *Network) offerIdeal(now sim.Cycle, src int, p *Packet) bool {
 // tickIdeal delivers everything whose transit has elapsed, in arrival
 // order, at one word per cycle per output port.
 func (n *Network) tickIdeal(now sim.Cycle) {
-	if len(n.idealFlight) == 0 {
-		return
-	}
-	// Stable order: by arrival time then insertion order (sort is
-	// stable; the slice is appended in insertion order).
-	sort.SliceStable(n.idealFlight, func(i, j int) bool {
-		return n.idealFlight[i].arriveAt < n.idealFlight[j].arriveAt
-	})
+	// offerIdeal appends at now plus a constant transit and now never
+	// decreases, and this filter keeps the survivors' order, so the
+	// in-flight slice is always in arrival order, ties in insertion order.
 	remaining := n.idealFlight[:0]
 	for _, f := range n.idealFlight {
 		if f.arriveAt > now || n.deliverFree[f.p.Dst] > now {

@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/sim"
 )
@@ -10,19 +11,23 @@ import (
 // switch: two 64-bit words, as built.
 const DefaultQueueWords = 2
 
-// pktQueue is a FIFO of packets with capacity counted in words.
+// pktQueue is a FIFO of packets with capacity counted in words, kept as a
+// fixed ring. Every packet is at least one word long, so a queue of
+// capWords words never holds more than capWords packets: the ring has
+// exactly capWords slots, and its length is the word capacity.
 // An empty queue always accepts one packet even if the packet is longer
 // than the capacity (word-level wormhole flow in the real switch lets a
 // long packet stream through a short queue); a non-empty queue accepts
 // only what fits.
 type pktQueue struct {
-	capWords int
-	words    int
-	pkts     []*Packet
+	ring  []*Packet
+	first int // ring index of the head packet
+	n     int // packets queued
+	words int // words queued
 }
 
 func (q *pktQueue) canAccept(w int) bool {
-	return len(q.pkts) == 0 || q.words+w <= q.capWords
+	return q.n == 0 || q.words+w <= len(q.ring)
 }
 
 // agePenalty returns the extra handshake cycle a transfer costs when the
@@ -42,122 +47,126 @@ func (q *pktQueue) agePenalty(p *Packet, now sim.Cycle) sim.Cycle {
 
 func (q *pktQueue) push(p *Packet, now sim.Cycle) {
 	p.enq = now
-	q.pkts = append(q.pkts, p)
+	i := q.first + q.n
+	if i >= len(q.ring) {
+		i -= len(q.ring)
+	}
+	q.ring[i] = p
+	q.n++
 	q.words += p.Words
 }
 
 func (q *pktQueue) head() *Packet {
-	if len(q.pkts) == 0 {
+	if q.n == 0 {
 		return nil
 	}
-	return q.pkts[0]
+	return q.ring[q.first]
 }
 
 func (q *pktQueue) pop() *Packet {
-	p := q.pkts[0]
-	copy(q.pkts, q.pkts[1:])
-	q.pkts = q.pkts[:len(q.pkts)-1]
+	p := q.ring[q.first]
+	q.ring[q.first] = nil
+	if q.first++; q.first == len(q.ring) {
+		q.first = 0
+	}
+	q.n--
 	q.words -= p.Words
 	return p
 }
 
 // crossbar is one r x r switch: r input queues, r output queues,
 // round-robin arbitration per output, one packet transfer per output per
-// cycle at one word per cycle. inPkts/outPkts counters let the network
-// skip idle switches.
+// cycle at one word per cycle. inMask/outMask hold one bit per non-empty
+// input/output queue, so the network visits only queues with packets —
+// in ascending port order, the order a full scan would visit them.
 type crossbar struct {
-	radix     int
 	in        []pktQueue
 	out       []pktQueue
-	rr        []int       // round-robin arbitration pointer per output
+	rr        []uint8     // round-robin arbitration pointer per output
 	outFreeAt []sim.Cycle // internal transfer path busy-until, per output
-	inPkts    int
-	outPkts   int
-}
-
-func newCrossbar(radix, queueWords int) *crossbar {
-	x := &crossbar{
-		radix:     radix,
-		in:        make([]pktQueue, radix),
-		out:       make([]pktQueue, radix),
-		rr:        make([]int, radix),
-		outFreeAt: make([]sim.Cycle, radix),
-	}
-	for i := range x.in {
-		x.in[i].capWords = queueWords
-		x.out[i].capWords = queueWords
-	}
-	return x
+	inMask    uint32
+	outMask   uint32
 }
 
 // route moves packets from input queues to output queues according to the
-// routing digit extracted by shift/radix. Each output accepts at most one
-// packet per transfer slot; blocked heads cause head-of-line blocking,
-// which is how contention propagates upstream in the real switch.
-func (x *crossbar) route(now sim.Cycle, shift int) {
-	if x.inPkts == 0 {
-		return
-	}
-	// One pass over inputs: which output does each head want?
+// routing digit digits[p.Dst]. Each output accepts at most one packet per
+// transfer slot; blocked heads cause head-of-line blocking, which is how
+// contention propagates upstream in the real switch.
+func (x *crossbar) route(now sim.Cycle, digits []uint8) {
+	// One pass over non-empty inputs: which output does each head want?
 	var wantMask uint32 // outputs with at least one claimant
-	var claim [16]uint16
-	for i := 0; i < x.radix; i++ {
-		p := x.in[i].head()
-		if p == nil {
-			continue
-		}
-		d := (p.Dst / shift) % x.radix
+	var claim [16]uint32
+	for m := x.inMask; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros32(m)
+		d := digits[x.in[i].head().Dst]
 		claim[d] |= 1 << uint(i)
-		wantMask |= 1 << uint(d)
+		wantMask |= 1 << d
 	}
-	for o := 0; o < x.radix; o++ {
-		if wantMask&(1<<uint(o)) == 0 || x.outFreeAt[o] > now {
+	for m := wantMask; m != 0; m &= m - 1 {
+		o := bits.TrailingZeros32(m)
+		if x.outFreeAt[o] > now {
 			continue
 		}
-		// Round-robin over claimants of output o.
-		for k := 0; k < x.radix; k++ {
-			i := (x.rr[o] + k) % x.radix
-			if claim[o]&(1<<uint(i)) == 0 {
-				continue
-			}
-			p := x.in[i].head()
-			if !x.out[o].canAccept(p.Words) {
-				break // output full: everyone wanting o stalls
-			}
-			x.out[o].push(x.in[i].pop(), now)
-			x.inPkts--
-			x.outPkts++
-			x.outFreeAt[o] = now + sim.Cycle(p.Words) + x.in[i].agePenalty(p, now)
-			x.rr[o] = (i + 1) % x.radix
-			break
+		i := rrPick(claim[o], x.rr[o])
+		p := x.in[i].head()
+		if !x.out[o].canAccept(p.Words) {
+			continue // output full: everyone wanting o stalls
 		}
+		x.out[o].push(x.in[i].pop(), now)
+		if x.in[i].n == 0 {
+			x.inMask &^= 1 << uint(i)
+		}
+		x.outMask |= 1 << uint(o)
+		x.outFreeAt[o] = now + sim.Cycle(p.Words) + x.in[i].agePenalty(p, now)
+		x.rr[o] = uint8(i + 1)
 	}
+}
+
+// rrPick returns the round-robin winner among the inputs set in claim
+// (which must be non-zero): the lowest claimant at or above rr, else the
+// lowest claimant — the first hit of a cyclic scan of the inputs starting
+// at rr. An rr equal to the radix masks off every claimant and so wraps to
+// the scan from 0.
+func rrPick(claim uint32, rr uint8) int {
+	if hi := claim >> rr << rr; hi != 0 {
+		return bits.TrailingZeros32(hi)
+	}
+	return bits.TrailingZeros32(claim)
+}
+
+// wireEnd is one end of a shuffle wire: input queue in of switch sw in the
+// next column.
+type wireEnd struct {
+	sw, in int32
 }
 
 // Network is a k-stage omega network of r x r crossbars with N = r^k
 // ports, tag-routed most-significant-digit first, with an r-ary perfect
 // shuffle wiring before every stage (Lawrie's shuffle-exchange topology).
 type Network struct {
-	name       string
-	ports      int
-	radix      int
-	stages     int
-	queueWords int
+	name   string
+	ports  int
+	radix  int
+	stages int
 
-	sw [][]*crossbar // [stage][switch]
+	sw [][]crossbar // [stage][switch]
 
-	// digitShift[s] = radix^(stages-1-s): the divisor extracting the
-	// routing digit used at stage s.
-	digitShift []int
+	// wire[p] is where the shuffle wiring takes output port p of one
+	// column (or entry register p): the same permutation before every
+	// stage. digits[s][dst] is the routing digit of destination dst at
+	// stage s. Both are tables of shuffle and digitAt, built once so the
+	// per-cycle path does no division.
+	wire   []wireEnd
+	digits [][]uint8
 
 	// entry is the per-input-port register stage between a source and the
 	// first switch column; it costs one cycle, so a k-stage network has a
 	// k+1 cycle unloaded transit (3 cycles for Cedar's 2-stage networks,
 	// composing with the 2-cycle memory pipeline to the paper's 8-cycle
 	// minimal round-trip latency).
-	entry      []pktQueue
-	entryFree  []sim.Cycle
-	entryCount int
+	entry     []pktQueue
+	entryFree []sim.Cycle
+	entryMask []uint64 // bit p set when entry[p] holds a packet
 
 	sinks       []Sink
 	linkFreeAt  [][]sim.Cycle // inter-stage link busy, [stage][outPort]
@@ -171,11 +180,12 @@ type Network struct {
 	waker sim.Waker
 
 	// parOn arms deferred offer accounting (sim.Boundary): during the
-	// parallel engine's phase 2, Offer records counter deltas and the
-	// wake in the caller's per-port account instead of the shared fields,
-	// and CommitConcurrent folds them in at the rendezvous. The per-port
-	// packet queue itself is exclusively owned by one cluster's CE/PFU
-	// pair, so the push and Born stamp stay direct and cycle-exact.
+	// parallel engine's phase 2, Offer records counter deltas in the
+	// caller's per-port account instead of the shared fields, and
+	// CommitConcurrent folds them in, sets the entry bits and wakes the
+	// network at the rendezvous. The per-port packet queue itself is
+	// exclusively owned by one cluster's CE/PFU pair, so the push and Born
+	// stamp stay direct and cycle-exact.
 	parOn   bool
 	parAcct []offerAcct
 
@@ -217,26 +227,47 @@ func New(name string, ports, radix, queueWords int) (*Network, error) {
 		ports:       ports,
 		radix:       radix,
 		stages:      stages,
-		queueWords:  queueWords,
 		sinks:       make([]Sink, ports),
-		entry:       make([]pktQueue, ports),
 		entryFree:   make([]sim.Cycle, ports),
 		deliverFree: make([]sim.Cycle, ports),
+		entryMask:   make([]uint64, (ports+63)/64),
+		wire:        make([]wireEnd, ports),
+		digits:      make([][]uint8, stages),
 	}
-	for i := range n.entry {
-		n.entry[i].capWords = queueWords
+	// Every queue and ring slot of the network comes from one backing
+	// array each: the entry registers first, then each stage's switch
+	// inputs and outputs.
+	queues := make([]pktQueue, ports*(1+2*stages))
+	slots := make([]*Packet, len(queues)*queueWords)
+	for i := range queues {
+		queues[i].ring = slots[i*queueWords : (i+1)*queueWords : (i+1)*queueWords]
 	}
-	n.sw = make([][]*crossbar, stages)
+	n.entry, queues = queues[:ports], queues[ports:]
+	switches := ports / radix
+	xbars := make([]crossbar, stages*switches)
+	rr := make([]uint8, stages*ports)
+	outFree := make([]sim.Cycle, stages*ports)
+	digits := make([]uint8, stages*ports)
+	n.sw = make([][]crossbar, stages)
 	n.linkFreeAt = make([][]sim.Cycle, stages)
-	n.digitShift = make([]int, stages)
 	for s := 0; s < stages; s++ {
-		row := make([]*crossbar, ports/radix)
-		for j := range row {
-			row[j] = newCrossbar(radix, queueWords)
+		n.sw[s], xbars = xbars[:switches], xbars[switches:]
+		for j := range n.sw[s] {
+			x := &n.sw[s][j]
+			x.in, queues = queues[:radix], queues[radix:]
+			x.out, queues = queues[:radix], queues[radix:]
+			x.rr, rr = rr[:radix], rr[radix:]
+			x.outFreeAt, outFree = outFree[:radix], outFree[radix:]
 		}
-		n.sw[s] = row
 		n.linkFreeAt[s] = make([]sim.Cycle, ports)
-		n.digitShift[s] = pow(radix, stages-1-s)
+		n.digits[s], digits = digits[:ports], digits[ports:]
+		for dst := range n.digits[s] {
+			n.digits[s][dst] = uint8(n.digitAt(s, dst))
+		}
+	}
+	for p := range n.wire {
+		w := n.shuffle(p)
+		n.wire[p] = wireEnd{sw: int32(w / radix), in: int32(w % radix)}
 	}
 	return n, nil
 }
@@ -281,7 +312,7 @@ func (n *Network) shuffle(i int) int {
 // digitAt extracts the routing digit used at stage s: destination digits
 // most-significant first.
 func (n *Network) digitAt(s, dst int) int {
-	return (dst / n.digitShift[s]) % n.radix
+	return (dst / pow(n.radix, n.stages-1-s)) % n.radix
 }
 
 // SetSink attaches the consumer of packets delivered at output port p.
@@ -319,27 +350,27 @@ func (n *Network) Offer(now sim.Cycle, src int, p *Packet) bool {
 		p.BornSet = true
 	}
 	q.push(p, now)
-	n.entryCount++
+	n.entryMask[src>>6] |= 1 << uint(src&63)
 	n.Injected++
 	n.WordsIn += int64(p.Words)
 	n.wake()
 	return true
 }
 
-// offerAcct is one input port's deferred offer accounting, padded so
-// ports owned by different worker goroutines never share a cache line.
+// offerAcct is one input port's deferred offer accounting, padded to a
+// cache line so ports owned by different worker goroutines never share
+// one.
 type offerAcct struct {
 	injected int64
 	words    int64
 	rejected int64
-	entered  int64
-	wake     bool
-	_        [23]byte
+	_        [40]byte
 }
 
 // offerDeferred is Offer's phase-2 body: the accept/reject decision and
 // the packet push are port-local and identical to the sequential path;
-// only the shared counters and the wake are buffered for the commit.
+// the shared counters, the shared entry bitset and the wake are left to
+// the commit.
 func (n *Network) offerDeferred(now sim.Cycle, src int, q *pktQueue, p *Packet) bool {
 	a := &n.parAcct[src]
 	if !q.canAccept(p.Words) {
@@ -351,10 +382,8 @@ func (n *Network) offerDeferred(now sim.Cycle, src int, q *pktQueue, p *Packet) 
 		p.BornSet = true
 	}
 	q.push(p, now)
-	a.entered++
 	a.injected++
 	a.words += int64(p.Words)
-	a.wake = true
 	return true
 }
 
@@ -372,7 +401,8 @@ func (n *Network) BeginConcurrent() {
 }
 
 // CommitConcurrent implements sim.Boundary: fold the buffered per-port
-// accounts into the shared counters in ascending port order and apply
+// accounts into the shared counters in ascending port order, mark the
+// entry registers that accepted a packet in the entry bitset, and apply
 // the single wake the accepted offers earned. Sums are order-free, so
 // the totals — and the wake slot, taken at the rendezvous before the
 // network's own tick this cycle — are exactly the sequential ones.
@@ -387,8 +417,10 @@ func (n *Network) CommitConcurrent() {
 		n.Injected += a.injected
 		n.WordsIn += a.words
 		n.Rejected += a.rejected
-		n.entryCount += int(a.entered)
-		woken = woken || a.wake
+		if a.injected > 0 {
+			n.entryMask[i>>6] |= 1 << uint(i&63)
+			woken = true
+		}
 		*a = offerAcct{}
 	}
 	if woken {
@@ -419,22 +451,18 @@ func (n *Network) Tick(now sim.Cycle) {
 		return
 	}
 	last := n.stages - 1
-	r := n.radix
 	// Delivery links: last-stage output queues to sinks.
-	for swi, x := range n.sw[last] {
-		if x.outPkts == 0 {
-			continue
-		}
-		base := swi * r
-		for o := 0; o < r; o++ {
-			port := base + o
+	port0 := 0
+	for swi := range n.sw[last] {
+		x := &n.sw[last][swi]
+		for m := x.outMask; m != 0; m &= m - 1 {
+			o := bits.TrailingZeros32(m)
+			port := port0 + o
 			if n.deliverFree[port] > now {
 				continue
 			}
-			p := x.out[o].head()
-			if p == nil {
-				continue
-			}
+			q := &x.out[o]
+			p := q.head()
 			sink := n.sinks[port]
 			if sink == nil {
 				panic(fmt.Sprintf("network %s: delivery to port %d with no sink", n.name, port))
@@ -442,75 +470,81 @@ func (n *Network) Tick(now sim.Cycle) {
 			if !sink.Offer(p) {
 				continue
 			}
-			x.out[o].pop()
-			x.outPkts--
-			n.deliverFree[port] = now + sim.Cycle(p.Words) + x.out[o].agePenalty(p, now)
+			q.pop()
+			if q.n == 0 {
+				x.outMask &^= 1 << uint(o)
+			}
+			n.deliverFree[port] = now + sim.Cycle(p.Words) + q.agePenalty(p, now)
 			n.Delivered++
 			if n.OnDeliver != nil {
 				n.OnDeliver(now, port, p)
 			}
 		}
+		port0 += n.radix
 	}
 	// Inter-stage links: stage s-1 outputs to stage s inputs through the
 	// shuffle wiring, one word per cycle per link.
 	for s := last; s >= 1; s-- {
 		free := n.linkFreeAt[s-1]
-		for swi, x := range n.sw[s-1] {
-			if x.outPkts == 0 {
-				continue
-			}
-			base := swi * r
-			for o := 0; o < r; o++ {
-				port := base + o
+		next := n.sw[s]
+		port0 := 0
+		for swi := range n.sw[s-1] {
+			x := &n.sw[s-1][swi]
+			for m := x.outMask; m != 0; m &= m - 1 {
+				o := bits.TrailingZeros32(m)
+				port := port0 + o
 				if free[port] > now {
 					continue
 				}
-				p := x.out[o].head()
-				if p == nil {
+				q := &x.out[o]
+				p := q.head()
+				w := n.wire[port]
+				dx := &next[w.sw]
+				if !dx.in[w.in].canAccept(p.Words) {
 					continue
 				}
-				wired := n.shuffle(port)
-				dx := n.sw[s][wired/r]
-				dq := &dx.in[wired%r]
-				if !dq.canAccept(p.Words) {
-					continue
+				dx.in[w.in].push(q.pop(), now)
+				dx.inMask |= 1 << uint(w.in)
+				if q.n == 0 {
+					x.outMask &^= 1 << uint(o)
 				}
-				dq.push(x.out[o].pop(), now)
-				x.outPkts--
-				dx.inPkts++
-				free[port] = now + sim.Cycle(p.Words) + x.out[o].agePenalty(p, now)
+				free[port] = now + sim.Cycle(p.Words) + q.agePenalty(p, now)
 			}
+			port0 += n.radix
 		}
 	}
 	// Crossbar internal routing, downstream stages first.
 	for s := last; s >= 0; s-- {
-		shift := n.digitShift[s]
-		for _, x := range n.sw[s] {
-			x.route(now, shift)
+		digits := n.digits[s]
+		for swi := range n.sw[s] {
+			if x := &n.sw[s][swi]; x.inMask != 0 {
+				x.route(now, digits)
+			}
 		}
 	}
 	// Entry registers feed the first switch column through the shuffle
 	// wiring, one word per cycle per port. Processed last so an injected
 	// packet is routed no earlier than the following cycle.
-	if n.entryCount > 0 {
-		for port := 0; port < n.ports; port++ {
+	first := n.sw[0]
+	for wi, word := range n.entryMask {
+		for m := word; m != 0; m &= m - 1 {
+			port := wi<<6 | bits.TrailingZeros64(m)
 			if n.entryFree[port] > now {
 				continue
 			}
-			p := n.entry[port].head()
-			if p == nil {
+			q := &n.entry[port]
+			p := q.head()
+			w := n.wire[port]
+			dx := &first[w.sw]
+			if !dx.in[w.in].canAccept(p.Words) {
 				continue
 			}
-			wired := n.shuffle(port)
-			dx := n.sw[0][wired/r]
-			dq := &dx.in[wired%r]
-			if !dq.canAccept(p.Words) {
-				continue
+			dx.in[w.in].push(q.pop(), now)
+			dx.inMask |= 1 << uint(w.in)
+			if q.n == 0 {
+				n.entryMask[wi] &^= 1 << uint(port&63)
 			}
-			dq.push(n.entry[port].pop(), now)
-			n.entryCount--
-			dx.inPkts++
-			n.entryFree[port] = now + sim.Cycle(p.Words) + n.entry[port].agePenalty(p, now)
+			n.entryFree[port] = now + sim.Cycle(p.Words) + q.agePenalty(p, now)
 		}
 	}
 }

@@ -379,6 +379,48 @@ func TestDigitDecomposition(t *testing.T) {
 	}
 }
 
+// scanPick is the reference round-robin arbiter: the first claimant of a
+// cyclic scan of the inputs starting at rr.
+func scanPick(claim uint32, rr, radix int) int {
+	for k := 0; k < radix; k++ {
+		if i := (rr + k) % radix; claim&(1<<uint(i)) != 0 {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestRRPickMatchesScan: the bitmask round-robin pick equals the cyclic
+// scan for every claim mask and pointer, exhaustively up to radix 8. A
+// pointer equal to the radix (what route stores after the last input
+// wins) behaves as pointer 0.
+func TestRRPickMatchesScan(t *testing.T) {
+	for radix := 2; radix <= 8; radix++ {
+		for claim := uint32(1); claim < 1<<uint(radix); claim++ {
+			for rr := 0; rr <= radix; rr++ {
+				want := scanPick(claim, rr%radix, radix)
+				if got := rrPick(claim, uint8(rr)); got != want {
+					t.Fatalf("radix %d claim %b rr %d: rrPick %d, scan %d", radix, claim, rr, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestRRPickMatchesScanRadix16 is the radix-16 property check.
+func TestRRPickMatchesScanRadix16(t *testing.T) {
+	f := func(claim uint16, rrRaw uint8) bool {
+		if claim == 0 {
+			return true
+		}
+		rr := int(rrRaw) % 17
+		return rrPick(uint32(claim), uint8(rr)) == scanPick(uint32(claim), rr%16, 16)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSyncSpecHelpers(t *testing.T) {
 	tas := TestAndSet()
 	if !tas.Test.Eval(0, tas.TestOperand) {
@@ -505,5 +547,63 @@ func TestIdealNetworkNoContention(t *testing.T) {
 	}
 	if n.InFlight() != 0 {
 		t.Fatal("in-flight accounting wrong")
+	}
+}
+
+// TestIdealNetworkArrivalOrder: the ideal fabric delivers in arrival
+// order — per port in injection order, and within a cycle across ports by
+// arrival time — with mixed packet lengths spacing each port's deliveries
+// by the previous packet's length, and a sink that refuses for whole
+// windows of cycles holding packets back without reordering them.
+func TestIdealNetworkArrivalOrder(t *testing.T) {
+	const ports = 8
+	n := MustNewIdeal("ideal", ports, 8)
+	e := sim.New()
+	refusing := func() bool { c := e.Now() % 40; return c >= 10 && c < 17 }
+	for p := 0; p < ports; p++ {
+		n.SetSink(p, SinkFunc(func(*Packet) bool { return !refusing() }))
+	}
+	type delivery struct {
+		at   sim.Cycle
+		port int
+		p    *Packet
+	}
+	var got []delivery
+	n.OnDeliver = func(now sim.Cycle, port int, p *Packet) {
+		got = append(got, delivery{now, port, p})
+	}
+	e.Register("net", n)
+	r := sim.NewRand(5)
+	const total = 400
+	for tag := 0; tag < total; {
+		for k := r.Intn(4); k > 0 && tag < total; k-- {
+			n.Offer(e.Now(), r.Intn(ports), &Packet{Dst: r.Intn(3), Words: 1 + r.Intn(4), Kind: Read, Tag: uint64(tag)})
+			tag++
+		}
+		e.Step()
+	}
+	if _, err := e.RunUntil(func() bool { return n.InFlight() == 0 }, 10_000); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != total {
+		t.Fatalf("delivered %d of %d", len(got), total)
+	}
+	last := map[int]delivery{}
+	for i, d := range got {
+		if d.p.Dst != d.port {
+			t.Fatalf("packet for %d delivered at %d", d.p.Dst, d.port)
+		}
+		if prev, ok := last[d.port]; ok {
+			if d.p.Tag < prev.p.Tag {
+				t.Fatalf("port %d delivered tag %d after %d", d.port, d.p.Tag, prev.p.Tag)
+			}
+			if d.at < prev.at+sim.Cycle(prev.p.Words) {
+				t.Fatalf("port %d delivered at %d, %d cycles after a %d-word packet", d.port, d.at, d.at-prev.at, prev.p.Words)
+			}
+		}
+		if i > 0 && got[i-1].at == d.at && got[i-1].p.Born > d.p.Born {
+			t.Fatalf("cycle %d delivered a packet born at %d before one born at %d", d.at, got[i-1].p.Born, d.p.Born)
+		}
+		last[d.port] = d
 	}
 }

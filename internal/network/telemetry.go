@@ -14,8 +14,11 @@ func (n *Network) StagePackets(s int) int {
 		return 0
 	}
 	total := 0
-	for _, x := range n.sw[s] {
-		total += x.inPkts + x.outPkts
+	for i := range n.sw[s] {
+		x := &n.sw[s][i]
+		for o := range x.out {
+			total += x.in[o].n + x.out[o].n
+		}
 	}
 	return total
 }
@@ -25,7 +28,11 @@ func (n *Network) EntryPackets() int {
 	if n.ideal {
 		return len(n.idealFlight)
 	}
-	return n.entryCount
+	total := 0
+	for i := range n.entry {
+		total += n.entry[i].n
+	}
+	return total
 }
 
 // RegisterMetrics publishes the network's counters under prefix (for
