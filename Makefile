@@ -141,10 +141,12 @@ bench-telemetry:
 # fork/join, worker-pool and async-wake surfaces (the pool tests force
 # GOMAXPROCS up so the goroutines really interleave even on one CPU),
 # plus the kernel determinism suites that drive ModeWakeCachedParallel
-# through the full machine.
+# through the full machine. TriMatVec runs two clusters with prefetch on
+# and off, so it races both kinds of packet free list (CE and PFU) across
+# two cluster domains: phase-2 Sends against phase-3 Puts.
 race-parallel:
 	$(GO) test -race -count=2 -run 'TestPar|TestWakeAsync|TestConfigure' ./internal/sim/
-	$(GO) test -race -run 'TestDeterminismVectorLoad|TestDeterminismCG' ./internal/kernels/
+	$(GO) test -race -run 'TestDeterminismVectorLoad|TestDeterminismCG|TestDeterminismTriMatVec' ./internal/kernels/
 
 # Race pass focused on the cycle-attribution surfaces: the accounting
 # invariant sweeps, the stack/flame/CSV views and the sampler's phase

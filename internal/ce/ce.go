@@ -145,6 +145,7 @@ type CE struct {
 	Local int
 
 	fwd   *network.Network
+	pool  network.Pool // free packets: refused offers and read replies
 	cache *cache.Cache
 	pfu   *prefetch.PFU
 	route func(addr uint64) int
@@ -429,7 +430,10 @@ func (c *CE) SkipCycles(from, to sim.Cycle) {
 }
 
 // Deliver accepts a reverse-network packet for this CE's port,
-// dispatching prefetch-buffer fills to the PFU.
+// dispatching prefetch-buffer fills to the PFU. Every reply the CE
+// accepts — matched, late or unmatched — goes back on its free list once
+// read: the reply is the CE's own request packet, rewritten by the
+// memory module.
 func (c *CE) Deliver(now sim.Cycle, p *network.Packet) bool {
 	if p.Tag < prefetch.TagSpan {
 		if c.pfu == nil {
@@ -437,6 +441,7 @@ func (c *CE) Deliver(now sim.Cycle, p *network.Packet) bool {
 		}
 		return c.pfu.Deliver(now, p)
 	}
+	defer c.pool.Put(p)
 	usable := now + c.cfg.XferCycles
 	if p.Tag == c.waitTag && c.waitTag != 0 {
 		c.replyArrived = true
@@ -471,12 +476,14 @@ func (c *CE) Deliver(now sim.Cycle, p *network.Packet) bool {
 	return true
 }
 
-// forgetTag moves a reissued read's old tag into the stale ring.
+// forgetTag moves a reissued read's old tag into the stale ring, dropping
+// the oldest tag when the ring is full. Shifting in place keeps the
+// ring's backing array.
 func (c *CE) forgetTag(tag uint64) {
-	c.stale = append(c.stale, tag)
-	if len(c.stale) > staleTagCap {
-		c.stale = c.stale[1:]
+	if len(c.stale) == staleTagCap {
+		c.stale = append(c.stale[:0], c.stale[1:]...)
 	}
+	c.stale = append(c.stale, tag)
 }
 
 // Tick advances the CE one cycle, charging the cycle to exactly one
@@ -716,7 +723,9 @@ func (c *CE) tickVector(now sim.Cycle) isa.Bucket {
 		if len(c.inflight) > 0 {
 			h := &c.inflight[0]
 			if h.arrived && h.usableAt <= now {
-				c.inflight = c.inflight[1:]
+				// Pop by shifting, so the issue side's append reuses the
+				// backing array instead of growing a fresh one.
+				c.inflight = append(c.inflight[:0], c.inflight[1:]...)
 				c.vDone++
 				c.Flops += int64(op.Flops)
 				consumed = true
@@ -736,9 +745,8 @@ func (c *CE) tickVector(now sim.Cycle) isa.Bucket {
 		addr := op.Base.Word + uint64(c.vIssued*op.Stride)
 		if op.Base.Space == isa.Global {
 			tag := c.newTag()
-			p := &network.Packet{Dst: c.route(addr), Src: c.Port, Words: 1,
-				Kind: network.Read, Addr: addr, Tag: tag, Phantom: true}
-			if c.fwd.Offer(now, c.Port, p) {
+			if c.pool.Send(c.fwd, now, c.Port, network.Packet{Dst: c.route(addr), Src: c.Port, Words: 1,
+				Kind: network.Read, Addr: addr, Tag: tag, Phantom: true}) {
 				req := inflightReq{tag: tag, addr: addr}
 				if c.cfg.ReadTimeout > 0 {
 					req.retryAt = now + c.cfg.ReadTimeout
@@ -799,9 +807,8 @@ func (c *CE) retryVectorHead(now sim.Cycle) bool {
 		return false
 	}
 	tag := c.newTag()
-	p := &network.Packet{Dst: c.route(h.addr), Src: c.Port, Words: 1,
-		Kind: network.Read, Addr: h.addr, Tag: tag, Phantom: true}
-	if !c.fwd.Offer(now, c.Port, p) {
+	if !c.pool.Send(c.fwd, now, c.Port, network.Packet{Dst: c.route(h.addr), Src: c.Port, Words: 1,
+		Kind: network.Read, Addr: h.addr, Tag: tag, Phantom: true}) {
 		c.StallNet++
 		return true // port busy: deadline stays due, try again next cycle
 	}
@@ -825,9 +832,8 @@ func (c *CE) tickVectorStore(now sim.Cycle) isa.Bucket {
 	issued := false
 	addr := op.Base.Word + uint64(c.vIssued*op.Stride)
 	if op.Base.Space == isa.Global {
-		p := &network.Packet{Dst: c.route(addr), Src: c.Port, Words: 2,
-			Kind: network.Write, Addr: addr, Phantom: true}
-		if c.fwd.Offer(now, c.Port, p) {
+		if c.pool.Send(c.fwd, now, c.Port, network.Packet{Dst: c.route(addr), Src: c.Port, Words: 2,
+			Kind: network.Write, Addr: addr, Phantom: true}) {
 			c.vIssued++
 			c.Flops += int64(op.Flops)
 			issued = true
@@ -862,9 +868,8 @@ func (c *CE) startScalar(op *isa.Op, now sim.Cycle) {
 			words = 2
 		}
 		tag := c.newTag()
-		p := &network.Packet{Dst: c.route(op.ScalarAddr.Word), Src: c.Port, Words: words,
-			Kind: kind, Addr: op.ScalarAddr.Word, Tag: tag, Phantom: true}
-		if !c.fwd.Offer(now, c.Port, p) {
+		if !c.pool.Send(c.fwd, now, c.Port, network.Packet{Dst: c.route(op.ScalarAddr.Word), Src: c.Port, Words: words,
+			Kind: kind, Addr: op.ScalarAddr.Word, Tag: tag, Phantom: true}) {
 			// Retry from tickScalar.
 			c.waitTag = 0
 			c.finishAt = -1
@@ -943,9 +948,8 @@ func (c *CE) retryScalar(now sim.Cycle) {
 		return
 	}
 	tag := c.newTag()
-	p := &network.Packet{Dst: c.route(op.ScalarAddr.Word), Src: c.Port, Words: 1,
-		Kind: network.Read, Addr: op.ScalarAddr.Word, Tag: tag, Phantom: true}
-	if !c.fwd.Offer(now, c.Port, p) {
+	if !c.pool.Send(c.fwd, now, c.Port, network.Packet{Dst: c.route(op.ScalarAddr.Word), Src: c.Port, Words: 1,
+		Kind: network.Read, Addr: op.ScalarAddr.Word, Tag: tag, Phantom: true}) {
 		c.StallNet++
 		return // port busy: try again next cycle (deadline already due)
 	}
@@ -972,9 +976,8 @@ func (c *CE) FaultReason() string {
 
 func (c *CE) startSync(op *isa.Op, now sim.Cycle) {
 	tag := c.newSyncTag()
-	p := &network.Packet{Dst: c.route(op.SyncAddr), Src: c.Port, Words: 2,
-		Kind: network.Sync, Addr: op.SyncAddr, Sync: op.SyncSpec, Tag: tag}
-	if !c.fwd.Offer(now, c.Port, p) {
+	if !c.pool.Send(c.fwd, now, c.Port, network.Packet{Dst: c.route(op.SyncAddr), Src: c.Port, Words: 2,
+		Kind: network.Sync, Addr: op.SyncAddr, Sync: op.SyncSpec, Tag: tag}) {
 		c.finishAt = -1
 		c.StallNet++
 		return

@@ -438,17 +438,16 @@ func (b *Barrier) Emit(g *isa.Gen) {
 			g.EmitFront(isa.NewSync(b.gen, network.SyncSpec{Test: network.TestAlways, Op: network.OpAdd, Operand: 1}))
 			return
 		}
-		var mkPoll func() *isa.Op
-		mkPoll = func() *isa.Op {
-			poll := isa.NewSync(b.gen, network.SyncSpec{Test: network.TestAlways, Op: network.OpRead})
-			poll.OnDone = func(gv int64, ok bool) {
-				if gv <= myGen {
-					g.EmitFront(isa.NewCompute(b.r.Cfg.SpinBackoff), mkPoll())
-				}
+		// The spin loop's two operations are built once per arrival and
+		// re-emitted every round: a CE only reads the operations it runs.
+		backoff := isa.NewCompute(b.r.Cfg.SpinBackoff)
+		poll := isa.NewSync(b.gen, network.SyncSpec{Test: network.TestAlways, Op: network.OpRead})
+		poll.OnDone = func(gv int64, ok bool) {
+			if gv <= myGen {
+				g.EmitFront(backoff, poll)
 			}
-			return poll
 		}
-		g.EmitFront(mkPoll())
+		g.EmitFront(poll)
 	}
 	g.Emit(arrive)
 }

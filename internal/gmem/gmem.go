@@ -194,9 +194,6 @@ type Module struct {
 	// accepted (backpressure).
 	pending *network.Packet
 
-	// OnServe, if non-nil, observes each request as it is serviced.
-	OnServe func(now sim.Cycle, p *network.Packet)
-
 	waker sim.Waker
 
 	// Counters.
@@ -333,31 +330,22 @@ func (m *Module) Tick(now sim.Cycle) {
 	m.nextFreeAt = now + svc
 	m.BusyCycles += int64(svc)
 	m.Served++
-	if m.OnServe != nil {
-		m.OnServe(now, p)
-	}
 }
 
-// complete performs the functional effect of a request and builds its
-// reply (nil for posted writes).
+// complete performs the functional effect of a request and rewrites a
+// Read or Sync request in place into its reply, returning the same
+// packet: the issuer put it on the network and takes it back from the
+// reverse network, so the reply costs no allocation. The reply keeps the
+// request's Tag, Addr and issue stamp (Born, BornSet) for latency
+// monitoring; BornSet also keeps the reverse network from re-stamping
+// replies to requests injected at cycle 0. A posted write has no reply:
+// complete returns nil and the request is left to the garbage collector,
+// since the module does not know which issuer's free list it came from.
 func (m *Module) complete(p *network.Packet) *network.Packet {
 	switch p.Kind {
 	case network.Read:
 		m.Reads++
-		return &network.Packet{
-			Dst:   p.Src,
-			Src:   m.index,
-			Words: 1,
-			Kind:  network.Reply,
-			Addr:  p.Addr,
-			Value: m.g.LoadWord(p.Addr),
-			Tag:   p.Tag,
-			// Preserve the request's issue stamp for latency monitoring;
-			// BornSet keeps the reverse network from re-stamping replies
-			// to requests injected at cycle 0.
-			Born:    p.Born,
-			BornSet: p.BornSet,
-		}
+		return m.reply(p, m.g.LoadWord(p.Addr), false)
 	case network.Write:
 		m.Writes++
 		if !p.Phantom {
@@ -371,19 +359,27 @@ func (m *Module) complete(p *network.Packet) *network.Packet {
 		if ok {
 			m.g.StoreInt(p.Addr, p.Sync.Op.Apply(old, p.Sync.Operand))
 		}
-		return &network.Packet{
-			Dst:     p.Src,
-			Src:     m.index,
-			Words:   1,
-			Kind:    network.Reply,
-			Addr:    p.Addr,
-			Value:   uint64(old),
-			OK:      ok,
-			Tag:     p.Tag,
-			Born:    p.Born,
-			BornSet: p.BornSet,
-		}
+		return m.reply(p, uint64(old), ok)
 	default:
 		panic(fmt.Sprintf("gmem: module received %v packet", p.Kind))
 	}
+}
+
+// reply overwrites request p with its reply carrying value v and test
+// result ok; every field the reply does not carry is zeroed.
+func (m *Module) reply(p *network.Packet, v uint64, ok bool) *network.Packet {
+	src, addr, tag, born, bornSet := p.Src, p.Addr, p.Tag, p.Born, p.BornSet
+	*p = network.Packet{
+		Dst:     src,
+		Src:     m.index,
+		Words:   1,
+		Kind:    network.Reply,
+		Addr:    addr,
+		Value:   v,
+		OK:      ok,
+		Tag:     tag,
+		Born:    born,
+		BornSet: bornSet,
+	}
+	return p
 }

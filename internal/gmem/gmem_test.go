@@ -481,3 +481,53 @@ func TestReleasedStoreConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestCompleteRewritesRequestInPlace pins the in-place reply contract:
+// a Read or Sync request comes back as the same packet, addressed to
+// its issuer, carrying the datum, with the request's Tag, Addr and
+// issue stamp kept and every other field zeroed. A posted write has no
+// reply.
+func TestCompleteRewritesRequestInPlace(t *testing.T) {
+	r := newRig(t, smallCfg())
+	m := r.g.Module(5)
+	r.g.StoreInt(37, 41)
+	for _, tc := range []struct {
+		name string
+		req  network.Packet
+		want network.Packet
+	}{
+		{
+			"read",
+			network.Packet{Dst: 5, Src: 9, Words: 1, Kind: network.Read, Addr: 37, Value: 3,
+				OK: true, Phantom: true, Tag: 1<<20 + 1, Born: 12, BornSet: true},
+			network.Packet{Dst: 9, Src: 5, Words: 1, Kind: network.Reply, Addr: 37, Value: 41,
+				Tag: 1<<20 + 1, Born: 12, BornSet: true},
+		},
+		{
+			"sync",
+			network.Packet{Dst: 5, Src: 4, Words: 2, Kind: network.Sync, Addr: 37,
+				Sync: network.FetchAndAdd(2), Tag: 1<<28 + 3, Born: 0, BornSet: true},
+			network.Packet{Dst: 4, Src: 5, Words: 1, Kind: network.Reply, Addr: 37, Value: 41,
+				OK: true, Tag: 1<<28 + 3, Born: 0, BornSet: true},
+		},
+	} {
+		p := new(network.Packet)
+		*p = tc.req
+		if got := m.complete(p); got != p {
+			t.Fatalf("%s: complete returned %p, want the request %p", tc.name, got, p)
+		}
+		if *p != tc.want {
+			t.Fatalf("%s: reply %+v, want %+v", tc.name, *p, tc.want)
+		}
+	}
+	if v := r.g.LoadInt(37); v != 43 {
+		t.Fatalf("fetch-and-add left %d, want 43", v)
+	}
+	w := &network.Packet{Dst: 5, Src: 9, Words: 2, Kind: network.Write, Addr: 37, Value: 7, Tag: 1}
+	if got := m.complete(w); got != nil {
+		t.Fatalf("write produced reply %+v", got)
+	}
+	if v := r.g.LoadInt(37); v != 7 {
+		t.Fatalf("write left %d, want 7", v)
+	}
+}

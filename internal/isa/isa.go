@@ -331,9 +331,13 @@ func (g *Gen) Emit(ops ...*Op) { g.queue = append(g.queue, ops...) }
 // EmitFront inserts operations at the head of the pending queue, ahead of
 // anything already emitted. Completion callbacks use it to splice a
 // continuation (for example a barrier's spin loop) before operations that
-// must run after it.
+// must run after it. The queue keeps its backing array: the pending
+// operations shift back in place, so a queue with room allocates nothing.
 func (g *Gen) EmitFront(ops ...*Op) {
-	g.queue = append(append(make([]*Op, 0, len(ops)+len(g.queue)), ops...), g.queue...)
+	n := len(g.queue)
+	g.queue = append(g.queue, ops...)
+	copy(g.queue[len(ops):], g.queue[:n])
+	copy(g.queue, ops)
 }
 
 // Next implements Program.

@@ -159,3 +159,27 @@ func TestGenFinalEmit(t *testing.T) {
 		t.Fatal("Gen not done after final emit")
 	}
 }
+
+// TestGenEmitFrontInPlace checks that EmitFront splices operations ahead
+// of the queue in order, and reuses the queue's backing array when it
+// has room.
+func TestGenEmitFrontInPlace(t *testing.T) {
+	a, b, c := NewCompute(1), NewCompute(2), NewCompute(3)
+	g := NewGen(func(*Gen) bool { return false })
+	g.queue = make([]*Op, 0, 3)
+	if allocs := testing.AllocsPerRun(1, func() {
+		g.queue = g.queue[:0]
+		g.Emit(c)
+		g.EmitFront(a, b)
+	}); allocs != 0 {
+		t.Fatalf("EmitFront into a queue with room allocated %v times", allocs)
+	}
+	for i, want := range []*Op{a, b, c} {
+		if got := g.Next(); got != want {
+			t.Fatalf("op %d: got %+v, want %+v", i, got, want)
+		}
+	}
+	if g.Next() != nil {
+		t.Fatal("program did not end after a, b, c")
+	}
+}

@@ -1,6 +1,7 @@
 package job
 
 import (
+	"fmt"
 	"hash/fnv"
 	"sync"
 	"sync/atomic"
@@ -89,7 +90,9 @@ func (s *Service) Len() int {
 // invalid spec fails fast with its *ValidationError and is never
 // cached. Errors from the Runner are cached like results: the simulator
 // is deterministic, so re-running a failing spec reproduces the
-// failure.
+// failure. A Runner that panics fails the same way, with a *PanicError:
+// the pool slot is released and joiners get the error instead of
+// hanging.
 func (s *Service) Do(spec Spec) (Result, bool, error) {
 	fp, err := spec.Fingerprint()
 	if err != nil {
@@ -116,11 +119,32 @@ func (s *Service) Do(spec Spec) (Result, bool, error) {
 	s.sem <- struct{}{} // acquire a pool slot; blocks when saturated
 	atomic.AddInt64(&s.running, 1)
 	atomic.AddInt64(&s.executions, 1)
-	e.res, e.err = s.run(spec)
+	e.res, e.err = s.execute(spec)
 	atomic.AddInt64(&s.running, -1)
 	<-s.sem
 	close(e.done)
 	return e.res, false, e.err
+}
+
+// PanicError is the error of a job whose Runner panicked. The panic is a
+// simulator bug, and a deterministic one, so it is cached like any other
+// Runner error.
+type PanicError struct {
+	Value any // the value passed to panic
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("job: simulation panicked: %v", e.Value)
+}
+
+// execute calls the Runner, turning a panic into a *PanicError.
+func (s *Service) execute(spec Spec) (res Result, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			res, err = Result{}, &PanicError{Value: v}
+		}
+	}()
+	return s.run(spec)
 }
 
 func (s *Service) shard(fp string) *cacheShard {

@@ -3,6 +3,7 @@ package job
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -198,5 +199,53 @@ func TestCacheRunnerError(t *testing.T) {
 	}
 	if got := atomic.LoadInt64(&fr.calls); got != 1 {
 		t.Fatalf("failing spec ran %d times, want 1", got)
+	}
+}
+
+// TestCacheRunnerPanic: a panicking Runner neither kills the process nor
+// strands its joiners. With a single pool slot, K identical requests all
+// get the cached *PanicError, and the slot is free again for a distinct
+// spec afterwards.
+func TestCacheRunnerPanic(t *testing.T) {
+	const K = 8
+	gate := make(chan struct{})
+	run := func(spec Spec) (Result, error) {
+		if spec.Workload == "cg" {
+			<-gate
+			panic("packet reused while in flight")
+		}
+		return Result{Workload: spec.Workload}, nil
+	}
+	svc := NewService(run, 2, 1)
+	reg := telemetry.NewRegistry()
+	svc.RegisterMetrics(reg, "cedard")
+
+	spec := Spec{Workload: "cg", Iterations: 5}
+	errs := make(chan error, K)
+	for i := 0; i < K; i++ {
+		go func() {
+			_, _, err := svc.Do(spec)
+			errs <- err
+		}()
+	}
+	// Release the run once every other request has joined it.
+	for metric(t, reg, "cedard/cache/joins") < K-1 {
+		runtime.Gosched()
+	}
+	close(gate)
+	for i := 0; i < K; i++ {
+		var perr *PanicError
+		if err := <-errs; !errors.As(err, &perr) || perr.Value != "packet reused while in flight" {
+			t.Fatalf("Do: got %v, want a *PanicError naming the panic", err)
+		}
+	}
+	if got := metric(t, reg, "cedard/pool/running"); got != 0 {
+		t.Fatalf("pool/running = %d after the panic, want 0", got)
+	}
+	if res, cached, err := svc.Do(Spec{Workload: "rk"}); err != nil || cached || res.Workload != "rk" {
+		t.Fatalf("distinct spec after the panic: res=%+v cached=%v err=%v", res, cached, err)
+	}
+	if _, cached, err := svc.Do(spec); !cached || err == nil {
+		t.Fatalf("repeat of the panicking spec: cached=%v err=%v, want the cached error", cached, err)
 	}
 }

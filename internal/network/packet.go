@@ -213,10 +213,11 @@ type Packet struct {
 	// buffer's full/empty bookkeeping, tags are buffer slot indices).
 	Tag uint64
 	// Born is the cycle the packet was injected, for performance
-	// monitoring. A network stamps it on first injection; replies built
-	// from a request must copy Born and set BornSet so the reverse
-	// network preserves the request's stamp (round-trip latency is
-	// measured at reply delivery).
+	// monitoring. A network stamps it on first injection; a reply keeps
+	// its request's Born and BornSet so the reverse network preserves the
+	// request's stamp (round-trip latency is measured at reply delivery).
+	// Pool.Send clears BornSet on a reused packet, so it is stamped
+	// again.
 	Born sim.Cycle
 	// BornSet records whether Born has been stamped. A bare Born == 0
 	// is ambiguous — cycle 0 is a legitimate injection time — so the
@@ -228,11 +229,51 @@ type Packet struct {
 	enq sim.Cycle
 }
 
+// Pool is one issuer's free list of packets, last in first out. The
+// issuer builds every request with Send, and puts each reply back once it
+// has read it: the reply is the issuer's own request, rewritten in place
+// by the memory module. A Pool is not safe for concurrent use; the
+// engine's phases order its Sends (the issuer's Tick) against its Puts
+// (the reverse network's Tick).
+type Pool struct {
+	free []*Packet
+}
+
+// Send takes a packet from the list (a new one when the list is empty),
+// overwrites every field with v, and offers it to n at input port src. A
+// refused packet goes straight back on the list. Overwriting drops the
+// old stamp: with BornSet false in v, n stamps a reused packet afresh.
+// The issuer must call Send only from its own Tick, never while a
+// network ticks: a network may still read a packet it has just
+// delivered until its Tick returns.
+func (pl *Pool) Send(n *Network, now sim.Cycle, src int, v Packet) bool {
+	var p *Packet
+	if k := len(pl.free); k > 0 {
+		p = pl.free[k-1]
+		pl.free = pl.free[:k-1]
+	} else {
+		p = new(Packet)
+	}
+	*p = v
+	if n.Offer(now, src, p) {
+		return true
+	}
+	pl.Put(p)
+	return false
+}
+
+// Put returns p to the list. The caller must hold no other reference
+// to it.
+func (pl *Pool) Put(p *Packet) { pl.free = append(pl.free, p) }
+
 // A Sink accepts packets delivered at a network output port (a memory
 // module on the forward network, a CE or prefetch unit on the reverse
 // network). Offer must return false, without side effects, when the sink
 // cannot accept the packet this cycle; the network then retries, applying
-// backpressure through its queues.
+// backpressure through its queues. A sink that accepts a packet owns it,
+// but the network may still read it until its own Tick returns, so a
+// sink may put it on a Pool only if that Pool's Sends run in some other
+// Tick.
 type Sink interface {
 	Offer(p *Packet) bool
 }

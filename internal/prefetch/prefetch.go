@@ -89,6 +89,7 @@ type lostReq struct {
 type PFU struct {
 	port  int // shared network port of the owning CE
 	fwd   *network.Network
+	pool  network.Pool // free packets: refused offers and read replies
 	waker sim.Waker
 
 	// Armed parameters.
@@ -110,9 +111,11 @@ type PFU struct {
 
 	// Request-layer recovery (enabled by SetTimeout; all dormant when
 	// timeout is zero, so the no-fault machine is bit-identical to one
-	// built before this machinery existed). outq is the FIFO of
-	// outstanding requests; only the head — the oldest request, the one
-	// the in-order consumer needs first — is ever reissued. got marks
+	// built before this machinery existed). outq[outqHead:] is the FIFO
+	// of outstanding requests; only the head — the oldest request, the
+	// one the in-order consumer needs first — is ever reissued. Popping
+	// advances outqHead, and an emptied FIFO rewinds to the start of its
+	// backing array, so issuing never reallocates it. got marks
 	// buffer slots whose reply arrived for the slot's current occupant:
 	// unlike the full bit it survives consumption, so a late duplicate
 	// reply (the original raced its own retry) is recognized and
@@ -120,6 +123,7 @@ type PFU struct {
 	timeout    sim.Cycle
 	maxRetries int
 	outq       []outReq
+	outqHead   int
 	got        [BufferWords]bool
 	lost       *lostReq
 
@@ -247,7 +251,7 @@ func (u *PFU) Fire(addr uint64) {
 	u.arrived = 0
 	u.consumed = 0
 	u.resumeAt = 0
-	u.outq = u.outq[:0]
+	u.outq, u.outqHead = u.outq[:0], 0
 	for i := range u.got {
 		u.got[i] = false
 	}
@@ -300,8 +304,8 @@ func (u *PFU) NextEvent(now sim.Cycle) sim.Cycle {
 	next := u.issueNextEvent(now)
 	if u.timeout > 0 {
 		u.pruneOutq()
-		if len(u.outq) > 0 {
-			t := u.outq[0].retryAt
+		if u.outqHead < len(u.outq) {
+			t := u.outq[u.outqHead].retryAt
 			if t < now {
 				t = now
 			}
@@ -332,8 +336,15 @@ func (u *PFU) issueNextEvent(now sim.Cycle) sim.Cycle {
 // idempotent and has no architected effect (arrival facts are stable), so
 // both NextEvent and Tick may call it at will.
 func (u *PFU) pruneOutq() {
-	for len(u.outq) > 0 && u.got[u.outq[0].seq%BufferWords] {
-		u.outq = u.outq[1:]
+	for u.outqHead < len(u.outq) && u.got[u.outq[u.outqHead].seq%BufferWords] {
+		u.popOutq()
+	}
+}
+
+// popOutq removes the outstanding-queue head.
+func (u *PFU) popOutq() {
+	if u.outqHead++; u.outqHead == len(u.outq) {
+		u.outq, u.outqHead = u.outq[:0], 0
 	}
 }
 
@@ -350,27 +361,26 @@ func (u *PFU) tickRetry(now sim.Cycle) bool {
 		return false
 	}
 	u.pruneOutq()
-	if len(u.outq) == 0 || now < u.outq[0].retryAt {
+	if u.outqHead == len(u.outq) || now < u.outq[u.outqHead].retryAt {
 		return false
 	}
-	h := &u.outq[0]
+	h := &u.outq[u.outqHead]
 	if h.retries >= u.maxRetries {
 		u.RetriesExhausted++
 		if u.lost == nil {
 			u.lost = &lostReq{seq: h.seq, addr: h.addr, retries: h.retries}
 		}
-		u.outq = u.outq[1:]
+		u.popOutq()
 		return false
 	}
-	p := &network.Packet{
+	if !u.pool.Send(u.fwd, now, u.port, network.Packet{
 		Dst:   u.route(h.addr),
 		Src:   u.port,
 		Words: 1,
 		Kind:  network.Read,
 		Addr:  h.addr,
 		Tag:   h.tag, // same instance, same tag: the got bit resolves reply/retry races
-	}
-	if !u.fwd.Offer(now, u.port, p) {
+	}) {
 		u.StallCycles++
 		return true
 	}
@@ -421,16 +431,14 @@ func (u *PFU) Tick(now sim.Cycle) {
 	}
 	slot := u.issued % BufferWords
 	tag := nextSlotTag(u.curTag[slot])
-	p := &network.Packet{
-		Dst:   0, // set below by the caller-supplied router
+	if !u.pool.Send(u.fwd, now, u.port, network.Packet{
+		Dst:   u.route(u.nextAddr),
 		Src:   u.port,
 		Words: 1,
 		Kind:  network.Read,
 		Addr:  u.nextAddr,
 		Tag:   tag,
-	}
-	p.Dst = u.route(u.nextAddr)
-	if !u.fwd.Offer(now, u.port, p) {
+	}) {
 		u.StallCycles++
 		return
 	}
@@ -485,11 +493,14 @@ func (u *PFU) SetRouter(f func(addr uint64) int) { u.routeFn = f }
 // refuses a prefetch-tagged packet (a refused reverse-network head is
 // redelivered forever, wedging the port); false is reserved for tags
 // outside the prefetch namespace, which a correctly wired machine never
-// routes here.
+// routes here. Every reply Deliver accepts goes back on the PFU's free
+// list once read: the reply is the PFU's own request packet, rewritten
+// by the memory module.
 func (u *PFU) Deliver(now sim.Cycle, p *network.Packet) bool {
 	if p.Tag >= TagSpan {
 		return false
 	}
+	defer u.pool.Put(p)
 	seqSlot := int(p.Tag % BufferWords)
 	if p.Tag != u.curTag[seqSlot] {
 		// A superseded instance's reply: the original answer of a
