@@ -279,20 +279,18 @@ func BenchmarkAblationCacheGeometry(b *testing.B) {
 	})
 }
 
-// BenchmarkEngineQuiescence measures the engine's fast paths against the
+// BenchmarkEngineQuiescence measures the engine's fast path against the
 // naive tick-everything reference on a DOALL-startup-heavy workload:
 // repeated self-scheduled XDOALLs whose 90 us dispatch startups leave
 // the whole 32-CE machine quiet for ~530 cycles at a time — exactly the
-// spans the engine fast-forwards in one jump. "quiescent" re-queries
-// every idle component's NextEvent each executed cycle; "wake-cached"
-// (the default engine) additionally parks components that answered
-// Never until an external stimulus wakes them, which pays off here
-// because the claim loops keep the PFUs, caches and IPs permanently
-// dormant while sync traffic forces the engine to execute most cycles.
-// All sub-benchmarks simulate the identical workload (the determinism
-// tests assert bit-identical results), so the ns/op ratios are pure
-// host-cost wins. `make bench-engine` parses the ns/op values into
-// BENCH_engine.json.
+// spans the engine fast-forwards in one jump. "wake-cached" (the default
+// engine) also parks components that answered Never until an external
+// stimulus wakes them, which pays off here because the claim loops keep
+// the PFUs, caches and IPs permanently dormant while sync traffic forces
+// the engine to execute most cycles. Both sub-benchmarks simulate the
+// identical workload (the determinism tests assert bit-identical
+// results), so the ns/op ratio is a pure host-cost win. `make
+// bench-engine` parses the ns/op values into BENCH_engine.json.
 func BenchmarkEngineQuiescence(b *testing.B) {
 	workload := func(b *testing.B, mode sim.EngineMode) {
 		var simCycles int64
@@ -317,23 +315,17 @@ func BenchmarkEngineQuiescence(b *testing.B) {
 		b.ReportMetric(float64(simCycles), "sim-cycles/op")
 	}
 	b.Run("naive", func(b *testing.B) { workload(b, sim.ModeNaive) })
-	b.Run("quiescent", func(b *testing.B) { workload(b, sim.ModeQuiescent) })
 	b.Run("wake-cached", func(b *testing.B) { workload(b, sim.ModeWakeCached) })
-	b.Run("parallel", func(b *testing.B) { workload(b, sim.ModeWakeCachedParallel) })
 }
 
-// BenchmarkEngineParallel measures the cluster-parallel engine against
-// wake-cached on a compute-dominated workload: self-scheduled XDOALLs
-// of long compute bursts keep every CE busy nearly every cycle, so the
-// run is dominated by phase 2 — the part ModeWakeCachedParallel spreads
-// across the worker pool. On a multi-core host the 4-cluster ratio is
-// the engine's speedup (the ci gate requires >= 1.8x there); on a
-// single CPU the parallel rows measure the three-phase bookkeeping
-// overhead instead, and the gate is skipped. The 16-cluster rows are
-// the first scaled-up datapoint (ScaledConfig: 128 CEs, three-stage
+// BenchmarkEngineCompute measures the default engine on a
+// compute-dominated workload: self-scheduled XDOALLs of long compute
+// bursts keep every CE busy nearly every cycle, so the host cost is the
+// per-cycle tick work itself rather than fast-forwarding. The 16-cluster
+// row is the scaled-up datapoint (ScaledConfig: 128 CEs, three-stage
 // networks, one memory module per CE).
-func BenchmarkEngineParallel(b *testing.B) {
-	workload := func(b *testing.B, clusters int, mode sim.EngineMode) {
+func BenchmarkEngineCompute(b *testing.B) {
+	workload := func(b *testing.B, clusters int) {
 		var simCycles int64
 		for i := 0; i < b.N; i++ {
 			var cfg core.Config
@@ -343,7 +335,6 @@ func BenchmarkEngineParallel(b *testing.B) {
 				cfg = core.ConfigClusters(clusters)
 			}
 			cfg.Global.Words = 1 << 16 // keep construction cost out of the engine measurement
-			cfg.EngineMode = mode
 			m, err := core.New(cfg)
 			if err != nil {
 				b.Fatal(err)
@@ -357,19 +348,16 @@ func BenchmarkEngineParallel(b *testing.B) {
 				}
 			}
 			simCycles = int64(m.Eng.Now())
-			m.Eng.StopWorkers()
 		}
 		b.ReportMetric(float64(simCycles), "sim-cycles/op")
 	}
-	b.Run("wake-cached-4cl", func(b *testing.B) { workload(b, 4, sim.ModeWakeCached) })
-	b.Run("parallel-4cl", func(b *testing.B) { workload(b, 4, sim.ModeWakeCachedParallel) })
-	b.Run("wake-cached-16cl", func(b *testing.B) { workload(b, 16, sim.ModeWakeCached) })
-	b.Run("parallel-16cl", func(b *testing.B) { workload(b, 16, sim.ModeWakeCachedParallel) })
+	b.Run("wake-cached-4cl", func(b *testing.B) { workload(b, 4) })
+	b.Run("wake-cached-16cl", func(b *testing.B) { workload(b, 16) })
 }
 
 // BenchmarkTelemetryOverhead measures what the observability layer
 // costs, on the same DOALL-startup-heavy workload as
-// BenchmarkEngineQuiescence (quiescent path): "off" never builds a
+// BenchmarkEngineQuiescence (wake-cached path): "off" never builds a
 // registry — the acceptance gate is that this stays within noise of the
 // pre-telemetry engine — and "on" samples the full registry every 2000
 // cycles with phase marks wired through the runtime.

@@ -13,13 +13,16 @@
 //	               response per job, in order, each carrying the spec
 //	               fingerprint, whether it was served without running a
 //	               simulation, and the result. Any invalid spec rejects
-//	               the whole batch with 400 and per-job errors.
+//	               the whole batch with 400 and per-job errors; a body
+//	               over 1 MiB is refused with 413 and a batch of more
+//	               than 1024 jobs with 400.
 //	GET  /metrics  the cache/pool telemetry registry as text
 //	GET  /healthz  liveness probe
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -55,6 +58,14 @@ func main() {
 	}
 }
 
+// Request limits. Each batch element gets its own goroutine, so both
+// the body and the batch must be bounded for one request not to exhaust
+// the server.
+const (
+	maxBodyBytes = 1 << 20
+	maxBatchJobs = 1024
+)
+
 // jobResponse is one element of the POST /jobs reply, parallel to the
 // submitted batch.
 type jobResponse struct {
@@ -89,7 +100,17 @@ type jobError struct {
 func newHandler(svc *job.Service, reg *telemetry.Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
-		specs, err := job.Decode(r.Body)
+		specs, err := job.Decode(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeJSON(w, http.StatusRequestEntityTooLarge,
+				errorResponse{Error: fmt.Sprintf("request body exceeds the %d-byte limit", maxBodyBytes)})
+			return
+		}
+		if err == nil && len(specs) > maxBatchJobs {
+			err = &job.ValidationError{Field: "jobs",
+				Reason: fmt.Sprintf("batch of %d exceeds the %d-job limit", len(specs), maxBatchJobs)}
+		}
 		if err != nil {
 			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 			return

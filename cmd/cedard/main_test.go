@@ -148,6 +148,9 @@ func TestJobsRejectsInvalid(t *testing.T) {
 		{"negative size", `{"workload":"vl","size":-1}`, "size"},
 		{"empty batch", `[]`, "empty"},
 		{"trailing garbage", `{"workload":"vl"} extra`, "trailing"},
+		{"retired parallel engine", `{"workload":"vl","engine":"parallel"}`, "engine"},
+		{"retired quiescent engine", `{"workload":"vl","engine":"quiescent"}`, "engine"},
+		{"retired worker budget", `{"workload":"vl","par_workers":2}`, "par_workers"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -166,6 +169,48 @@ func TestJobsRejectsInvalid(t *testing.T) {
 	// The batch containing one valid job must not have run it either.
 	if svc.Len() != 0 {
 		t.Fatalf("invalid batch left %d cache entries", svc.Len())
+	}
+}
+
+// TestJobsRequestLimits: a body one byte over the cap is refused with
+// 413 and a batch one job over the cap with 400 naming jobs, neither
+// running anything; a body and a batch of exactly the caps are served.
+func TestJobsRequestLimits(t *testing.T) {
+	srv, svc := testServer(t, 2)
+	const spec = `{"workload":"vl","clusters":1,"size":1024}`
+	pad := func(n int) string { return spec + strings.Repeat(" ", n-len(spec)) }
+
+	status, body := postJobs(t, srv, pad(maxBodyBytes+1))
+	if status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%d-byte body: status %d, want 413: %s", maxBodyBytes+1, status, body)
+	}
+	batch := func(n int) string {
+		return "[" + strings.TrimSuffix(strings.Repeat(spec+",", n), ",") + "]"
+	}
+	status, body = postJobs(t, srv, batch(maxBatchJobs+1))
+	if status != http.StatusBadRequest || !strings.Contains(string(body), "jobs") {
+		t.Fatalf("%d-job batch: status %d, want 400 naming jobs: %s", maxBatchJobs+1, status, body)
+	}
+	if _, _, _, execs := svc.Stats(); execs != 0 {
+		t.Fatalf("over-limit requests triggered %d executions", execs)
+	}
+
+	if status, body = postJobs(t, srv, pad(maxBodyBytes)); status != http.StatusOK {
+		t.Fatalf("%d-byte body: status %d, want 200: %s", maxBodyBytes, status, body)
+	}
+	status, body = postJobs(t, srv, batch(maxBatchJobs))
+	if status != http.StatusOK {
+		t.Fatalf("%d-job batch: status %d, want 200: %s", maxBatchJobs, status, body)
+	}
+	var resps []jobResponse
+	if err := json.Unmarshal(body, &resps); err != nil {
+		t.Fatal(err)
+	}
+	if len(resps) != maxBatchJobs {
+		t.Fatalf("%d responses for %d jobs", len(resps), maxBatchJobs)
+	}
+	if _, _, _, execs := svc.Stats(); execs != 1 {
+		t.Fatalf("%d executions for one distinct spec", execs)
 	}
 }
 

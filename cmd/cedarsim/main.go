@@ -18,11 +18,11 @@
 // The flags assemble a job.Spec — the same serializable job
 // description cedard accepts over HTTP — and hand it to the shared
 // runner; cedarsim is one door into the one Spec→runner path. The
-// -engine flag selects the simulation engine path (naive, quiescent,
-// wake-cached (default) or parallel; results are bit-identical on
-// every path), -topology picks the machine configuration (cedar, or
-// the PPT5 scaled-up machine), and any nonsensical value exits with
-// status 2 like a malformed flag.
+// -engine flag selects the simulation engine path (wake-cached, the
+// default, or the naive reference; results are bit-identical on both),
+// -topology picks the machine configuration (cedar, or the PPT5
+// scaled-up machine), and any nonsensical value exits with status 2
+// like a malformed flag.
 //
 // Telemetry: -metrics-out dumps the final metrics registry,
 // -trace-out writes a Chrome trace_event JSON timeline (open it at
@@ -71,8 +71,7 @@ func main() {
 	faultSeed := flag.Int64("fault-seed", 1, "fault-injection schedule seed (non-negative)")
 	faultRate := flag.Float64("fault-rate", 0, "mean injected faults per 10k cycles (0 disables fault injection)")
 	faultKinds := flag.String("fault-kinds", "", "comma-separated fault kinds to inject (empty = all; known: "+strings.Join(fault.KindNames(), ",")+")")
-	engine := flag.String("engine", "wake-cached", "engine path: naive, quiescent, wake-cached, parallel")
-	parWorkers := flag.Int("par-workers", 0, "phase-2 goroutines for -engine parallel (0 = min(NumCPU, clusters))")
+	engine := flag.String("engine", "wake-cached", "engine path: naive, wake-cached")
 	flag.Parse()
 
 	// The only validation done at flag level is what the Spec cannot
@@ -111,7 +110,6 @@ func main() {
 		Clusters:   *clusters,
 		Topology:   *topology,
 		Engine:     *engine,
-		ParWorkers: *parWorkers,
 		FaultSeed:  *faultSeed,
 		FaultRate:  *faultRate,
 		FaultKinds: kindFilter,
@@ -231,7 +229,6 @@ func flagFor(field string) string {
 		"clusters":    "-clusters",
 		"topology":    "-topology",
 		"engine":      "-engine",
-		"par_workers": "-par-workers",
 		"fault_seed":  "-fault-seed",
 		"fault_rate":  "-fault-rate",
 		"fault_kinds": "-fault-kinds",

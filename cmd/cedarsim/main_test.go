@@ -31,6 +31,8 @@ func TestFlagValidation(t *testing.T) {
 		want string // substring of stderr
 	}{
 		{"unknown engine", []string{"-engine", "warp"}, "-engine"},
+		{"retired parallel engine", []string{"-engine", "parallel"}, "-engine"},
+		{"retired quiescent engine", []string{"-engine", "quiescent"}, "-engine"},
 		{"zero sample interval", []string{"-sample-every", "0"}, "-sample-every"},
 		{"negative sample interval", []string{"-sample-every", "-5"}, "-sample-every"},
 		{"negative fault rate", []string{"-fault-rate", "-0.1"}, "-fault-rate"},
@@ -39,8 +41,6 @@ func TestFlagValidation(t *testing.T) {
 		{"unknown fault kind", []string{"-fault-kinds", "gamma-ray"}, "unknown kind"},
 		{"fault kinds validated at rate zero", []string{"-fault-rate", "0", "-fault-kinds", "net-stall,typo"}, "unknown kind"},
 		{"empty fault kinds entry", []string{"-fault-kinds", ","}, "no kinds named"},
-		{"negative workers", []string{"-par-workers", "-1"}, "-par-workers"},
-		{"workers without parallel engine", []string{"-par-workers", "2"}, `engine "parallel"`},
 		{"negative problem size", []string{"-n", "-1"}, "size"},
 		{"negative iterations", []string{"-iters", "-3"}, "iterations"},
 		{"unknown mode", []string{"-mode", "warp"}, "-mode"},
@@ -73,11 +73,11 @@ func TestFlagValidation(t *testing.T) {
 // equivalence the engine suites prove exhaustively).
 func TestEngineFlagRuns(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the binary four times; skipped with -short")
+		t.Skip("runs the binary twice; skipped with -short")
 	}
 	bin := buildBinary(t)
 	var cycles string
-	for _, eng := range []string{"naive", "quiescent", "wake-cached", "parallel"} {
+	for _, eng := range []string{"naive", "wake-cached"} {
 		cmd := exec.Command(bin, "-engine", eng, "-kernel", "vl", "-clusters", "1", "-n", "1024")
 		out, err := cmd.CombinedOutput()
 		if err != nil {

@@ -9,8 +9,8 @@ import (
 )
 
 // TestXDOALLDeterministicAcrossEnginePaths runs the same self-scheduled
-// loop nest on every engine path and asserts the outcomes are
-// bit-identical. The XDOALL path is the fast paths' stress case: the
+// loop nest on both engine paths and asserts the outcomes are
+// bit-identical. The XDOALL path is the fast path's stress case: the
 // 90 us dispatch startup leaves the whole machine quiet for ~530 cycles,
 // which the engine should cross in one jump — and between loops every CE
 // goes dormant, which the wake-cached path must survive because the
@@ -34,27 +34,25 @@ func TestXDOALLDeterministicAcrossEnginePaths(t *testing.T) {
 		return elapsed, m
 	}
 	en, mn := run(sim.ModeNaive)
-	for _, mode := range []sim.EngineMode{sim.ModeWakeCached, sim.ModeQuiescent} {
-		ef, mf := run(mode)
-		if ef != en {
-			t.Fatalf("per-loop elapsed cycles diverged: %v %v, naive %v", mode, ef, en)
+	ef, mf := run(sim.ModeWakeCached)
+	if ef != en {
+		t.Fatalf("per-loop elapsed cycles diverged: wake-cached %v, naive %v", ef, en)
+	}
+	if mf.Eng.Now() != mn.Eng.Now() {
+		t.Fatalf("final time diverged: wake-cached %d vs naive %d", mf.Eng.Now(), mn.Eng.Now())
+	}
+	for i := range mf.CEs() {
+		cf, cn := mf.CE(i), mn.CE(i)
+		if cf.OpsDone != cn.OpsDone || cf.IdleCycles != cn.IdleCycles || cf.StallNet != cn.StallNet {
+			t.Fatalf("ce%d counters diverged: ops %d/%d idle %d/%d stallnet %d/%d",
+				i, cf.OpsDone, cn.OpsDone, cf.IdleCycles, cn.IdleCycles, cf.StallNet, cn.StallNet)
 		}
-		if mf.Eng.Now() != mn.Eng.Now() {
-			t.Fatalf("%v final time diverged: %d vs %d", mode, mf.Eng.Now(), mn.Eng.Now())
-		}
-		for i := range mf.CEs() {
-			cf, cn := mf.CE(i), mn.CE(i)
-			if cf.OpsDone != cn.OpsDone || cf.IdleCycles != cn.IdleCycles || cf.StallNet != cn.StallNet {
-				t.Fatalf("%v ce%d counters diverged: ops %d/%d idle %d/%d stallnet %d/%d",
-					mode, i, cf.OpsDone, cn.OpsDone, cf.IdleCycles, cn.IdleCycles, cf.StallNet, cn.StallNet)
-			}
-		}
-		if mf.Eng.FastForwarded == 0 {
-			t.Fatalf("%v: XDOALL startup spans were not fast-forwarded", mode)
-		}
-		if mode == sim.ModeWakeCached && mf.Eng.DormantSkips == 0 {
-			t.Fatal("wake-cached path never skipped a dormant component across XDOALL dispatches")
-		}
+	}
+	if mf.Eng.FastForwarded == 0 {
+		t.Fatal("XDOALL startup spans were not fast-forwarded")
+	}
+	if mf.Eng.DormantSkips == 0 {
+		t.Fatal("wake-cached path never skipped a dormant component across XDOALL dispatches")
 	}
 	if mn.Eng.FastForwarded != 0 || mn.Eng.SkippedTicks != 0 {
 		t.Fatal("naive engine took the fast path")
@@ -90,10 +88,7 @@ func TestBarrierDeterministicAcrossEnginePaths(t *testing.T) {
 		return int64(end), sync
 	}
 	en, sn := run(sim.ModeNaive)
-	for _, mode := range []sim.EngineMode{sim.ModeWakeCached, sim.ModeQuiescent} {
-		ef, sf := run(mode)
-		if ef != en || sf != sn {
-			t.Fatalf("barrier diverged on %v vs naive: end %d/%d syncops %d/%d", mode, ef, en, sf, sn)
-		}
+	if ef, sf := run(sim.ModeWakeCached); ef != en || sf != sn {
+		t.Fatalf("barrier diverged on wake-cached vs naive: end %d/%d syncops %d/%d", ef, en, sf, sn)
 	}
 }

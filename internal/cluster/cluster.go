@@ -125,9 +125,7 @@ func (cl *Cluster) FaultBusStall(now sim.Cycle, window sim.Cycle) {
 // busExtraCost is the isa.Op.ExtraCost hook attached to bus operations:
 // evaluated once at the op's start cycle, it charges the remainder of
 // any active stall window. Start cycles are CE tick slots, identical in
-// every engine mode, and a cluster's CEs all tick inside the cluster's
-// own scheduling domain in parallel mode, so the counter updates here
-// are domain-local and need no sim.Boundary deferral.
+// both engine modes.
 func (cl *Cluster) busExtraCost(now sim.Cycle) sim.Cycle {
 	if now >= cl.busStallUntil {
 		return 0

@@ -61,19 +61,12 @@ type Config struct {
 	// paper's claim that the measured degradation "is not inherent in
 	// the type of network used" [Turn93].
 	IdealNetwork bool
-	// EngineMode selects the engine path (sim.ModeWakeCached,
-	// sim.ModeQuiescent or sim.ModeNaive). Results are bit-identical in
-	// every mode (the determinism tests assert it); the slower paths
-	// exist as references for those tests and for benchmarking the fast
-	// path's wall-clock win. The zero value is the wake-cached default.
+	// EngineMode selects the engine path (sim.ModeWakeCached or
+	// sim.ModeNaive). Results are bit-identical in both modes (the
+	// determinism tests assert it); the naive path exists as the
+	// reference for those tests and for benchmarking the fast path's
+	// wall-clock win. The zero value is the wake-cached default.
 	EngineMode sim.EngineMode
-	// NaiveEngine forces sim.ModeNaive regardless of EngineMode; kept
-	// for callers predating EngineMode.
-	NaiveEngine bool
-	// ParWorkers is the phase-2 goroutine budget when EngineMode is
-	// sim.ModeWakeCachedParallel (0 picks min(NumCPU, Clusters); see
-	// sim.ConfigureParallel). Ignored in the other modes.
-	ParWorkers int
 	// Fault configures deterministic fault injection and the recovery
 	// knobs (request timeouts, retry budgets, gang rescheduling). The
 	// zero value disables the subsystem entirely: no injector or
@@ -170,18 +163,7 @@ func New(cfg Config) (*Machine, error) {
 	}
 
 	eng := sim.New()
-	if cfg.NaiveEngine {
-		eng.SetMode(sim.ModeNaive)
-	} else {
-		eng.SetMode(cfg.EngineMode)
-	}
-	parallel := !cfg.NaiveEngine && cfg.EngineMode == sim.ModeWakeCachedParallel
-	if parallel && cfg.IdealNetwork {
-		// The ideal fabric keeps every in-flight packet in one shared
-		// slice, so it cannot defer cross-cluster offers the way the real
-		// network's per-port entry queues can.
-		return nil, fmt.Errorf("core: the parallel engine requires the real network (IdealNetwork is incompatible)")
-	}
+	eng.SetMode(cfg.EngineMode)
 	mkNet := func(name string) (*network.Network, error) {
 		if cfg.IdealNetwork {
 			return network.NewIdeal(name, ports, cfg.NetRadix)
@@ -208,17 +190,9 @@ func New(cfg Config) (*Machine, error) {
 		cfg.CE.ReadTimeout = cfg.Fault.ReadTimeout
 		cfg.CE.MaxRetries = cfg.Fault.MaxRetries
 	}
-	m := &Machine{cfg: cfg, Eng: eng, Fwd: fwd, Rev: rev, Global: g, IOWait: xylem.NewIOWaitSharded(cfg.Clusters)}
+	m := &Machine{cfg: cfg, Eng: eng, Fwd: fwd, Rev: rev, Global: g, IOWait: xylem.NewIOWait()}
 	if cfg.Fault.Enabled() {
 		m.Resched = xylem.NewRescheduler(cfg.Fault.RescheduleLatency)
-	}
-	// Under the parallel engine a check-stopped CE surrenders its program
-	// from a phase-2 worker goroutine; the buffer defers the hand-off to
-	// the rendezvous, where cluster order reproduces the sequential
-	// arrival order.
-	var surBuf *surrenderBuffer
-	if parallel && m.Resched != nil {
-		surBuf = &surrenderBuffer{r: m.Resched, bufs: make([][]surrenderRec, cfg.Clusters)}
 	}
 
 	// Global memory modules sink the forward network; the module index
@@ -254,14 +228,10 @@ func New(cfg Config) (*Machine, error) {
 				u.SetTimeout(cfg.Fault.ReadTimeout, cfg.Fault.MaxRetries)
 			}
 			c := ce.New(cfg.CE, id, id, i, fwd, ch, u, route)
-			c.SetIOPath(ceIOPath{w: m.IOWait, ip: ip, cl: cl})
+			c.SetIOPath(ceIOPath{w: m.IOWait, ip: ip})
 			if m.Resched != nil {
 				clIdx := cl
 				c.OnSurrender = func(p isa.Program) {
-					if surBuf != nil && surBuf.on {
-						surBuf.bufs[clIdx] = append(surBuf.bufs[clIdx], surrenderRec{now: eng.Now(), prog: p})
-						return
-					}
 					m.Resched.Surrender(eng.Now(), clIdx, p)
 				}
 			}
@@ -306,10 +276,6 @@ func New(cfg Config) (*Machine, error) {
 			faultCaches[i] = clu.Cache
 			faultBuses[i] = clu
 		}
-		// The cache and bus hooks are written from the injector's pre-band
-		// tick slot (before the parallel fork) and read by domain-owned
-		// components after it, so the fork's happens-before edge covers
-		// them with no sim.Boundary deferral.
 		m.FaultInj = fault.NewInjector(cfg.Fault, fwd, rev, mods, stoppable, faultIPs, faultCaches, faultBuses)
 	}
 
@@ -328,21 +294,14 @@ func New(cfg Config) (*Machine, error) {
 		m.Eng.Register("fault", m.FaultInj)
 		m.Eng.Register("resched", m.Resched)
 	}
-	// The CE/PFU/IP handles feed the parallel partition: domain cl is
-	// cluster cl's CEs, PFUs and IP, and because the three groups are
-	// registered back to back their union is one contiguous band.
-	domains := make([][]sim.Handle, cfg.Clusters)
 	for _, c := range m.ces {
-		h := m.Eng.Register(fmt.Sprintf("ce%d", c.ID), c)
-		domains[c.ID/cfg.Cluster.CEs] = append(domains[c.ID/cfg.Cluster.CEs], h)
+		m.Eng.Register(fmt.Sprintf("ce%d", c.ID), c)
 	}
 	for _, c := range m.ces {
-		h := m.Eng.Register(fmt.Sprintf("pfu%d", c.ID), c.PFU())
-		domains[c.ID/cfg.Cluster.CEs] = append(domains[c.ID/cfg.Cluster.CEs], h)
+		m.Eng.Register(fmt.Sprintf("pfu%d", c.ID), c.PFU())
 	}
 	for _, clu := range m.Clusters {
-		h := m.Eng.Register(fmt.Sprintf("ip%d", clu.ID), clu.IPs)
-		domains[clu.ID] = append(domains[clu.ID], h)
+		m.Eng.Register(fmt.Sprintf("ip%d", clu.ID), clu.IPs)
 	}
 	// The park table never ticks; it is registered so a deadline hit
 	// with programs still blocked on I/O names them in the diagnostics.
@@ -352,52 +311,7 @@ func New(cfg Config) (*Machine, error) {
 		m.Eng.Register(fmt.Sprintf("gmod%d", mod), g.Module(mod))
 	}
 	m.Eng.Register("rev", rev)
-	if parallel {
-		// The forward network is the only shared structure a domain writes
-		// during phase 2 (replies come back requester-port-only, so the
-		// reverse network is offered to by the memory modules alone, in
-		// phase 3); the surrender buffer joins it when faults are on.
-		boundaries := []sim.Boundary{fwd}
-		if surBuf != nil {
-			boundaries = append(boundaries, surBuf)
-		}
-		if err := eng.ConfigureParallel(domains, boundaries, cfg.ParWorkers); err != nil {
-			return nil, err
-		}
-	}
 	return m, nil
-}
-
-// surrenderRec is one buffered program hand-off: the cycle the CE
-// check-stopped and the program it gave up.
-type surrenderRec struct {
-	now  sim.Cycle
-	prog isa.Program
-}
-
-// surrenderBuffer defers CE.OnSurrender calls made during the parallel
-// engine's phase 2 (sim.Boundary). Replay at the rendezvous walks the
-// clusters in index order — the CEs' registration order — so the
-// rescheduler observes surrenders in exactly the sequence the
-// sequential engine would have delivered them. The rescheduler ticks
-// before the CEs either way, so it acts on a cycle-t surrender at t+1
-// in both engines.
-type surrenderBuffer struct {
-	r    *xylem.Rescheduler
-	bufs [][]surrenderRec
-	on   bool
-}
-
-func (b *surrenderBuffer) BeginConcurrent() { b.on = true }
-
-func (b *surrenderBuffer) CommitConcurrent() {
-	b.on = false
-	for cl := range b.bufs {
-		for _, rec := range b.bufs[cl] {
-			b.r.Surrender(rec.now, cl, rec.prog)
-		}
-		b.bufs[cl] = b.bufs[cl][:0]
-	}
 }
 
 // ceIOPath routes a CE's isa.IO operations into Xylem's park table in
@@ -407,11 +321,10 @@ func (b *surrenderBuffer) CommitConcurrent() {
 type ceIOPath struct {
 	w  *xylem.IOWait
 	ip *cluster.IP
-	cl int
 }
 
 func (p ceIOPath) SubmitIO(now sim.Cycle, words int64, formatted bool, label string, onDone func(xylem.IOCompletion)) {
-	p.w.ParkAt(p.cl, now, p.ip, words, formatted, label, onDone)
+	p.w.Park(now, p.ip, words, formatted, label, onDone)
 }
 
 // MustNew is New, panicking on configuration errors.

@@ -6,14 +6,9 @@
 // and concurrency-bus stalls. Every fault is drawn from a seeded
 // schedule, so a run with a given seed is exactly reproducible — and,
 // because the injector is a sim.IdleComponent registered ahead of the
-// architected components, the schedule lands on identical cycles in all
-// four engine modes, keeping fault-injected runs bit-identical across
-// naive, quiescent, wake-cached, and cluster-parallel execution. In
-// parallel mode all injection happens in the pre-band phase (the
-// injector is a global component ticked by the coordinator before the
-// domains fork), so hazard windows written here are visible to every
-// domain through the fork's happens-before edge with no sim.Boundary
-// deferral needed.
+// architected components, the schedule lands on identical cycles in both
+// engine modes, keeping fault-injected runs bit-identical across naive
+// and wake-cached execution.
 //
 // Recovery is the other half of the model and lives with the affected
 // layers: request-layer timeout and reissue in prefetch and ce (both

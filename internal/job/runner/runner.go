@@ -24,13 +24,11 @@ import (
 )
 
 // engineModes maps Spec.Engine names onto engine paths. Results are
-// bit-identical across all four; the non-default paths exist for the
-// equivalence tests, benchmarking and multi-core hosts.
+// bit-identical across both; the naive path exists for the equivalence
+// tests and benchmarking.
 var engineModes = map[string]sim.EngineMode{
 	"naive":       sim.ModeNaive,
-	"quiescent":   sim.ModeQuiescent,
 	"wake-cached": sim.ModeWakeCached,
-	"parallel":    sim.ModeWakeCachedParallel,
 }
 
 // Job is a prepared simulation: a normalized Spec plus the machine
@@ -86,7 +84,6 @@ func Prepare(spec job.Spec) (*Job, error) {
 		cfg = core.ConfigClusters(n.Clusters)
 	}
 	cfg.EngineMode = engineModes[n.Engine]
-	cfg.ParWorkers = n.ParWorkers
 	if n.FaultRate > 0 {
 		cfg.Fault = fault.DefaultConfig(uint64(n.FaultSeed))
 		cfg.Fault.MeanInterval = sim.Cycle(10000 / n.FaultRate)

@@ -61,14 +61,9 @@ type Spec struct {
 	// configuration: one memory module per CE, deeper networks).
 	// Default "cedar".
 	Topology string `json:"topology,omitempty"`
-	// Engine is the engine path: "naive", "quiescent", "wake-cached" or
-	// "parallel". Results are bit-identical on every path. Default
-	// "wake-cached".
+	// Engine is the engine path: "naive" or "wake-cached". Results are
+	// bit-identical on both paths. Default "wake-cached".
 	Engine string `json:"engine,omitempty"`
-	// ParWorkers is the phase-2 goroutine budget for the parallel
-	// engine (0 picks min(NumCPU, Clusters)); only meaningful — and
-	// only accepted — with Engine "parallel".
-	ParWorkers int `json:"par_workers,omitempty"`
 	// FaultSeed selects the deterministic fault schedule; non-negative.
 	// Ignored (and canonicalized away) while FaultRate is zero.
 	FaultSeed int64 `json:"fault_seed,omitempty"`
@@ -93,8 +88,8 @@ const (
 )
 
 // EngineNames lists the valid Spec.Engine values. The runner maps them
-// onto sim engine modes; results are bit-identical across all four.
-var EngineNames = []string{"naive", "quiescent", "wake-cached", "parallel"}
+// onto sim engine modes; results are bit-identical across both.
+var EngineNames = []string{"naive", "wake-cached"}
 
 // modeValues maps Spec.Mode names onto workload memory modes.
 var modeValues = map[string]workload.Mode{
@@ -181,13 +176,7 @@ func (s Spec) Normalized() (Spec, error) {
 		}
 	}
 	if !engineOK {
-		return Spec{}, invalid("engine", "unknown engine %q (naive, quiescent, wake-cached or parallel)", n.Engine)
-	}
-	if n.ParWorkers < 0 {
-		return Spec{}, invalid("par_workers", "the worker budget cannot be negative")
-	}
-	if n.ParWorkers > 0 && n.Engine != "parallel" {
-		return Spec{}, invalid("par_workers", "only meaningful with engine \"parallel\"")
+		return Spec{}, invalid("engine", "unknown engine %q (naive or wake-cached)", n.Engine)
 	}
 	if n.FaultRate < 0 || n.FaultRate > 1 {
 		return Spec{}, invalid("fault_rate", "%g outside [0,1] faults per 10k cycles", n.FaultRate)
@@ -257,21 +246,24 @@ func (s Spec) Params() workload.Params {
 // omitempty — defaults are materialized, absent and default must
 // encode identically) and JSON keys in sorted order. Field order here
 // IS the wire order json.Marshal emits, so this struct is part of the
-// fingerprint contract pinned by the golden test.
+// fingerprint contract pinned by the golden test. RetiredWorkers is
+// always zero: its par_workers key carried the retired parallel engine's
+// worker budget, and it stays because persisted fingerprints — the keys
+// of bench/testdata/golden.json among them — hash these bytes.
 type canonicalSpec struct {
-	Clusters   int      `json:"clusters"`
-	Engine     string   `json:"engine"`
-	FaultKinds []string `json:"fault_kinds"`
-	FaultRate  float64  `json:"fault_rate"`
-	FaultSeed  int64    `json:"fault_seed"`
-	Iterations int      `json:"iterations"`
-	Mode       string   `json:"mode"`
-	ParWorkers int      `json:"par_workers"`
-	Prefetch   bool     `json:"prefetch"`
-	Probe      bool     `json:"probe"`
-	Size       int      `json:"size"`
-	Topology   string   `json:"topology"`
-	Workload   string   `json:"workload"`
+	Clusters       int      `json:"clusters"`
+	Engine         string   `json:"engine"`
+	FaultKinds     []string `json:"fault_kinds"`
+	FaultRate      float64  `json:"fault_rate"`
+	FaultSeed      int64    `json:"fault_seed"`
+	Iterations     int      `json:"iterations"`
+	Mode           string   `json:"mode"`
+	RetiredWorkers int      `json:"par_workers"`
+	Prefetch       bool     `json:"prefetch"`
+	Probe          bool     `json:"probe"`
+	Size           int      `json:"size"`
+	Topology       string   `json:"topology"`
+	Workload       string   `json:"workload"`
 }
 
 // Canonical returns the spec's canonical bytes: deterministic
@@ -294,7 +286,6 @@ func (s Spec) Canonical() ([]byte, error) {
 		FaultSeed:  n.FaultSeed,
 		Iterations: n.Iterations,
 		Mode:       n.Mode,
-		ParWorkers: n.ParWorkers,
 		Prefetch:   *n.Prefetch,
 		Probe:      *n.Probe,
 		Size:       n.Size,

@@ -27,9 +27,9 @@ func TestCanonicalGolden(t *testing.T) {
 		{
 			"every field set",
 			Spec{Workload: "cg", Mode: "cache", Prefetch: Bool(false), Probe: Bool(false),
-				Iterations: 7, Size: 8192, Clusters: 2, Topology: "scaled", Engine: "parallel",
-				ParWorkers: 3, FaultSeed: 9, FaultRate: 0.25, FaultKinds: []string{"net-stall", "ce-drop"}},
-			`{"clusters":2,"engine":"parallel","fault_kinds":["ce-drop","net-stall"],"fault_rate":0.25,"fault_seed":9,"iterations":7,"mode":"cache","par_workers":3,"prefetch":false,"probe":false,"size":8192,"topology":"scaled","workload":"cg"}`,
+				Iterations: 7, Size: 8192, Clusters: 2, Topology: "scaled", Engine: "naive",
+				FaultSeed: 9, FaultRate: 0.25, FaultKinds: []string{"net-stall", "ce-drop"}},
+			`{"clusters":2,"engine":"naive","fault_kinds":["ce-drop","net-stall"],"fault_rate":0.25,"fault_seed":9,"iterations":7,"mode":"cache","par_workers":0,"prefetch":false,"probe":false,"size":8192,"topology":"scaled","workload":"cg"}`,
 		},
 		{
 			"fault fields canonicalized away at rate zero",
@@ -142,8 +142,8 @@ func TestSpecValidation(t *testing.T) {
 		{"clusters beyond cedar", Spec{Workload: "rk", Clusters: 5}, "clusters"},
 		{"clusters beyond scaled", Spec{Workload: "rk", Topology: "scaled", Clusters: 65}, "clusters"},
 		{"unknown engine", Spec{Workload: "rk", Engine: "warp"}, "engine"},
-		{"negative workers", Spec{Workload: "rk", ParWorkers: -1}, "par_workers"},
-		{"workers without parallel", Spec{Workload: "rk", ParWorkers: 2}, "par_workers"},
+		{"retired parallel engine", Spec{Workload: "rk", Engine: "parallel"}, "engine"},
+		{"retired quiescent engine", Spec{Workload: "rk", Engine: "quiescent"}, "engine"},
 		{"fault rate above one", Spec{Workload: "rk", FaultRate: 1.5}, "fault_rate"},
 		{"negative fault seed", Spec{Workload: "rk", FaultSeed: -1, FaultRate: 0.5}, "fault_seed"},
 		{"unknown fault kind", Spec{Workload: "rk", FaultKinds: []string{"gamma-ray"}}, "fault_kinds"},
@@ -192,11 +192,12 @@ func TestDecodeStrict(t *testing.T) {
 		t.Fatalf("Decode(single) = %d specs, %v", len(single), err)
 	}
 	for _, bad := range []string{
-		`{"workload":"rk","iters":5}`,  // unknown field (typo of iterations)
-		`[{"workload":"rk","nope":1}]`, // unknown field inside a batch
+		`{"workload":"rk","iters":5}`,         // unknown field (typo of iterations)
+		`{"workload":"rk","par_workers":2}`,   // the retired parallel engine's knob
+		`[{"workload":"rk","nope":1}]`,        // unknown field inside a batch
 		`{"workload":"rk"} {"workload":"vl"}`, // trailing document
-		`[]`,        // empty batch
-		`not json`,  // garbage
+		`[]`,                                  // empty batch
+		`not json`,                            // garbage
 	} {
 		if _, err := Decode(strings.NewReader(bad)); err == nil {
 			t.Fatalf("Decode(%q) accepted", bad)

@@ -70,7 +70,7 @@ func diffAttr(t *testing.T, label string, got, ref [][]int64) {
 }
 
 // TestAttrConservationAllWorkloads is the tentpole invariant: for every
-// registry workload, in all three engine modes, every CE's bucket totals
+// registry workload, in both engine modes, every CE's bucket totals
 // sum exactly to the elapsed cycle count, and the full per-CE bucket
 // vectors are bit-identical across modes.
 func TestAttrConservationAllWorkloads(t *testing.T) {
@@ -128,7 +128,7 @@ func TestAttrBucketsExercised(t *testing.T) {
 // hold exactly, the recovery cycles must land in their own buckets —
 // check-stop drain/freeze in check_stop, post-reissue read waits in
 // recovery — so the fault census and the CPI stack cross-check, and the
-// attribution must stay bit-identical across all three engine paths.
+// attribution must stay bit-identical across both engine paths.
 func TestAttrFaultSweep(t *testing.T) {
 	for _, name := range []string{"cg", "bdna"} {
 		name := name

@@ -2,7 +2,6 @@ package kernels
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -15,9 +14,9 @@ import (
 )
 
 // Chaos soak: the standing system-wide fault invariant. A seeded sweep
-// over (fault-kind subsets x registry workloads x all four engine
-// modes) asserts that every faulted run completes (no ErrDeadline),
-// that all modes produce bit-identical fingerprints — architected
+// over (fault-kind subsets x registry workloads x both engine modes)
+// asserts that every faulted run completes (no ErrDeadline), that the
+// modes produce bit-identical fingerprints — architected
 // counters, attribution, and the fault census itself — and that the
 // census balances injected against recovered counts. Each
 // (subset, workload) pair runs under its own seed, so the soak covers
@@ -115,7 +114,7 @@ func checkCensusBalance(t *testing.T, label string, m *core.Machine) {
 }
 
 // TestChaosSoak is the harness: every (subset, workload) pair gets its
-// own seed (12 seeds at full size, each swept over all four modes).
+// own seed (12 seeds at full size, each swept over both modes).
 // make fault-soak runs this by name; -short trims the workload list.
 func TestChaosSoak(t *testing.T) {
 	names := workload.Names()
@@ -219,36 +218,4 @@ func TestChaosSoakExercisesNewKinds(t *testing.T) {
 		t.Fatalf("%d bus stalls stretched %d claim/spread ops, want both > 0",
 			m.FaultInj.BusStalls, stretched)
 	}
-}
-
-// TestChaosSoakParallelReissue races the CE inflight reissue path under
-// the parallel engine with the worker pool forced on (the 1-CPU inline
-// fallback would otherwise hide data races from make race-fault).
-func TestChaosSoakParallelReissue(t *testing.T) {
-	old := runtime.GOMAXPROCS(2)
-	defer runtime.GOMAXPROCS(old)
-	cfg := core.ConfigClusters(2)
-	cfg.Global.Words = 1 << 20
-	cfg.EngineMode = sim.ModeWakeCachedParallel
-	cfg.ParWorkers = 2
-	cfg.Fault = fault.DefaultConfig(0x9E155)
-	cfg.Fault.MeanInterval = 200
-	if err := cfg.Fault.EnableOnly([]string{"ce-drop", "net-stall", "cache-bank-busy", "bus-stall"}); err != nil {
-		t.Fatal(err)
-	}
-	m := core.MustNew(cfg)
-	opts := attrOptions("tm", m)
-	opts.Prefetch = false // direct global streams: the reissue path's food
-	if _, err := workload.Run("tm", m, opts, workload.Attachments{}); err != nil {
-		t.Fatal(err)
-	}
-	var retries int64
-	for _, c := range m.CEs() {
-		retries += c.Retries
-	}
-	if m.FaultInj.CEDrops == 0 || retries == 0 {
-		t.Fatalf("parallel soak never dropped and reissued a CE read (drops=%d retries=%d)",
-			m.FaultInj.CEDrops, retries)
-	}
-	checkCensusBalance(t, "tm parallel", m)
 }

@@ -11,16 +11,16 @@ import (
 	"repro/internal/sim"
 )
 
-// The fast engine paths' contract is bit-identical results: every kernel
+// The fast engine path's contract is bit-identical results: every kernel
 // must produce exactly the same cycle counts, numerics and hardware
-// counters whether the engine ticks every component every cycle (naive),
-// skips idle components and fast-forwards quiet spans (quiescent), or
-// additionally caches Never answers behind the wake API (wake-cached,
-// the default). These tests run each kernel on all three paths and diff
-// a full stats fingerprint of the machine against the naive reference.
+// counters whether the engine ticks every component every cycle (naive)
+// or skips idle components, fast-forwards quiet spans and caches Never
+// answers behind the wake API (wake-cached, the default). These tests
+// run each kernel on both paths and diff a full stats fingerprint of the
+// machine against the naive reference.
 
 // engineModes is every path, naive reference last.
-var engineModes = []sim.EngineMode{sim.ModeWakeCachedParallel, sim.ModeWakeCached, sim.ModeQuiescent, sim.ModeNaive}
+var engineModes = []sim.EngineMode{sim.ModeWakeCached, sim.ModeNaive}
 
 func machineAt(clusters int, mode sim.EngineMode) *core.Machine {
 	cfg := core.ConfigClusters(clusters)
@@ -88,37 +88,57 @@ func diffFingerprints(t *testing.T, what, fast, naive string) {
 func checkResults(t *testing.T, what string, fast, naive Result) {
 	t.Helper()
 	if fast.Cycles != naive.Cycles {
-		t.Fatalf("%s: cycles %d (quiescent) != %d (naive)", what, fast.Cycles, naive.Cycles)
+		t.Fatalf("%s: cycles %d (fast) != %d (naive)", what, fast.Cycles, naive.Cycles)
 	}
 	if fast.Flops != naive.Flops || fast.Check != naive.Check {
 		t.Fatalf("%s: flops/check diverged: %d/%g vs %d/%g", what, fast.Flops, fast.Check, naive.Flops, naive.Check)
 	}
 }
 
-// runAllModes builds one machine per engine path, runs the workload on
-// each, and diffs results and fingerprints against the naive reference.
+// runAllModes runs the workload on the naive reference, then twice on
+// wake-cached — first audited by a dormancyAudit probe, then plainly —
+// and diffs each fast run's results and fingerprint against the
+// reference. The audit fails the test at the cycle a component misses
+// its Wake, naming it, where the plain leg would only show a
+// fingerprint diff or a hang.
 func runAllModes(t *testing.T, what string, clusters int, run func(m *core.Machine) Result) {
 	t.Helper()
-	var ref Result
-	var refPrint string
-	for i := len(engineModes) - 1; i >= 0; i-- { // naive first: it is the reference
-		mode := engineModes[i]
-		m := machineAt(clusters, mode)
-		r := run(m)
-		if mode == sim.ModeNaive {
-			ref, refPrint = r, fingerprint(m)
-			continue
+	naive := machineAt(clusters, sim.ModeNaive)
+	ref := run(naive)
+	refPrint := fingerprint(naive)
+	for _, audited := range []bool{true, false} {
+		m := machineAt(clusters, sim.ModeWakeCached)
+		label := fmt.Sprintf("%s [wake-cached audited=%v]", what, audited)
+		if audited {
+			m.Eng.SetProbe(&dormancyAudit{t: t, label: label, eng: m.Eng})
 		}
-		label := fmt.Sprintf("%s [%v]", what, mode)
+		r := run(m)
 		checkResults(t, label, r, ref)
 		diffFingerprints(t, label, fingerprint(m), refPrint)
+	}
+}
+
+// dormancyAudit is a sim.Probe that samples every cycle and runs the
+// engine's CheckDormant there. Sampling never perturbs a run, so the
+// audited leg must still match the naive fingerprint.
+type dormancyAudit struct {
+	t     *testing.T
+	label string
+	eng   *sim.Engine
+}
+
+func (a *dormancyAudit) NextSample(now sim.Cycle) sim.Cycle { return now }
+
+func (a *dormancyAudit) SampleNow(sim.Cycle) {
+	if err := a.eng.CheckDormant(); err != nil {
+		a.t.Fatalf("%s: %v", a.label, err)
 	}
 }
 
 func TestDeterminismVectorLoad(t *testing.T) {
 	for _, pf := range []bool{false, true} {
 		runAllModes(t, fmt.Sprintf("VL prefetch=%v", pf), 1, func(m *core.Machine) Result {
-			r, err := RunVectorLoad(m, Params{Size: m.NumCEs()*StripLen*4, Prefetch: pf})
+			r, err := RunVectorLoad(m, Params{Size: m.NumCEs() * StripLen * 4, Prefetch: pf})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -130,7 +150,7 @@ func TestDeterminismVectorLoad(t *testing.T) {
 func TestDeterminismTriMatVec(t *testing.T) {
 	for _, pf := range []bool{false, true} {
 		runAllModes(t, fmt.Sprintf("TM prefetch=%v", pf), 2, func(m *core.Machine) Result {
-			r, err := RunTriMatVec(m, Params{Size: m.NumCEs()*StripLen*2, Prefetch: pf})
+			r, err := RunTriMatVec(m, Params{Size: m.NumCEs() * StripLen * 2, Prefetch: pf})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -169,7 +189,7 @@ func TestDeterminismCG(t *testing.T) {
 }
 
 // TestQuiescencePathExercised guards the guard: the equivalence above is
-// vacuous if the fast paths never actually skip anything on real
+// vacuous if the fast path never actually skips anything on real
 // workloads.
 func TestQuiescencePathExercised(t *testing.T) {
 	fast := machineAt(1, sim.ModeWakeCached)

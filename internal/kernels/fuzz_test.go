@@ -157,7 +157,7 @@ func faultMachineAt(clusters int, mode sim.EngineMode) *core.Machine {
 
 // TestFuzzScheduleFaultEngineEquivalence is the central correctness claim
 // of the fault subsystem: with a fixed fault seed, the same stimulus
-// schedule under active fault injection leaves all three engine paths in
+// schedule under active fault injection leaves both engine paths in
 // bit-identical architected states — fingerprints, metrics registry,
 // sampler and exported trace bytes — at every cluster scale. The fault
 // schedule itself (the injector's counters) is part of the compared
@@ -181,26 +181,24 @@ func TestFuzzScheduleFaultEngineEquivalence(t *testing.T) {
 			if naive.FaultInj.Injected == 0 {
 				t.Fatal("fault schedule injected nothing: the test exercises no recovery path")
 			}
-			for _, mode := range []sim.EngineMode{sim.ModeWakeCachedParallel, sim.ModeWakeCached, sim.ModeQuiescent} {
-				fast := faultMachineAt(clusters, mode)
-				kf, rf, sf, tf := replayFuzz(t, fast, sched)
-				what := fmt.Sprintf("fault fuzz %dcl [%v]", clusters, mode)
-				diffFingerprints(t, what+" kernel", kf, kn)
-				diffFingerprints(t, what+" registry", rf, rn)
-				diffFingerprints(t, what+" sampler", sf, sn)
-				if !bytes.Equal(tf, tn) {
-					t.Fatalf("%s emitted different trace bytes than naive (%d vs %d)", what, len(tf), len(tn))
-				}
-				if fast.Eng.Now() != naive.Eng.Now() {
-					t.Fatalf("%s final time %d != naive %d", what, fast.Eng.Now(), naive.Eng.Now())
-				}
+			fast := faultMachineAt(clusters, sim.ModeWakeCached)
+			kf, rf, sf, tf := replayFuzz(t, fast, sched)
+			what := fmt.Sprintf("fault fuzz %dcl", clusters)
+			diffFingerprints(t, what+" kernel", kf, kn)
+			diffFingerprints(t, what+" registry", rf, rn)
+			diffFingerprints(t, what+" sampler", sf, sn)
+			if !bytes.Equal(tf, tn) {
+				t.Fatalf("%s emitted different trace bytes than naive (%d vs %d)", what, len(tf), len(tn))
+			}
+			if fast.Eng.Now() != naive.Eng.Now() {
+				t.Fatalf("%s final time %d != naive %d", what, fast.Eng.Now(), naive.Eng.Now())
 			}
 		})
 	}
 }
 
 // TestFuzzScheduleEngineEquivalence: at 1-, 2- and 4-cluster scale, the
-// same randomized stimulus schedule must leave all three engine paths in
+// same randomized stimulus schedule must leave both engine paths in
 // bit-identical architected states, down to the exported trace bytes.
 func TestFuzzScheduleEngineEquivalence(t *testing.T) {
 	for _, clusters := range []int{1, 2, 4} {
@@ -220,22 +218,20 @@ func TestFuzzScheduleEngineEquivalence(t *testing.T) {
 			if naive.Eng.SkippedTicks != 0 || naive.Eng.DormantSkips != 0 {
 				t.Fatal("naive reference took a fast path")
 			}
-			for _, mode := range []sim.EngineMode{sim.ModeWakeCachedParallel, sim.ModeWakeCached, sim.ModeQuiescent} {
-				fast := machineAt(clusters, mode)
-				kf, rf, sf, tf := replayFuzz(t, fast, sched)
-				what := fmt.Sprintf("fuzz %dcl [%v]", clusters, mode)
-				diffFingerprints(t, what+" kernel", kf, kn)
-				diffFingerprints(t, what+" registry", rf, rn)
-				diffFingerprints(t, what+" sampler", sf, sn)
-				if !bytes.Equal(tf, tn) {
-					t.Fatalf("%s emitted different trace bytes than naive (%d vs %d)", what, len(tf), len(tn))
-				}
-				if fast.Eng.Now() != naive.Eng.Now() {
-					t.Fatalf("%s final time %d != naive %d", what, fast.Eng.Now(), naive.Eng.Now())
-				}
-				if mode == sim.ModeWakeCached && fast.Eng.DormantSkips == 0 {
-					t.Fatalf("%s never skipped a dormant component: fuzz schedule exercised nothing", what)
-				}
+			fast := machineAt(clusters, sim.ModeWakeCached)
+			kf, rf, sf, tf := replayFuzz(t, fast, sched)
+			what := fmt.Sprintf("fuzz %dcl", clusters)
+			diffFingerprints(t, what+" kernel", kf, kn)
+			diffFingerprints(t, what+" registry", rf, rn)
+			diffFingerprints(t, what+" sampler", sf, sn)
+			if !bytes.Equal(tf, tn) {
+				t.Fatalf("%s emitted different trace bytes than naive (%d vs %d)", what, len(tf), len(tn))
+			}
+			if fast.Eng.Now() != naive.Eng.Now() {
+				t.Fatalf("%s final time %d != naive %d", what, fast.Eng.Now(), naive.Eng.Now())
+			}
+			if fast.Eng.DormantSkips == 0 {
+				t.Fatalf("%s never skipped a dormant component: fuzz schedule exercised nothing", what)
 			}
 		})
 	}

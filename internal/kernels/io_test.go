@@ -26,8 +26,8 @@ func ioWordCycles(formatted bool) int64 {
 	return int64(c)
 }
 
-// TestIOBDNAEquivalence runs the BDNA workload on all three engine
-// paths and, on each, checks the exact serial-I/O accounting: every
+// TestIOBDNAEquivalence runs the BDNA workload on every runAllModes leg
+// and, on each, checks the exact serial-I/O accounting: every
 // transfer goes through cluster 0's IP (the machine leader's), the
 // other IPs stay silent, and the busy time is precisely volume x rate.
 func TestIOBDNAEquivalence(t *testing.T) {
@@ -68,8 +68,8 @@ func TestIOBDNAEquivalence(t *testing.T) {
 	})
 }
 
-// TestIOMG3DEquivalence runs the MG3D workload on all three engine
-// paths and checks the parallel-I/O accounting: every cluster's IP
+// TestIOMG3DEquivalence runs the MG3D workload on every runAllModes leg
+// and checks the parallel-I/O accounting: every cluster's IP
 // reads exactly its partition, raw, once per step.
 func TestIOMG3DEquivalence(t *testing.T) {
 	const steps = 3
@@ -96,7 +96,7 @@ func TestIOMG3DEquivalence(t *testing.T) {
 
 // TestIOFaultEquivalence is satellite coverage for the IP fault hooks:
 // with only IP faults enabled, the fault schedule must actually hit the
-// IPs, and the run must still be bit-identical across all three engine
+// IPs, and the run must still be bit-identical across both engine
 // paths — injected busy windows and delayed completions may slow the
 // machine, never fork it.
 func TestIOFaultEquivalence(t *testing.T) {

@@ -12,7 +12,7 @@ import (
 
 // TestFourClusterFullSizeTelemetryEquivalence is the full-size
 // configuration sweep the quick determinism tests shrink away from: all
-// four clusters, the as-built global memory, every engine path, with
+// four clusters, the as-built global memory, both engine paths, with
 // telemetry attached and the trace exporter run on the result. It is
 // the long pole of the suite, so `go test -short` skips it.
 func TestFourClusterFullSizeTelemetryEquivalence(t *testing.T) {
@@ -25,7 +25,7 @@ func TestFourClusterFullSizeTelemetryEquivalence(t *testing.T) {
 		cfg.EngineMode = mode
 		m := core.MustNew(cfg)
 		s := m.NewSampler(1000)
-		r, err := RunTriMatVec(m, Params{Size: m.NumCEs()*StripLen*2, Prefetch: true})
+		r, err := RunTriMatVec(m, Params{Size: m.NumCEs() * StripLen * 2, Prefetch: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,21 +37,17 @@ func TestFourClusterFullSizeTelemetryEquivalence(t *testing.T) {
 		return m, r, buf.Bytes()
 	}
 	naive, rn, tn := run(sim.ModeNaive)
-	var traceBytes []byte
-	for _, mode := range []sim.EngineMode{sim.ModeWakeCachedParallel, sim.ModeWakeCached, sim.ModeQuiescent} {
-		fast, rf, tf := run(mode)
-		what := fmt.Sprintf("4-cluster [%v]", mode)
-		checkResults(t, what, rf, rn)
-		diffFingerprints(t, what+" fingerprint", fingerprint(fast), fingerprint(naive))
-		diffFingerprints(t, what+" registry", fast.Registry().Fingerprint(), naive.Registry().Fingerprint())
+	fast, rf, traceBytes := run(sim.ModeWakeCached)
+	const what = "4-cluster"
+	checkResults(t, what, rf, rn)
+	diffFingerprints(t, what+" fingerprint", fingerprint(fast), fingerprint(naive))
+	diffFingerprints(t, what+" registry", fast.Registry().Fingerprint(), naive.Registry().Fingerprint())
 
-		// The exported traces carry only architected series (diagnostics
-		// never become slices or tracks), so every engine path must emit
-		// byte-identical trace files.
-		if !bytes.Equal(tf, tn) {
-			t.Fatalf("%s emitted different trace bytes than naive (%d vs %d)", what, len(tf), len(tn))
-		}
-		traceBytes = tf
+	// The exported traces carry only architected series (diagnostics
+	// never become slices or tracks), so both engine paths must emit
+	// byte-identical trace files.
+	if !bytes.Equal(traceBytes, tn) {
+		t.Fatalf("%s emitted different trace bytes than naive (%d vs %d)", what, len(traceBytes), len(tn))
 	}
 
 	// Acceptance: the timeline covers every cluster (a process per

@@ -3,7 +3,6 @@ package kernels
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"testing"
 
 	"repro/internal/cedarfort"
@@ -23,7 +22,7 @@ func TestTelemetryFingerprintEngineEquivalence(t *testing.T) {
 	run := func(m *core.Machine) (Result, *telemetry.Sampler) {
 		t.Helper()
 		s := m.NewSampler(500)
-		r, err := RunVectorLoad(m, Params{Size: m.NumCEs()*StripLen*4, Prefetch: true})
+		r, err := RunVectorLoad(m, Params{Size: m.NumCEs() * StripLen * 4, Prefetch: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -32,40 +31,32 @@ func TestTelemetryFingerprintEngineEquivalence(t *testing.T) {
 	}
 	naive := machineAt(1, sim.ModeNaive)
 	rn, sn := run(naive)
-	for _, mode := range []sim.EngineMode{sim.ModeWakeCached, sim.ModeQuiescent} {
-		fast := machineAt(1, mode)
-		rf, sf := run(fast)
+	fast := machineAt(1, sim.ModeWakeCached)
+	rf, sf := run(fast)
 
-		what := fmt.Sprintf("VL telemetry [%v]", mode)
-		checkResults(t, what, rf, rn)
-		diffFingerprints(t, what+" registry", fast.Registry().Fingerprint(), naive.Registry().Fingerprint())
-		diffFingerprints(t, what+" sampler series", sf.Fingerprint(), sn.Fingerprint())
+	const what = "VL telemetry"
+	checkResults(t, what, rf, rn)
+	diffFingerprints(t, what+" registry", fast.Registry().Fingerprint(), naive.Registry().Fingerprint())
+	diffFingerprints(t, what+" sampler series", sf.Fingerprint(), sn.Fingerprint())
 
-		// The engine diagnostics are exactly what must differ: the fast
-		// paths skipped work, the naive path never does. The registry
-		// exposes them, fenced off from the fingerprints just compared.
-		skF, ok := fast.Registry().Value("engine/skipped_ticks")
-		if !ok || skF == 0 {
-			t.Fatalf("%v engine/skipped_ticks = %d,%v, want > 0", mode, skF, ok)
+	// The engine diagnostics are exactly what must differ: the fast path
+	// skipped work, the naive path never does. The registry exposes them,
+	// fenced off from the fingerprints just compared.
+	skF, ok := fast.Registry().Value("engine/skipped_ticks")
+	if !ok || skF == 0 {
+		t.Fatalf("wake-cached engine/skipped_ticks = %d,%v, want > 0", skF, ok)
+	}
+	if ds, _ := fast.Registry().Value("engine/dormant_skips"); ds == 0 {
+		t.Fatal("wake-cached engine/dormant_skips = 0, want > 0")
+	}
+	// Network level gauges are registered and idle after a drained run.
+	for _, path := range []string{"net/fwd/in_flight", "net/rev/in_flight"} {
+		v, ok := fast.Registry().Value(path)
+		if !ok {
+			t.Fatalf("%s not registered", path)
 		}
-		// And the dormant-skip counter separates the two fast paths: only
-		// wake-cached ever skips a component without querying it.
-		ds, _ := fast.Registry().Value("engine/dormant_skips")
-		if mode == sim.ModeWakeCached && ds == 0 {
-			t.Fatal("wake-cached engine/dormant_skips = 0, want > 0")
-		}
-		if mode == sim.ModeQuiescent && ds != 0 {
-			t.Fatalf("quiescent engine/dormant_skips = %d, want 0", ds)
-		}
-		// Network level gauges are registered and idle after a drained run.
-		for _, path := range []string{"net/fwd/in_flight", "net/rev/in_flight"} {
-			v, ok := fast.Registry().Value(path)
-			if !ok {
-				t.Fatalf("%s not registered", path)
-			}
-			if v != 0 {
-				t.Fatalf("%s = %d after drained run, want 0", path, v)
-			}
+		if v != 0 {
+			t.Fatalf("%s = %d after drained run, want 0", path, v)
 		}
 	}
 	if skN, _ := naive.Registry().Value("engine/skipped_ticks"); skN != 0 {
@@ -175,7 +166,7 @@ func TestCGPhaseMarks(t *testing.T) {
 func TestMachineFlameShape(t *testing.T) {
 	fast, _ := enginePair(1)
 	s := fast.NewSampler(500)
-	if _, err := RunVectorLoad(fast, Params{Size: fast.NumCEs()*StripLen*2, Prefetch: true}); err != nil {
+	if _, err := RunVectorLoad(fast, Params{Size: fast.NumCEs() * StripLen * 2, Prefetch: true}); err != nil {
 		t.Fatal(err)
 	}
 	s.Final()

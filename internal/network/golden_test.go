@@ -28,9 +28,9 @@ var goldenTraceCases = []struct {
 }
 
 // goldenTraceDigest drives seeded random traffic through sinks that
-// randomly refuse packets, interleaving every stall and drop fault and
-// windows of deferred (parallel-engine) offers, and hashes what the
-// network did. The network is returned for the test's vacuity checks.
+// randomly refuse packets, interleaving every stall and drop fault, and
+// hashes what the network did. The network is returned for the test's
+// vacuity checks.
 func goldenTraceDigest(ports, radix, queueWords int) (string, *Network) {
 	const (
 		trafficCycles = 1500
@@ -62,19 +62,15 @@ func goldenTraceDigest(ports, radix, queueWords int) (string, *Network) {
 			// Offered load varies in phases so both light and saturated
 			// regimes are covered.
 			offers := r.Intn(1 + ports*(1+(c/250)%3)/4)
-			deferred := r.Intn(5) == 0
-			if deferred {
-				n.BeginConcurrent()
-			}
+			// This draw once chose a window of deferred offers; it stays
+			// so the seeded stream, and with it every digest, is unchanged.
+			_ = r.Intn(5)
 			for k := 0; k < offers; k++ {
 				src, dst := r.Intn(ports), r.Intn(ports)
 				p := &Packet{Dst: dst, Src: src, Words: 1 + r.Intn(4), Kind: Read, Tag: tag}
 				tag++
 				ok := n.Offer(now, src, p)
 				put(2, int64(c), int64(src), int64(p.Tag), b2i(ok))
-			}
-			if deferred {
-				n.CommitConcurrent()
 			}
 			goldenFaults(n, r, now, switchPorts, put)
 		}

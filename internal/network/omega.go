@@ -179,16 +179,6 @@ type Network struct {
 
 	waker sim.Waker
 
-	// parOn arms deferred offer accounting (sim.Boundary): during the
-	// parallel engine's phase 2, Offer records counter deltas in the
-	// caller's per-port account instead of the shared fields, and
-	// CommitConcurrent folds them in, sets the entry bits and wakes the
-	// network at the rendezvous. The per-port packet queue itself is
-	// exclusively owned by one cluster's CE/PFU pair, so the push and Born
-	// stamp stay direct and cycle-exact.
-	parOn   bool
-	parAcct []offerAcct
-
 	// OnDeliver, if non-nil, observes every packet as it leaves the
 	// network, for performance monitoring.
 	OnDeliver func(now sim.Cycle, port int, p *Packet)
@@ -334,9 +324,6 @@ func (n *Network) Offer(now sim.Cycle, src int, p *Packet) bool {
 		return n.offerIdeal(now, src, p)
 	}
 	q := &n.entry[src]
-	if n.parOn {
-		return n.offerDeferred(now, src, q, p)
-	}
 	if !q.canAccept(p.Words) {
 		n.Rejected++
 		return false
@@ -355,77 +342,6 @@ func (n *Network) Offer(now sim.Cycle, src int, p *Packet) bool {
 	n.WordsIn += int64(p.Words)
 	n.wake()
 	return true
-}
-
-// offerAcct is one input port's deferred offer accounting, padded to a
-// cache line so ports owned by different worker goroutines never share
-// one.
-type offerAcct struct {
-	injected int64
-	words    int64
-	rejected int64
-	_        [40]byte
-}
-
-// offerDeferred is Offer's phase-2 body: the accept/reject decision and
-// the packet push are port-local and identical to the sequential path;
-// the shared counters, the shared entry bitset and the wake are left to
-// the commit.
-func (n *Network) offerDeferred(now sim.Cycle, src int, q *pktQueue, p *Packet) bool {
-	a := &n.parAcct[src]
-	if !q.canAccept(p.Words) {
-		a.rejected++
-		return false
-	}
-	if !p.BornSet {
-		p.Born = now
-		p.BornSet = true
-	}
-	q.push(p, now)
-	a.injected++
-	a.words += int64(p.Words)
-	return true
-}
-
-// BeginConcurrent implements sim.Boundary: arm deferred offer
-// accounting for a phase-2 window. The ideal fabric keeps its in-flight
-// packets in one shared slice, so it cannot take concurrent offers.
-func (n *Network) BeginConcurrent() {
-	if n.ideal {
-		panic(fmt.Sprintf("network %s: the ideal fabric cannot be a parallel boundary", n.name))
-	}
-	if n.parAcct == nil {
-		n.parAcct = make([]offerAcct, n.ports)
-	}
-	n.parOn = true
-}
-
-// CommitConcurrent implements sim.Boundary: fold the buffered per-port
-// accounts into the shared counters in ascending port order, mark the
-// entry registers that accepted a packet in the entry bitset, and apply
-// the single wake the accepted offers earned. Sums are order-free, so
-// the totals — and the wake slot, taken at the rendezvous before the
-// network's own tick this cycle — are exactly the sequential ones.
-func (n *Network) CommitConcurrent() {
-	n.parOn = false
-	woken := false
-	for i := range n.parAcct {
-		a := &n.parAcct[i]
-		if a.injected == 0 && a.rejected == 0 {
-			continue
-		}
-		n.Injected += a.injected
-		n.WordsIn += a.words
-		n.Rejected += a.rejected
-		if a.injected > 0 {
-			n.entryMask[i>>6] |= 1 << uint(i&63)
-			woken = true
-		}
-		*a = offerAcct{}
-	}
-	if woken {
-		n.wake()
-	}
 }
 
 // AttachWaker implements sim.WakeSink: the engine hands the network its

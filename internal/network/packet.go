@@ -232,9 +232,9 @@ type Packet struct {
 // Pool is one issuer's free list of packets, last in first out. The
 // issuer builds every request with Send, and puts each reply back once it
 // has read it: the reply is the issuer's own request, rewritten in place
-// by the memory module. A Pool is not safe for concurrent use; the
-// engine's phases order its Sends (the issuer's Tick) against its Puts
-// (the reverse network's Tick).
+// by the memory module. A Pool is not safe for concurrent use; its Sends
+// (the issuer's Tick) and Puts (the reverse network's Tick) both run on
+// the engine's one goroutine.
 type Pool struct {
 	free []*Packet
 }

@@ -103,7 +103,7 @@ type schedState struct {
 	nDormant            int
 	calHeap             []int
 	calAt               []Cycle
-	never, nextDue      []int
+	nextDue             []int
 	lastTick            []Cycle
 }
 
@@ -113,7 +113,6 @@ func snapshot(e *Engine) schedState {
 		nDormant: e.nDormant,
 		dormant:  append([]bool(nil), e.dormant...),
 		calHeap:  append([]int(nil), e.cal.heap...),
-		never:    append([]int(nil), e.never...),
 		nextDue:  append([]int(nil), e.nextDue...),
 		lastTick: append([]Cycle(nil), e.lastTick...),
 	}
@@ -128,39 +127,35 @@ func snapshot(e *Engine) schedState {
 // Run over the same span — in particular the deadline diagnosis must not
 // re-query NextEvent, reinsert calendar entries, or disturb dormancy.
 func TestFailedRunUntilLeavesStateIntact(t *testing.T) {
-	for _, mode := range []EngineMode{ModeWakeCached, ModeQuiescent} {
-		build := func() (*Engine, []*doorbell, *alarm) {
-			e := New()
-			e.SetMode(mode)
-			bells := []*doorbell{{}, {}}
-			e.Register("bell0", bells[0])
-			a := &alarm{at: 30}
-			e.Register("alarm", a)
-			e.Register("bell1", bells[1])
-			return e, bells, a
+	build := func() (*Engine, []*doorbell) {
+		e := New()
+		bells := []*doorbell{{}, {}}
+		e.Register("bell0", bells[0])
+		e.Register("alarm", &alarm{at: 30})
+		e.Register("bell1", bells[1])
+		return e, bells
+	}
+	ref, refBells := build()
+	ref.Run(50)
+	got, gotBells := build()
+	if _, err := got.RunUntil(func() bool { return false }, 50); !errors.Is(err, ErrDeadline) {
+		t.Fatalf("err = %v, want ErrDeadline", err)
+	}
+	want, have := snapshot(ref), snapshot(got)
+	if !reflect.DeepEqual(want, have) {
+		t.Fatalf("failed RunUntil perturbed engine state\n run: %+v\nuntil: %+v", want, have)
+	}
+	for i := range refBells {
+		if refBells[i].queries != gotBells[i].queries {
+			t.Fatalf("bell%d queried %d times via RunUntil, %d via Run — error path re-queried NextEvent",
+				i, gotBells[i].queries, refBells[i].queries)
 		}
-		ref, refBells, _ := build()
-		ref.Run(50)
-		got, gotBells, _ := build()
-		if _, err := got.RunUntil(func() bool { return false }, 50); !errors.Is(err, ErrDeadline) {
-			t.Fatalf("mode %v: err = %v, want ErrDeadline", mode, err)
-		}
-		want, have := snapshot(ref), snapshot(got)
-		if !reflect.DeepEqual(want, have) {
-			t.Fatalf("mode %v: failed RunUntil perturbed engine state\n run: %+v\nuntil: %+v", mode, want, have)
-		}
-		for i := range refBells {
-			if refBells[i].queries != gotBells[i].queries {
-				t.Fatalf("mode %v: bell%d queried %d times via RunUntil, %d via Run — error path re-queried NextEvent",
-					mode, i, gotBells[i].queries, refBells[i].queries)
-			}
-		}
-		// The engine must remain fully usable: a Wake after the failed
-		// RunUntil revives the component exactly as usual.
-		gotBells[0].Ring()
-		got.Run(10)
-		if ta := gotBells[0].ticksAt; len(ta) != 1 || ta[0] != 50 {
-			t.Fatalf("mode %v: bell0 ticked at %v after post-deadline Wake, want [50]", mode, ta)
-		}
+	}
+	// The engine must remain fully usable: a Wake after the failed
+	// RunUntil revives the component exactly as usual.
+	gotBells[0].Ring()
+	got.Run(10)
+	if ta := gotBells[0].ticksAt; len(ta) != 1 || ta[0] != 50 {
+		t.Fatalf("bell0 ticked at %v after post-deadline Wake, want [50]", ta)
 	}
 }

@@ -113,7 +113,7 @@ func TestSetProbeNilRestoresJumps(t *testing.T) {
 // Settle must not invent SkipCycles credit there.
 func TestNaiveSettleIsNoop(t *testing.T) {
 	e := New()
-	e.SetQuiescence(false)
+	e.SetMode(ModeNaive)
 	c := &skipCounter{}
 	e.Register("c", c)
 	e.Run(50)

@@ -38,12 +38,12 @@ func (s *sleeper) NextEvent(now Cycle) Cycle { return Never }
 
 func TestQuiescenceDefaultOn(t *testing.T) {
 	e := New()
-	if !e.Quiescence() {
-		t.Fatal("new engine must default to the quiescence-aware path")
+	if e.Mode() != ModeWakeCached {
+		t.Fatalf("new engine mode = %v, want the wake-cached fast path", e.Mode())
 	}
-	e.SetQuiescence(false)
-	if e.Quiescence() {
-		t.Fatal("SetQuiescence(false) did not disable the fast path")
+	e.SetMode(ModeNaive)
+	if e.Mode() != ModeNaive {
+		t.Fatal("SetMode(ModeNaive) did not disable the fast path")
 	}
 }
 
@@ -172,15 +172,15 @@ func (c *idleCounter) NextEvent(now Cycle) Cycle {
 func (c *idleCounter) SkipCycles(from, to Cycle) { c.idle += int64(to - from) }
 
 func TestSkipAwareCreditingMatchesNaive(t *testing.T) {
-	run := func(quiescent bool) *idleCounter {
+	run := func(mode EngineMode) *idleCounter {
 		e := New()
-		e.SetQuiescence(quiescent)
+		e.SetMode(mode)
 		c := &idleCounter{period: 37}
 		e.Register("c", c)
 		e.Run(1000)
 		return c
 	}
-	naive, fast := run(false), run(true)
+	naive, fast := run(ModeNaive), run(ModeWakeCached)
 	if naive.busy != fast.busy || naive.idle != fast.idle {
 		t.Fatalf("counter divergence: naive busy/idle = %d/%d, fast = %d/%d",
 			naive.busy, naive.idle, fast.busy, fast.idle)
@@ -195,7 +195,7 @@ func TestSetQuiescenceOffMidRunSettles(t *testing.T) {
 	c := &idleCounter{period: 100}
 	e.Register("c", c)
 	e.Run(150) // ticks at 0 and 100; cycles 101..149 not yet executed
-	e.SetQuiescence(false)
+	e.SetMode(ModeNaive)
 	e.Run(50) // naive from 150 to 200
 	if got := c.busy + c.idle; got != 200 {
 		t.Fatalf("counted %d cycles across the mode switch, want 200", got)

@@ -15,7 +15,7 @@
 // is active every cycle, and because exact determinism keeps the test
 // suite precise. The paper's workloads nevertheless contain long quiet
 // stretches — the ≈90 µs XDOALL startup, barrier spin backoffs, drained
-// networks between strips — so the fast engine paths run on a wake
+// networks between strips — so the fast engine path runs on a wake
 // calendar: a min-heap keyed by each component's NextEvent cycle (ties
 // broken by registration index, preserving tick order). An executed
 // cycle touches only the components due at it; everything else costs
@@ -25,8 +25,8 @@
 // stimulus calls Wake on its Handle, which reinserts it at the exact
 // slot the naive engine would next observe the stimulus. Fast-forward
 // falls out of the same structure — when nothing is due, time jumps to
-// the calendar's minimum. All optimizations are exact: every engine
-// mode produces bit-identical cycle counts and statistics to the naive
+// the calendar's minimum. All optimizations are exact: the wake-cached
+// path produces bit-identical cycle counts and statistics to the naive
 // tick-everything run (SetMode selects the path for equivalence
 // testing).
 package sim
@@ -36,8 +36,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -152,13 +150,11 @@ const Never = Cycle(math.MaxInt64)
 // the calendar entry at the wake slot), but an earlier event without a
 // Wake is unobservable. Components whose wake-up time can move earlier
 // outside a waking entry point must return now or Never. A Never answer
-// removes the component from the calendar entirely: in ModeWakeCached
-// (the default) it is marked dormant and not queried again until
-// something calls Wake on its Handle, so every external-stimulus entry
-// point of a Never-capable component must wake it (see Waker and
-// DESIGN.md §4.1); in ModeQuiescent it joins a re-query list polled
-// every executed cycle instead, preserving that path's no-Wake-needed
-// reference contract.
+// removes the component from the calendar entirely: it is marked dormant
+// and not queried again until something calls Wake on its Handle, so
+// every external-stimulus entry point of a Never-capable component must
+// wake it (see Waker and DESIGN.md §4.1). CheckDormant finds an entry
+// point that forgot to.
 type IdleComponent interface {
 	Component
 	NextEvent(now Cycle) Cycle
@@ -201,35 +197,21 @@ type SkipAware interface {
 	SkipCycles(from, to Cycle)
 }
 
-// EngineMode selects how aggressively the engine elides work. All modes
+// EngineMode selects how aggressively the engine elides work. Both modes
 // are bit-identical in every architected outcome (cycle counts, component
 // statistics, telemetry fingerprints); they differ only in host-side cost
 // and in the engine's own diagnostic counters.
 type EngineMode int
 
 const (
-	// ModeWakeCached (the default) is the fastest path: idle components
-	// are skipped, quiet stretches are fast-forwarded, and a component
-	// whose NextEvent answer is Never is marked dormant and excluded from
-	// the per-cycle query loop until its Handle is woken.
+	// ModeWakeCached (the default) is the fast path: idle components are
+	// skipped, quiet stretches are fast-forwarded, and a component whose
+	// NextEvent answer is Never is marked dormant and excluded from the
+	// per-cycle query loop until its Handle is woken.
 	ModeWakeCached EngineMode = iota
-	// ModeQuiescent skips idle components and fast-forwards quiet
-	// stretches but re-queries Never-reporting components every executed
-	// cycle (the PR 1 behaviour, kept as an equivalence reference).
-	ModeQuiescent
 	// ModeNaive ticks every component every cycle — the ground-truth
 	// reference path for the determinism equivalence tests.
 	ModeNaive
-	// ModeWakeCachedParallel is ModeWakeCached with a topology partition:
-	// after ConfigureParallel assigns a contiguous band of components to
-	// per-cluster domains, each executed cycle runs in three phases —
-	// pre-band globals, then every domain with due work (on worker
-	// goroutines when the host allows), then the remaining globals — with
-	// cross-domain boundary effects deferred to the rendezvous between
-	// phases two and three (DESIGN.md §4.9). Without a partition it
-	// behaves exactly as ModeWakeCached. Declared after ModeNaive so the
-	// original three mode values stay stable.
-	ModeWakeCachedParallel
 )
 
 // String names the mode for benchmarks and error messages.
@@ -237,12 +219,8 @@ func (m EngineMode) String() string {
 	switch m {
 	case ModeWakeCached:
 		return "wake-cached"
-	case ModeQuiescent:
-		return "quiescent"
 	case ModeNaive:
 		return "naive"
-	case ModeWakeCachedParallel:
-		return "parallel"
 	}
 	return fmt.Sprintf("EngineMode(%d)", int(m))
 }
@@ -258,28 +236,23 @@ type Engine struct {
 	// the component does not implement the interface), the last cycle it
 	// was actually ticked (-1 before the first tick), and whether its
 	// last NextEvent answer was Never (dormant components have no
-	// calendar entry and are not queried again until woken;
-	// ModeWakeCached only).
+	// calendar entry and are not queried again until woken).
 	idle     []IdleComponent
 	skip     []SkipAware
 	lastTick []Cycle
 	dormant  []bool
 
-	// The wake calendar (fast paths only). Every IdleComponent is in
+	// The wake calendar (fast path only). Every IdleComponent is in
 	// exactly one place at a time: the calendar heap (a future or due
 	// query is scheduled), the due ring (due exactly next cycle — kept
 	// out of the heap to spare push/pop churn in dense phases where
-	// every unit ticks every cycle), the dormant set (ModeWakeCached,
-	// last answer Never), or the never list (ModeQuiescent, last answer
-	// Never; sorted by registration index and re-queried every executed
-	// cycle, preserving that path's re-polling contract). Components
-	// that do not implement IdleComponent live in always and are ticked
-	// at every executed cycle.
+	// every unit ticks every cycle), or the dormant set (last answer
+	// Never). Components that do not implement IdleComponent live in
+	// always and are ticked at every executed cycle.
 	always   []int
 	cal      calendar
 	curDue   []int // due ring being consumed this cycle (scratch)
 	nextDue  []int // due ring for the next cycle, in registration order
-	never    []int
 	nDormant int
 
 	mode    EngineMode
@@ -289,27 +262,6 @@ type Engine struct {
 	// to place a woken component at the same cycle when the waker ticks
 	// earlier in registration order, next cycle otherwise.
 	curIdx int
-
-	// Parallel-partition state (ModeWakeCachedParallel; see parallel.go).
-	// domainOf maps a registration index to its domain (-1 for a global
-	// component); it is non-empty only once ConfigureParallel has run.
-	// gAi/gDi are the resumable cursors of the split global merge loop —
-	// phase one stops at bandStart and phase three resumes where it left.
-	domainOf   []int32
-	dscheds    []domainSched
-	boundaries []Boundary
-	pool       *parPool
-	bandStart  int
-	bandEnd    int
-	phase      int8
-	gAi, gDi   int
-	activeDoms []int
-
-	// Cross-goroutine wake buffer (WakeAsync): appended under pendingMu,
-	// drained in handle-index order at the start of the next advance.
-	pendingMu   sync.Mutex
-	pendingWake []int
-	hasPending  atomic.Bool
 
 	probe      Probe
 	nextSample Cycle
@@ -351,9 +303,6 @@ func (e *Engine) SetMode(m EngineMode) {
 		e.dormant[i] = false
 	}
 	e.nDormant = 0
-	for d := range e.dscheds {
-		e.dscheds[d].nDormant = 0
-	}
 	e.mode = m
 	e.rebuild()
 }
@@ -364,49 +313,20 @@ func (e *Engine) SetMode(m EngineMode) {
 // all. The naive path uses no calendar.
 func (e *Engine) rebuild() {
 	e.cal.reset()
-	e.never = e.never[:0]
 	e.curDue = e.curDue[:0]
 	e.nextDue = e.nextDue[:0]
-	for d := range e.dscheds {
-		ds := &e.dscheds[d]
-		ds.cal.reset()
-		ds.curDue = ds.curDue[:0]
-		ds.nextDue = ds.nextDue[:0]
-	}
 	if e.mode == ModeNaive {
 		return
 	}
-	par := e.mode == ModeWakeCachedParallel && len(e.dscheds) > 0
 	for i, ic := range e.idle {
-		if ic == nil {
-			continue
+		if ic != nil {
+			e.cal.push(i, e.now)
 		}
-		if par {
-			if d := e.domainOf[i]; d >= 0 {
-				e.dscheds[d].cal.push(i, e.now)
-				continue
-			}
-		}
-		e.cal.push(i, e.now)
 	}
 }
 
 // Mode reports the selected engine path.
 func (e *Engine) Mode() EngineMode { return e.mode }
-
-// SetQuiescence enables or disables the quiescence-aware fast path:
-// on selects ModeWakeCached, off selects ModeNaive. Kept for callers
-// predating EngineMode.
-func (e *Engine) SetQuiescence(on bool) {
-	if on {
-		e.SetMode(ModeWakeCached)
-	} else {
-		e.SetMode(ModeNaive)
-	}
-}
-
-// Quiescence reports whether a fast path (any mode but naive) is enabled.
-func (e *Engine) Quiescence() bool { return e.mode != ModeNaive }
 
 // SetProbe installs (or, with nil, removes) the telemetry probe. The
 // probe is shared by both engine paths, so a sampled run records the
@@ -466,15 +386,7 @@ func (h Handle) Wake() {
 }
 
 // wake implements Handle.Wake and Engine.Wake for component index i.
-// Under a parallel partition, a domain component's calendar entry lives
-// in its domain's sub-calendar; everything else stays on the global one.
 func (e *Engine) wake(i int) {
-	if e.mode == ModeWakeCachedParallel && len(e.domainOf) > 0 {
-		if d := e.domainOf[i]; d >= 0 {
-			e.wakeDomain(&e.dscheds[d], i)
-			return
-		}
-	}
 	if e.dormant[i] {
 		e.dormant[i] = false
 		e.nDormant--
@@ -482,9 +394,9 @@ func (e *Engine) wake(i int) {
 		return
 	}
 	// Non-dormant: pull a scheduled future query forward to the wake
-	// slot. Components in the due ring, on the quiescent never list, or
-	// mid-pop are already (re-)queried no later than the wake slot, so
-	// they need nothing. The naive path keeps no calendar at all.
+	// slot. Components in the due ring or mid-pop are already
+	// (re-)queried no later than the wake slot, so they need nothing. The
+	// naive path keeps no calendar at all.
 	if e.mode != ModeNaive && e.cal.contains(i) {
 		e.cal.moveEarlier(i, e.wakeSlot(i))
 	}
@@ -533,15 +445,6 @@ func (e *Engine) Register(name string, c Component) Handle {
 	e.lastTick = append(e.lastTick, -1)
 	e.dormant = append(e.dormant, false)
 	e.cal.grow()
-	if len(e.dscheds) > 0 {
-		// Post-partition registrations are global components: the domain
-		// band was validated as a closed set, so latecomers tick on the
-		// coordinator.
-		e.domainOf = append(e.domainOf, -1)
-		for d := range e.dscheds {
-			e.dscheds[d].cal.grow()
-		}
-	}
 	i := len(e.comps) - 1
 	if ic == nil {
 		// No quiescence view: ticked at every executed cycle.
@@ -590,16 +493,13 @@ func (e *Engine) ComponentNames() []string {
 // being executed.
 func (e *Engine) Now() Cycle { return e.now }
 
-// Step advances the simulation by exactly one cycle. On the quiescence
+// Step advances the simulation by exactly one cycle. On the wake-cached
 // path components reporting no work for this cycle are skipped but time
 // never jumps; on the naive path every component is ticked.
 func (e *Engine) Step() {
 	if e.mode != ModeNaive {
 		e.advance(e.now + 1)
 		return
-	}
-	if e.hasPending.Load() {
-		e.drainAsyncWakes()
 	}
 	e.maybeSample()
 	e.ticking = true
@@ -618,44 +518,26 @@ func (e *Engine) Step() {
 // bit-identical.
 func (e *Engine) MidCycle() bool { return e.ticking }
 
-// advance executes the cycle at e.now on the fast paths, then moves
-// time forward: by one cycle normally, or in a single jump to the wake
-// calendar's minimum when no component had work, capped at limit. The
-// cycle's candidates are merged in ascending registration index from
-// four sources — the always-active components, the due ring (components
-// the previous cycle scheduled for this one), the quiescent-mode never
-// list, and calendar entries whose due cycle has arrived — so tick
-// order is bit-identical to the naive scan. Each candidate's NextEvent
-// is queried at its own slot, never from a snapshot: stimulus generated
-// by an earlier-in-order component the same cycle is observed exactly
-// as on the naive path, because a mid-cycle Wake inserts the woken
-// component's calendar entry at this cycle when its slot is still
-// ahead (the merge picks it up in order) and at the next cycle
-// otherwise.
+// advance executes the cycle at e.now on the wake-cached path, then
+// moves time forward: by one cycle normally, or in a single jump to the
+// wake calendar's minimum when no component had work, capped at limit.
+// The cycle's candidates are merged in ascending registration index from
+// three sources — the always-active components, the due ring (components
+// the previous cycle scheduled for this one), and calendar entries whose
+// due cycle has arrived — so tick order is bit-identical to the naive
+// scan. Each candidate's NextEvent is queried at its own slot, never
+// from a snapshot: stimulus generated by an earlier-in-order component
+// the same cycle is observed exactly as on the naive path, because a
+// mid-cycle Wake inserts the woken component's calendar entry at this
+// cycle when its slot is still ahead (the merge picks it up in order)
+// and at the next cycle otherwise.
 //
 // A queried component is then rescheduled by its answer: at its slot
 // next cycle after a tick (re-querying each executed cycle is what the
-// naive path observes), at a future cycle it named, into the dormant
-// set on Never in ModeWakeCached, or onto the never list in
-// ModeQuiescent. A jump happens only when no component ticked at all,
+// naive path observes), at a future cycle it named, or into the dormant
+// set on Never. A jump happens only when no component ticked at all,
 // which guarantees every calendar entry is still valid.
-// Candidate sources of the per-cycle merge loops, in the order they are
-// consulted; shared by advance, runGlobals and runDomain.
-const (
-	srcAlways = iota
-	srcDue
-	srcNever
-	srcCal
-)
-
 func (e *Engine) advance(limit Cycle) {
-	if e.hasPending.Load() {
-		e.drainAsyncWakes()
-	}
-	if e.mode == ModeWakeCachedParallel && len(e.dscheds) > 0 {
-		e.advanceParallel(limit)
-		return
-	}
 	e.maybeSample()
 	now := e.now
 	// Diagnostics mirror the scan engine's: every registered component
@@ -663,12 +545,12 @@ func (e *Engine) advance(limit Cycle) {
 	// each component dormant as the cycle begins counts a dormant skip.
 	e.DormantSkips += int64(e.nDormant)
 	e.curDue, e.nextDue = e.nextDue, e.curDue[:0]
-	di, ni, ai := 0, 0, 0
+	di, ai := 0, 0
 	nTicked := 0
 	e.ticking = true
 	e.curIdx = -1
 	for {
-		// Next candidate: the smallest registration index among the four
+		// Next candidate: the smallest registration index among the three
 		// sources. The calendar is consulted live so entries inserted
 		// mid-cycle by Wake are merged in order.
 		idx := -1
@@ -678,9 +560,6 @@ func (e *Engine) advance(limit Cycle) {
 		}
 		if di < len(e.curDue) && (idx < 0 || e.curDue[di] < idx) {
 			idx, src = e.curDue[di], srcDue
-		}
-		if ni < len(e.never) && (idx < 0 || e.never[ni] < idx) {
-			idx, src = e.never[ni], srcNever
 		}
 		if !e.cal.empty() && e.cal.minAt() <= now {
 			if j := e.cal.minIdx(); idx < 0 || j < idx {
@@ -695,8 +574,6 @@ func (e *Engine) advance(limit Cycle) {
 			ai++
 		case srcDue:
 			di++
-		case srcNever:
-			ni++
 		case srcCal:
 			e.cal.popMin()
 		}
@@ -705,37 +582,14 @@ func (e *Engine) advance(limit Cycle) {
 			ne := e.idle[idx].NextEvent(now)
 			if ne > now {
 				if ne == Never {
-					if e.mode != ModeQuiescent {
-						// Wake-cached dormancy; the parallel mode without a
-						// configured partition rides this same path.
-						e.dormant[idx] = true
-						e.nDormant++
-					} else if src != srcNever {
-						// Quiescent path: joins the never list at the scan
-						// position (the list stays sorted; remaining members
-						// all have larger indices) and is re-queried from the
-						// next executed cycle on.
-						e.never = append(e.never, 0)
-						copy(e.never[ni+1:], e.never[ni:len(e.never)-1])
-						e.never[ni] = idx
-						ni++
-					}
+					e.dormant[idx] = true
+					e.nDormant++
+				} else if ne == now+1 {
+					e.nextDue = append(e.nextDue, idx)
 				} else {
-					if src == srcNever {
-						ni--
-						e.never = append(e.never[:ni], e.never[ni+1:]...)
-					}
-					if ne == now+1 {
-						e.nextDue = append(e.nextDue, idx)
-					} else {
-						e.cal.push(idx, ne)
-					}
+					e.cal.push(idx, ne)
 				}
 				continue
-			}
-			if src == srcNever {
-				ni--
-				e.never = append(e.never[:ni], e.never[ni+1:]...)
 			}
 			// Ticked components are due again next cycle: the re-query at
 			// their next slot is exactly what the scan engine did every
@@ -777,6 +631,13 @@ func (e *Engine) advance(limit Cycle) {
 	}
 	e.now++
 }
+
+// Candidate sources of advance's per-cycle merge loop.
+const (
+	srcAlways = iota
+	srcDue
+	srcCal
+)
 
 // Settle flushes deferred skip accounting: every SkipAware component is
 // credited for the cycles [lastTick+1, now) the engine never executed for
@@ -886,35 +747,51 @@ func (e *Engine) faulted() []string {
 // stuckDormant returns the names of dormant components when they are
 // provably the only possible source of progress: at least one component
 // is dormant and nothing else is scheduled anywhere — no always-active
-// component, no calendar entry, no due-ring entry, and no never-list
-// member whose re-query could discover work. The decision reads only
-// the engine's own scheduling state; it never re-queries NextEvent, so
-// a failed RunUntil cannot reinsert, reschedule, or otherwise perturb a
-// component — the engine is left bit-identical for diagnosis or resume.
+// component, no calendar entry and no due-ring entry. The decision reads
+// only the engine's own scheduling state; it never re-queries
+// NextEvent, so a failed RunUntil cannot reinsert, reschedule, or
+// otherwise perturb a component — the engine is left bit-identical for
+// diagnosis or resume.
 func (e *Engine) stuckDormant() []string {
-	nd := e.nDormant
-	for d := range e.dscheds {
-		nd += e.dscheds[d].nDormant
-	}
-	if nd == 0 {
+	if e.nDormant == 0 {
 		return nil
 	}
-	if len(e.always) > 0 || !e.cal.empty() || len(e.nextDue) > 0 || len(e.never) > 0 {
+	if len(e.always) > 0 || !e.cal.empty() || len(e.nextDue) > 0 {
 		return nil
 	}
-	for d := range e.dscheds {
-		ds := &e.dscheds[d]
-		if !ds.cal.empty() || len(ds.nextDue) > 0 {
-			return nil
-		}
-	}
-	names := make([]string, 0, nd)
+	names := make([]string, 0, e.nDormant)
 	for i := range e.comps {
 		if e.dormant[i] {
 			names = append(names, e.names[i])
 		}
 	}
 	return names
+}
+
+// CheckDormant re-queries every dormant component's NextEvent at the
+// current cycle and returns an error naming each one whose answer is no
+// longer Never: stimulus reached it without a Wake, so the wake-cached
+// path will not tick it where the naive path does. It pinpoints a
+// missing Wake at its source, where an engine-equivalence test only
+// shows a fingerprint diff later; call it between cycles (a Probe's
+// SampleNow is the natural hook). The check leaves the engine's
+// scheduling state untouched and is nil on the naive path, which keeps
+// no dormant set.
+func (e *Engine) CheckDormant() error {
+	var missed []string
+	for i, d := range e.dormant {
+		if !d {
+			continue
+		}
+		if ne := e.idle[i].NextEvent(e.now); ne != Never {
+			missed = append(missed, fmt.Sprintf("%s (NextEvent %d)", e.names[i], ne))
+		}
+	}
+	if len(missed) == 0 {
+		return nil
+	}
+	return fmt.Errorf("sim: cycle %d: dormant components have work but were never woken: %s",
+		e.now, strings.Join(missed, ", "))
 }
 
 // Rand is a small deterministic pseudo-random source (xorshift64*) used by

@@ -59,23 +59,54 @@ func TestDormantComponentQueriedOnce(t *testing.T) {
 	}
 }
 
-func TestQuiescentModeRequeriesNever(t *testing.T) {
+// TestCheckDormantNamesMissedWake: stimulus that reaches a dormant
+// component without a Wake is exactly the bug CheckDormant exists to
+// pinpoint — it must name that component and only it, change nothing
+// about the schedule, and go quiet once the Wake arrives.
+func TestCheckDormantNamesMissedWake(t *testing.T) {
 	e := New()
-	e.SetMode(ModeQuiescent)
-	d := &doorbell{}
-	e.Register("bell", d)
+	quiet, bell := &doorbell{}, &doorbell{}
+	e.Register("cluster0/ce0", quiet)
+	e.Register("cluster0/ce1", bell)
 	e.Register("busy", ComponentFunc(func(Cycle) {}))
-	e.Run(100)
-	if d.queries != 100 {
-		t.Fatalf("quiescent mode queried %d times, want one per executed cycle (100)", d.queries)
+	e.Run(10) // both bells dormant
+	if err := e.CheckDormant(); err != nil {
+		t.Fatalf("CheckDormant with no pending stimulus: %v", err)
 	}
-	if e.DormantSkips != 0 {
-		t.Fatalf("DormantSkips = %d on the quiescent path, want 0", e.DormantSkips)
+	bell.pending++ // stimulus without a Wake
+	err := e.CheckDormant()
+	if err == nil || !strings.Contains(err.Error(), "cluster0/ce1") {
+		t.Fatalf("CheckDormant = %v, want an error naming cluster0/ce1", err)
+	}
+	if strings.Contains(err.Error(), "cluster0/ce0") {
+		t.Fatalf("CheckDormant %q names the bell that had no stimulus", err)
+	}
+	// Read-only: the bell stays dormant, so the missed wake stays missed.
+	e.Run(10)
+	if len(bell.ticksAt) != 0 {
+		t.Fatalf("bell ticked at %v; CheckDormant must not wake it", bell.ticksAt)
+	}
+	bell.waker.Wake()
+	if err := e.CheckDormant(); err != nil {
+		t.Fatalf("CheckDormant after the Wake: %v", err)
+	}
+	e.Run(10)
+	if len(bell.ticksAt) != 1 || bell.ticksAt[0] != 20 {
+		t.Fatalf("bell ticked at %v after the late Wake, want [20]", bell.ticksAt)
+	}
+	naive := New()
+	naive.SetMode(ModeNaive)
+	nb := &doorbell{}
+	naive.Register("bell", nb)
+	naive.Run(10)
+	nb.pending++
+	if err := naive.CheckDormant(); err != nil {
+		t.Fatalf("naive CheckDormant = %v, want nil (no dormant set)", err)
 	}
 }
 
 func TestWakeRevivesDormantComponent(t *testing.T) {
-	for _, mode := range []EngineMode{ModeWakeCached, ModeQuiescent, ModeNaive} {
+	for _, mode := range []EngineMode{ModeWakeCached, ModeNaive} {
 		e := New()
 		e.SetMode(mode)
 		d := &doorbell{}
@@ -109,7 +140,7 @@ func TestMidCycleWakeOrderingMatchesNaive(t *testing.T) {
 	// Both must agree with the naive engine exactly.
 	for _, bellFirst := range []bool{false, true} {
 		var ticksAt [][]Cycle
-		for _, mode := range []EngineMode{ModeWakeCached, ModeQuiescent, ModeNaive} {
+		for _, mode := range []EngineMode{ModeWakeCached, ModeNaive} {
 			e := New()
 			e.SetMode(mode)
 			d := &doorbell{}
@@ -203,7 +234,7 @@ func (f *deferral) Tick(now Cycle) {
 func TestWakeReschedulesEarlierEvent(t *testing.T) {
 	// The component first answers 500, then stimulus at cycle 20 makes 60
 	// its real next event. Every mode must tick it at exactly 60.
-	for _, mode := range []EngineMode{ModeWakeCached, ModeQuiescent, ModeNaive} {
+	for _, mode := range []EngineMode{ModeWakeCached, ModeNaive} {
 		e := New()
 		e.SetMode(mode)
 		f := &deferral{doneAt: 500}
@@ -277,10 +308,15 @@ func TestSetModeClearsDormancy(t *testing.T) {
 	e.Register("bell", d)
 	e.Register("busy", ComponentFunc(func(Cycle) {}))
 	e.Run(10) // bell is now dormant
-	// Switching paths must drop cached dormancy: the quiescent contract
-	// is re-polling, so a stimulus without a Wake is legal there.
-	e.SetMode(ModeQuiescent)
+	// Switching paths must drop cached dormancy: the calendar is rebuilt
+	// with every component due, so even a stimulus without a Wake is
+	// observed at the first cycle after the switch.
+	e.SetMode(ModeNaive)
+	e.SetMode(ModeWakeCached)
 	d.pending++ // no Wake on purpose
+	if err := e.CheckDormant(); err != nil {
+		t.Fatalf("dormancy survived the mode switch: %v", err)
+	}
 	e.Run(10)
 	if len(d.ticksAt) != 1 || d.ticksAt[0] != 10 {
 		t.Fatalf("bell ticked at %v after mode switch, want [10]", d.ticksAt)
@@ -289,11 +325,9 @@ func TestSetModeClearsDormancy(t *testing.T) {
 
 func TestModeStrings(t *testing.T) {
 	cases := map[EngineMode]string{
-		ModeWakeCached:         "wake-cached",
-		ModeQuiescent:          "quiescent",
-		ModeNaive:              "naive",
-		ModeWakeCachedParallel: "parallel",
-		EngineMode(9):          "EngineMode(9)",
+		ModeWakeCached: "wake-cached",
+		ModeNaive:      "naive",
+		EngineMode(9):  "EngineMode(9)",
 	}
 	for m, want := range cases {
 		if got := m.String(); got != want {

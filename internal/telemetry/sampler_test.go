@@ -38,7 +38,9 @@ func (w *worker) SkipCycles(from, to sim.Cycle) { w.Idle += int64(to - from) }
 // rig is one engine+worker+sampler assembly.
 func rig(naive bool, busy, every sim.Cycle) (*sim.Engine, *worker, *Sampler) {
 	eng := sim.New()
-	eng.SetQuiescence(!naive)
+	if naive {
+		eng.SetMode(sim.ModeNaive)
+	}
 	w := &worker{until: busy}
 	eng.Register("worker", w)
 	reg := NewRegistry()

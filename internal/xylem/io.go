@@ -40,22 +40,6 @@ type parkedIO struct {
 	since     sim.Cycle
 }
 
-// ioShard is one cluster's slice of the park table: its parked entries,
-// id source and counters are touched only by that cluster's CEs and IP,
-// so under the parallel engine each shard stays single-goroutine. The
-// trailing pad keeps shards of adjacent clusters off a shared cache
-// line.
-type ioShard struct {
-	parked []parkedIO
-	nextID int64
-
-	parks               int64
-	completions         int64
-	waitCycles          int64
-	waitCyclesFormatted int64
-	_                   [64]byte
-}
-
 // IOWait is Xylem's blocked-on-I/O table: a program issuing a blocking
 // Fortran I/O statement parks here while its transfer is outstanding and
 // is redispatched (its resume callback runs) at the completion cycle.
@@ -63,57 +47,39 @@ type ioShard struct {
 // callback — so it reports sim.Never and costs the engine nothing; it is
 // registered only so a run that times out while programs are parked can
 // name them (FaultReason folds into the ErrDeadline diagnostics).
-//
-// The table is sharded per cluster (NewIOWaitSharded): parks and
-// completions both run inside the issuing cluster's components, so each
-// shard belongs to exactly one of the parallel engine's domains and the
-// table needs no locks. The aggregate accessors (Parks, Completions,
-// WaitCycles, WaitCyclesFormatted, Parked) sum the shards; sums are
-// order-free, so the totals are bit-identical to the unsharded table's.
 type IOWait struct {
-	shards []ioShard
+	parked []parkedIO
+	nextID int64
+
+	parks               int64
+	completions         int64
+	waitCycles          int64
+	waitCyclesFormatted int64
 }
 
-// NewIOWait returns an empty single-shard park table.
-func NewIOWait() *IOWait { return NewIOWaitSharded(1) }
+// NewIOWait returns an empty park table.
+func NewIOWait() *IOWait { return &IOWait{} }
 
-// NewIOWaitSharded returns an empty park table with one shard per
-// cluster.
-func NewIOWaitSharded(n int) *IOWait {
-	if n < 1 {
-		n = 1
-	}
-	return &IOWait{shards: make([]ioShard, n)}
-}
-
-// Park blocks the issuing program on a transfer of words through dev in
-// shard 0; single-cluster convenience for tests and callers predating
-// sharding.
-func (w *IOWait) Park(now sim.Cycle, dev IODevice, words int64, formatted bool, label string, resume func(IOCompletion)) {
-	w.ParkAt(0, now, dev, words, formatted, label, resume)
-}
-
-// ParkAt blocks the issuing program on a transfer of words through dev:
+// Park blocks the issuing program on a transfer of words through dev:
 // the request is submitted immediately and resume runs at the completion
-// cycle, after shard's accounting has attributed the wait. label names
-// the program in diagnostics. shard must be the issuing cluster's index.
-func (w *IOWait) ParkAt(shard int, now sim.Cycle, dev IODevice, words int64, formatted bool, label string, resume func(IOCompletion)) {
-	s := &w.shards[shard]
-	id := s.nextID
-	s.nextID++
-	s.parked = append(s.parked, parkedIO{id: id, label: label, words: words, formatted: formatted, since: now})
-	s.parks++
+// cycle, after the table's accounting has attributed the wait. label
+// names the program in diagnostics.
+func (w *IOWait) Park(now sim.Cycle, dev IODevice, words int64, formatted bool, label string, resume func(IOCompletion)) {
+	id := w.nextID
+	w.nextID++
+	w.parked = append(w.parked, parkedIO{id: id, label: label, words: words, formatted: formatted, since: now})
+	w.parks++
 	dev.Submit(now, words, formatted, func(comp IOCompletion) {
-		for i := range s.parked {
-			if s.parked[i].id == id {
-				s.parked = append(s.parked[:i], s.parked[i+1:]...)
+		for i := range w.parked {
+			if w.parked[i].id == id {
+				w.parked = append(w.parked[:i], w.parked[i+1:]...)
 				break
 			}
 		}
-		s.completions++
-		s.waitCycles += int64(comp.Wait())
+		w.completions++
+		w.waitCycles += int64(comp.Wait())
 		if comp.Formatted {
-			s.waitCyclesFormatted += int64(comp.Wait())
+			w.waitCyclesFormatted += int64(comp.Wait())
 		}
 		if resume != nil {
 			resume(comp)
@@ -126,36 +92,20 @@ func (w *IOWait) ParkAt(shard int, now sim.Cycle, dev IODevice, words int64, for
 // WaitCyclesFormatted is the share of WaitCycles spent on formatted
 // transfers — the split the CPI-stack io_park cross-check uses to tell
 // conversion-bound waits (BDNA's trajectory writes) from raw streaming
-// (MG3D's trace reads). All sum over the shards.
-func (w *IOWait) Parks() int64 { return w.sum(func(s *ioShard) int64 { return s.parks }) }
+// (MG3D's trace reads).
+func (w *IOWait) Parks() int64 { return w.parks }
 
 // Completions reports completed (redispatched) transfers.
-func (w *IOWait) Completions() int64 { return w.sum(func(s *ioShard) int64 { return s.completions }) }
+func (w *IOWait) Completions() int64 { return w.completions }
 
 // WaitCycles reports the summed submit-to-completion latency.
-func (w *IOWait) WaitCycles() int64 { return w.sum(func(s *ioShard) int64 { return s.waitCycles }) }
+func (w *IOWait) WaitCycles() int64 { return w.waitCycles }
 
 // WaitCyclesFormatted reports WaitCycles' formatted-transfer share.
-func (w *IOWait) WaitCyclesFormatted() int64 {
-	return w.sum(func(s *ioShard) int64 { return s.waitCyclesFormatted })
-}
-
-func (w *IOWait) sum(f func(*ioShard) int64) int64 {
-	var t int64
-	for i := range w.shards {
-		t += f(&w.shards[i])
-	}
-	return t
-}
+func (w *IOWait) WaitCyclesFormatted() int64 { return w.waitCyclesFormatted }
 
 // Parked reports the number of programs currently blocked on I/O.
-func (w *IOWait) Parked() int {
-	n := 0
-	for i := range w.shards {
-		n += len(w.shards[i].parked)
-	}
-	return n
-}
+func (w *IOWait) Parked() int { return len(w.parked) }
 
 // Tick implements sim.Component; the table has no per-cycle behavior.
 func (w *IOWait) Tick(sim.Cycle) {}
@@ -172,15 +122,13 @@ func (w *IOWait) FaultReason() string {
 	if w.Parked() == 0 {
 		return ""
 	}
-	parts := make([]string, 0, w.Parked())
-	for si := range w.shards {
-		for _, p := range w.shards[si].parked {
-			kind := "raw"
-			if p.formatted {
-				kind = "formatted"
-			}
-			parts = append(parts, fmt.Sprintf("%s (%d %s words, parked since cycle %d)", p.label, p.words, kind, p.since))
+	parts := make([]string, 0, len(w.parked))
+	for _, p := range w.parked {
+		kind := "raw"
+		if p.formatted {
+			kind = "formatted"
 		}
+		parts = append(parts, fmt.Sprintf("%s (%d %s words, parked since cycle %d)", p.label, p.words, kind, p.since))
 	}
 	return "programs parked on outstanding I/O: " + strings.Join(parts, ", ")
 }
