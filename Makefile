@@ -34,33 +34,11 @@ bench:
 # Naive vs wake-cached engine on the DOALL-startup-heavy workload, plus
 # the compute-dominated wake-cached rows at 4 and 16 clusters; the
 # naive/wake-cached ns/op ratio is the fast path's wall-clock win
-# (results are bit-identical across every sub-benchmark). All min-of-3
-# ns/op values land in BENCH_engine.json for pipelines to diff. Gate:
+# (results are bit-identical across every sub-benchmark). Gate:
 # wake-cached ns/op must not regress more than 10% versus the committed
-# baseline (skipped when none exists).
+# BENCH_engine.json (see the shared recipe below).
 bench-engine:
-	@base=$$(sed -n 's/.*"wake-cached_ns_per_op": *\([0-9]*\).*/\1/p' BENCH_engine.json 2>/dev/null); \
-	$(GO) test -run NONE -bench 'BenchmarkEngineQuiescence|BenchmarkEngineCompute' -benchtime 10x -count 3 . | tee bench-engine.out && \
-	awk 'BEGIN { n = 0 } \
-	  $$1 ~ /^BenchmarkEngine(Quiescence|Compute)\// { \
-	    split($$1, a, "/"); sub(/-[0-9]+$$/, "", a[2]); \
-	    if (a[2] in idx) { i = idx[a[2]]; if ($$3 + 0 < ns[i] + 0) ns[i] = $$3 } \
-	    else { idx[a[2]] = n; name[n] = a[2]; ns[n] = $$3; n++ } } \
-	  END { \
-	    if (n == 0) { print "bench-engine: no benchmark lines parsed" > "/dev/stderr"; exit 1 } \
-	    print "{"; \
-	    for (i = 0; i < n; i++) \
-	      printf "  \"%s_ns_per_op\": %s%s\n", name[i], ns[i], (i < n-1 ? "," : ""); \
-	    print "}" }' bench-engine.out > BENCH_engine.json && \
-	rm -f bench-engine.out && \
-	cat BENCH_engine.json && \
-	new=$$(sed -n 's/.*"wake-cached_ns_per_op": *\([0-9]*\).*/\1/p' BENCH_engine.json); \
-	if [ -n "$$base" ] && [ -n "$$new" ] && [ "$$new" -gt $$(( base + base / 10 )) ]; then \
-	  echo "bench-engine: wake-cached $$new ns/op regressed >10% vs committed baseline $$base ns/op" >&2; \
-	  exit 1; \
-	elif [ -n "$$base" ]; then \
-	  echo "bench-engine: wake-cached $$new ns/op within 10% of baseline $$base ns/op"; \
-	fi
+	$(call bench-gate,BenchmarkEngineQuiescence|BenchmarkEngineCompute,wake-cached,BENCH_engine.json)
 
 # Replays the seeded randomized stimulus schedule (the seed is pinned in
 # fuzz_test.go, so every run sees the same stimuli) on both engine
@@ -92,32 +70,40 @@ race-io:
 # Telemetry disabled vs enabled on the engine benchmark workload: "off"
 # must stay within noise of the pre-telemetry engine (the registry is
 # never built); "on" carries the sampling plus the cycle-attribution
-# counters. Min-of-3 ns/op for both land in BENCH_telemetry.json, and
-# the target fails if "on" regresses more than 10% versus the committed
-# baseline (skipped when no baseline exists yet).
+# counters. Gate: "on" must not regress more than 10% versus the
+# committed BENCH_telemetry.json (see the shared recipe below).
 bench-telemetry:
-	@base=$$(sed -n 's/.*"on_ns_per_op": *\([0-9]*\).*/\1/p' BENCH_telemetry.json 2>/dev/null); \
-	$(GO) test -run NONE -bench BenchmarkTelemetryOverhead -benchtime 10x -count 3 . | tee bench-telemetry.out && \
-	awk 'BEGIN { n = 0 } \
-	  $$1 ~ /^BenchmarkTelemetryOverhead\// { \
-	    split($$1, a, "/"); sub(/-[0-9]+$$/, "", a[2]); \
-	    if (a[2] in idx) { i = idx[a[2]]; if ($$3 + 0 < ns[i] + 0) ns[i] = $$3 } \
-	    else { idx[a[2]] = n; name[n] = a[2]; ns[n] = $$3; n++ } } \
-	  END { \
-	    if (n == 0) { print "bench-telemetry: no benchmark lines parsed" > "/dev/stderr"; exit 1 } \
-	    print "{"; \
-	    for (i = 0; i < n; i++) \
-	      printf "  \"%s_ns_per_op\": %s%s\n", name[i], ns[i], (i < n-1 ? "," : ""); \
-	    print "}" }' bench-telemetry.out > BENCH_telemetry.json && \
-	rm -f bench-telemetry.out && \
-	cat BENCH_telemetry.json && \
-	new=$$(sed -n 's/.*"on_ns_per_op": *\([0-9]*\).*/\1/p' BENCH_telemetry.json); \
-	if [ -n "$$base" ] && [ -n "$$new" ] && [ "$$new" -gt $$(( base + base / 10 )) ]; then \
-	  echo "bench-telemetry: sampling-on $$new ns/op regressed >10% vs committed baseline $$base ns/op" >&2; \
-	  exit 1; \
-	elif [ -n "$$base" ]; then \
-	  echo "bench-telemetry: sampling-on $$new ns/op within 10% of baseline $$base ns/op"; \
-	fi
+	$(call bench-gate,BenchmarkTelemetryOverhead,on,BENCH_telemetry.json)
+
+# The shared bench-gate recipe, $(call bench-gate,<benchmarks>,<gated
+# row>,<baseline>): run the benchmarks three times, write each row's
+# min-of-3 ns/op to $@.json (git-ignored; the committed baseline is never
+# rewritten), and fail when the gated row's ns/op exceeds the baseline's
+# by more than 10% (skipped without a baseline).
+define bench-gate
+@$(GO) test -run NONE -bench '$(1)' -benchtime 10x -count 3 . | tee $@.out && \
+awk 'BEGIN { n = 0 } \
+  $$1 ~ /^Benchmark[^\/]*\// { \
+    split($$1, a, "/"); sub(/-[0-9]+$$/, "", a[2]); \
+    if (a[2] in idx) { i = idx[a[2]]; if ($$3 + 0 < ns[i] + 0) ns[i] = $$3 } \
+    else { idx[a[2]] = n; name[n] = a[2]; ns[n] = $$3; n++ } } \
+  END { \
+    if (n == 0) { print "no benchmark lines parsed" > "/dev/stderr"; exit 1 } \
+    print "{"; \
+    for (i = 0; i < n; i++) \
+      printf "  \"%s_ns_per_op\": %s%s\n", name[i], ns[i], (i < n-1 ? "," : ""); \
+    print "}" }' $@.out > $@.json && \
+rm -f $@.out && \
+cat $@.json && \
+base=$$(sed -n 's/.*"$(2)_ns_per_op": *\([0-9]*\).*/\1/p' $(3) 2>/dev/null); \
+new=$$(sed -n 's/.*"$(2)_ns_per_op": *\([0-9]*\).*/\1/p' $@.json); \
+if [ -n "$$base" ] && [ -n "$$new" ] && [ "$$new" -gt $$(( base + base / 10 )) ]; then \
+  echo "$@: $(2) $$new ns/op regressed >10% vs committed $(3) $$base ns/op" >&2; \
+  exit 1; \
+elif [ -n "$$base" ]; then \
+  echo "$@: $(2) $$new ns/op within 10% of committed $(3) $$base ns/op"; \
+fi
+endef
 
 # Race pass focused on the cycle-attribution surfaces: the accounting
 # invariant sweeps, the stack/flame/CSV views and the sampler's phase

@@ -286,11 +286,12 @@ func BenchmarkAblationCacheGeometry(b *testing.B) {
 // spans the engine fast-forwards in one jump. "wake-cached" (the default
 // engine) also parks components that answered Never until an external
 // stimulus wakes them, which pays off here because the claim loops keep
-// the PFUs, caches and IPs permanently dormant while sync traffic forces
+// the PFUs, caches and IPs permanently dormant and each CE parks while
+// its fetch-and-add claim is in flight; the sync traffic still forces
 // the engine to execute most cycles. Both sub-benchmarks simulate the
 // identical workload (the determinism tests assert bit-identical
 // results), so the ns/op ratio is a pure host-cost win. `make
-// bench-engine` parses the ns/op values into BENCH_engine.json.
+// bench-engine` gates the wake-cached row against BENCH_engine.json.
 func BenchmarkEngineQuiescence(b *testing.B) {
 	workload := func(b *testing.B, mode sim.EngineMode) {
 		var simCycles int64

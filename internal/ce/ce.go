@@ -271,9 +271,11 @@ func (c *CE) PFU() *prefetch.PFU { return c.pfu }
 func (c *CE) SetIOPath(p IOPath) { c.io = p }
 
 // AttachWaker implements sim.WakeSink: the engine hands the CE its own
-// Handle at registration. The CE reports sim.Never only when it has no
-// program and no operation in flight, so the only stimuli that must wake
-// it are the program-assignment entry points.
+// Handle at registration. The CE reports sim.Never when it has no
+// program and no operation in flight, while an I/O operation is parked,
+// and while a scalar read or sync awaits its reply, so the stimuli that
+// must wake it are the program-assignment entry points, the I/O
+// completion callback and Deliver of the awaited reply.
 func (c *CE) AttachWaker(w sim.Waker) { c.waker = w }
 
 func (c *CE) wake() {
@@ -356,11 +358,15 @@ func (c *CE) markPark(now sim.Cycle, b isa.Bucket) {
 func (c *CE) CheckStopped() bool { return c.checkStopped }
 
 // NextEvent implements sim.IdleComponent: the earliest cycle at which
-// ticking this CE could change observable state. States that accrue
-// per-cycle stall counters (scalar/sync waits, structural retries) must
-// tick every cycle; pure timer waits (compute spans, vector startup,
-// posted-write and sync-extra completions) report their expiry so the
-// engine can skip or fast-forward through them.
+// ticking this CE could change observable state. Structural retries and
+// vector streams, whose ticks decide per cycle between progress and a
+// stall, tick every cycle; pure timer waits (compute spans, vector
+// startup, posted-write and sync-extra completions) report their expiry.
+// A scalar read or sync awaiting its reply only counts StallMem until
+// Deliver wakes it, so it reports Never (a read with a reissue deadline
+// reports the deadline) and SkipCycles credits the elided stalls. Once
+// the reply is in, a read retires at replyUsable and a sync starts its
+// SyncExtra timer at its next tick.
 func (c *CE) NextEvent(now sim.Cycle) sim.Cycle {
 	if c.cur == nil {
 		if c.prog != nil {
@@ -377,10 +383,19 @@ func (c *CE) NextEvent(now sim.Cycle) sim.Cycle {
 		}
 		return now // consuming/issuing: StallMem/StallNet accrue per cycle
 	case isa.Scalar, isa.Sync:
-		if c.finishAt < 0 {
-			return now // retry (-1) and reply-wait (-2) states stall-count
+		switch {
+		case c.finishAt >= 0:
+			return c.finishAt
+		case c.finishAt == -1:
+			return now // structural retry: stall-counts every cycle
+		case c.replyArrived && c.cur.Kind == isa.Sync:
+			return now
+		case c.replyArrived:
+			return c.replyUsable
+		case c.cur.Kind == isa.Scalar && c.cfg.ReadTimeout > 0:
+			return c.reqRetryAt
 		}
-		return c.finishAt
+		return sim.Never // awaiting the reply: Deliver wakes the CE
 	case isa.IO:
 		if c.ioDone {
 			return now
@@ -392,21 +407,26 @@ func (c *CE) NextEvent(now sim.Cycle) sim.Cycle {
 }
 
 // SkipCycles implements sim.SkipAware: the engine never executed the
-// cycles [from, to) for this CE. The only per-cycle accrual in a
-// skippable state is the idle counter — every other counting state pins
-// NextEvent to now — so credit IdleCycles when no operation was in
-// flight. A program assigned during the span would have ended it at the
-// CE's next tick slot, so the whole span was genuinely idle.
+// cycles [from, to) for this CE. Two skippable states accrue a counter
+// per cycle: with no operation in flight the span is idle (a program
+// assigned during it would have ended it at the CE's next tick slot),
+// and a scalar read or sync awaiting its reply stalls on memory (the
+// reply's Deliver wakes the CE for the cycle after it lands, so every
+// elided tick ran before it). Every other counting state pins NextEvent
+// to now.
 //
 // Cycle accounting charges the span to the bucket recorded at the last
 // tick (parkAs): skippable states — idle, check-stop freeze, compute
-// spans, vector startup, scalar/sync completion timers, I/O parks —
-// keep their classification constant until the next tick, so the whole
-// span lands where the naive engine's per-cycle ticks would have put
-// it.
+// spans, vector startup, scalar/sync reply waits and completion timers,
+// I/O parks — keep their classification constant until the next tick,
+// so the whole span lands where the naive engine's per-cycle ticks
+// would have put it.
 func (c *CE) SkipCycles(from, to sim.Cycle) {
-	if c.cur == nil {
+	switch {
+	case c.cur == nil:
 		c.IdleCycles += int64(to - from)
+	case c.finishAt == -2 && (c.cur.Kind == isa.Scalar || c.cur.Kind == isa.Sync):
+		c.StallMem += int64(to - from)
 	}
 	cursor, bucket := from, c.parkAs
 	kept := 0
@@ -433,7 +453,8 @@ func (c *CE) SkipCycles(from, to sim.Cycle) {
 // dispatching prefetch-buffer fills to the PFU. Every reply the CE
 // accepts — matched, late or unmatched — goes back on its free list once
 // read: the reply is the CE's own request packet, rewritten by the
-// memory module.
+// memory module. The awaited scalar or sync reply wakes the CE, which
+// parks while it waits.
 func (c *CE) Deliver(now sim.Cycle, p *network.Packet) bool {
 	if p.Tag < prefetch.TagSpan {
 		if c.pfu == nil {
@@ -448,6 +469,7 @@ func (c *CE) Deliver(now sim.Cycle, p *network.Packet) bool {
 		c.replyUsable = usable
 		c.replyV = int64(p.Value)
 		c.replyOK = p.OK
+		c.wake()
 		return true
 	}
 	for i := range c.inflight {
@@ -575,9 +597,12 @@ func (c *CE) parkBucket() isa.Bucket {
 	case isa.Vector:
 		return isa.AcctVectorWait // only the startup fill is skippable
 	case isa.Scalar:
-		return isa.AcctScalarWait // posted-write / cache-ready timers
+		if c.finishAt == -2 && c.reqRetries > 0 {
+			return isa.AcctRecovery // parked on a reissued read
+		}
+		return isa.AcctScalarWait // reply wait, posted-write / cache-ready timers
 	case isa.Sync:
-		return isa.AcctSyncWait // the SyncExtra completion timer
+		return isa.AcctSyncWait // reply wait, the SyncExtra completion timer
 	case isa.IO:
 		return isa.AcctIOPark
 	default:

@@ -108,7 +108,9 @@ func syncOps(m *Machine) int64 {
 
 // BenchmarkMachineCycle reports the host cost of one simulated cycle of
 // a one-cluster machine whose eight CEs stream global vector loads,
-// through the prefetch units or as direct requests.
+// through the prefetch units or as direct requests, or spin
+// fetch-and-add on one word (word 0, the first CE's region), each CE
+// parked on its reply for most of every round trip.
 func BenchmarkMachineCycle(b *testing.B) {
 	for _, bc := range []struct {
 		name string
@@ -116,6 +118,7 @@ func BenchmarkMachineCycle(b *testing.B) {
 	}{
 		{"prefetch", func(_ int, base uint64) []*isa.Op { return prefetchOps(base, 1) }},
 		{"direct", func(_ int, base uint64) []*isa.Op { return directOps(base) }},
+		{"sync", func(int, uint64) []*isa.Op { return []*isa.Op{isa.NewSync(0, network.FetchAndAdd(1))} }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			m := streamMachine(bc.ops)

@@ -462,3 +462,62 @@ func TestTopologyRendering(t *testing.T) {
 		t.Fatal("ideal fabric not labeled")
 	}
 }
+
+// TestEngineTicksConserveSlots checks the engine's self-profile on both
+// paths: one engine/ticks/<class> diagnostic per component class, and
+// every component slot of every cycle is a tick, an elided tick or a
+// fast-forwarded cycle. Wake-cached: sum of ticks + SkippedTicks =
+// components x (Now - FastForwarded); naive: sum of ticks = components
+// x Now. The architected fingerprints of the two runs agree.
+func TestEngineTicksConserveSlots(t *testing.T) {
+	wantClasses := []string{"ce", "pfu", "ip", "xylem/io", "fwd", "gmod", "rev"}
+	var prints []string
+	for _, mode := range []sim.EngineMode{sim.ModeNaive, sim.ModeWakeCached} {
+		cfg := testConfig(1)
+		cfg.EngineMode = mode
+		m := MustNew(cfg)
+		for id := 0; id < m.NumCEs(); id++ {
+			a := isa.Addr{Space: isa.Global, Word: uint64(id * 64)}
+			m.Dispatch(id, isa.NewSeq(
+				isa.NewPrefetch(a, 64, 1),
+				isa.NewVectorLoad(a, 64, 1, 2, true),
+				isa.NewScalarLoad(a),
+				isa.NewSync(0, network.FetchAndAdd(1)),
+				isa.NewCompute(sim.Cycle(100*id)),
+			))
+		}
+		if _, err := m.RunUntilIdle(100_000); err != nil {
+			t.Fatal(err)
+		}
+		m.Eng.Run(500) // a quiet tail the wake-cached engine jumps over
+		reg := m.Registry()
+		var classes []string
+		var ticks int64
+		for _, p := range reg.Paths() {
+			if class, ok := strings.CutPrefix(p, "engine/ticks/"); ok {
+				classes = append(classes, class)
+				n, _ := reg.Value(p)
+				ticks += n
+			}
+		}
+		if strings.Join(classes, " ") != strings.Join(wantClasses, " ") {
+			t.Fatalf("%v: tick classes %v, want %v", mode, classes, wantClasses)
+		}
+		e := m.Eng
+		slots := int64(e.Components()) * int64(e.Now()-sim.Cycle(e.FastForwarded))
+		if ticks+e.SkippedTicks != slots {
+			t.Errorf("%v: %d ticks + %d skipped != %d components x %d executed cycles",
+				mode, ticks, e.SkippedTicks, e.Components(), e.Now()-sim.Cycle(e.FastForwarded))
+		}
+		if mode == sim.ModeNaive && (e.SkippedTicks != 0 || e.FastForwarded != 0) {
+			t.Errorf("naive engine elided %d ticks and %d cycles", e.SkippedTicks, e.FastForwarded)
+		}
+		if mode == sim.ModeWakeCached && (e.SkippedTicks == 0 || e.FastForwarded == 0) {
+			t.Errorf("wake-cached engine elided nothing: %d ticks, %d cycles", e.SkippedTicks, e.FastForwarded)
+		}
+		prints = append(prints, reg.Fingerprint())
+	}
+	if prints[0] != prints[1] {
+		t.Fatal("registry fingerprints differ between engine paths")
+	}
+}

@@ -69,6 +69,28 @@ func (m *Machine) registerAll(reg *telemetry.Registry) {
 	reg.Diagnostic("engine/skipped_ticks", &m.Eng.SkippedTicks)
 	reg.Diagnostic("engine/fast_forwarded", &m.Eng.FastForwarded)
 	reg.Diagnostic("engine/dormant_skips", &m.Eng.DormantSkips)
+	// The engine's self-profile: ticks per component class, the class
+	// being the registration name without its trailing index ("ce",
+	// "pfu", "gmod", ...).
+	var classes []string
+	members := map[string][]int{}
+	for i, name := range m.Eng.ComponentNames() {
+		class := strings.TrimRight(name, "0123456789")
+		if members[class] == nil {
+			classes = append(classes, class)
+		}
+		members[class] = append(members[class], i)
+	}
+	for _, class := range classes {
+		idx := members[class]
+		reg.Register("engine/ticks/"+class, telemetry.Diagnostic, func() int64 {
+			var n int64
+			for _, i := range idx {
+				n += m.Eng.Ticks(i)
+			}
+			return n
+		})
+	}
 }
 
 // NewSampler builds a phase-interval sampler over the machine's

@@ -31,14 +31,20 @@ func (q *pktQueue) canAccept(w int) bool {
 }
 
 // agePenalty returns the extra handshake cycle a transfer costs when the
-// departing packet had to sit in this queue behind congestion. A smooth
+// departing packet had to sit in its queue behind congestion. A smooth
 // pipelined stream moves every packet one hop per cycle (preserving the
 // 1-cycle minimal interarrival); once queues back up, each restarted
 // transfer pays an arbitration/handshake cycle, dropping the effective
 // port rate toward half — the "specific implementation constraints"
 // [Turn93] the paper identifies as the cause of the latency and
 // interarrival degradation beyond two clusters.
-func (q *pktQueue) agePenalty(p *Packet, now sim.Cycle) sim.Cycle {
+//
+// The penalty is charged only on the delivery link, which holds its port
+// for Words+1 cycles when the packet sat two or more cycles in a
+// last-stage output queue. Every other hop pushes the packet into its
+// next queue, re-stamping enq, in the same cycle it leaves, so the
+// penalty there would always be zero and is not computed.
+func agePenalty(p *Packet, now sim.Cycle) sim.Cycle {
 	if now-p.enq >= 2 {
 		return 1
 	}
@@ -117,7 +123,7 @@ func (x *crossbar) route(now sim.Cycle, digits []uint8) {
 			x.inMask &^= 1 << uint(i)
 		}
 		x.outMask |= 1 << uint(o)
-		x.outFreeAt[o] = now + sim.Cycle(p.Words) + x.in[i].agePenalty(p, now)
+		x.outFreeAt[o] = now + sim.Cycle(p.Words)
 		x.rr[o] = uint8(i + 1)
 	}
 }
@@ -390,7 +396,7 @@ func (n *Network) Tick(now sim.Cycle) {
 			if q.n == 0 {
 				x.outMask &^= 1 << uint(o)
 			}
-			n.deliverFree[port] = now + sim.Cycle(p.Words) + q.agePenalty(p, now)
+			n.deliverFree[port] = now + sim.Cycle(p.Words) + agePenalty(p, now)
 			n.Delivered++
 			if n.OnDeliver != nil {
 				n.OnDeliver(now, port, p)
@@ -424,7 +430,7 @@ func (n *Network) Tick(now sim.Cycle) {
 				if q.n == 0 {
 					x.outMask &^= 1 << uint(o)
 				}
-				free[port] = now + sim.Cycle(p.Words) + q.agePenalty(p, now)
+				free[port] = now + sim.Cycle(p.Words)
 			}
 			port0 += n.radix
 		}
@@ -460,7 +466,7 @@ func (n *Network) Tick(now sim.Cycle) {
 			if q.n == 0 {
 				n.entryMask[wi] &^= 1 << uint(port&63)
 			}
-			n.entryFree[port] = now + sim.Cycle(p.Words) + q.agePenalty(p, now)
+			n.entryFree[port] = now + sim.Cycle(p.Words)
 		}
 	}
 }

@@ -607,3 +607,41 @@ func TestIdealNetworkArrivalOrder(t *testing.T) {
 		last[d.port] = d
 	}
 }
+
+// TestDeliveryLinkCongestionPenalty pins the one hop that charges the
+// congestion handshake: a packet that sat two or more cycles in a
+// last-stage output queue holds its delivery link for Words+1 cycles,
+// so the packet behind it on the same port leaves that much later. With
+// a sink that never refuses, the same back-to-back pair is spaced Words
+// cycles apart.
+func TestDeliveryLinkCongestionPenalty(t *testing.T) {
+	for _, words := range []int{1, 2} {
+		for _, held := range []bool{false, true} {
+			e, n, sinks := build(t, 64, 8)
+			var at []sim.Cycle
+			n.OnDeliver = func(now sim.Cycle, _ int, _ *Packet) { at = append(at, now) }
+			sinks[9].full = held
+			for i := 0; i < 2; i++ {
+				for !n.Offer(e.Now(), 1, &Packet{Dst: 9, Src: 1, Words: words, Kind: Read}) {
+					e.Step()
+				}
+				e.Step()
+			}
+			if held {
+				e.Run(20)
+				sinks[9].full = false
+			}
+			if _, err := e.RunUntil(func() bool { return len(at) == 2 }, 100); err != nil {
+				t.Fatal(err)
+			}
+			want := sim.Cycle(words)
+			if held {
+				want++
+			}
+			if gap := at[1] - at[0]; gap != want {
+				t.Errorf("%d-word packets, sink held %v: deliveries %v are %d cycles apart, want %d",
+					words, held, at, gap, want)
+			}
+		}
+	}
+}

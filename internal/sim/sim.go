@@ -242,6 +242,10 @@ type Engine struct {
 	lastTick []Cycle
 	dormant  []bool
 
+	// ticks counts each component's executed ticks on either path: the
+	// engine's self-profile, read through Ticks.
+	ticks []int64
+
 	// The wake calendar (fast path only). Every IdleComponent is in
 	// exactly one place at a time: the calendar heap (a future or due
 	// query is scheduled), the due ring (due exactly next cycle — kept
@@ -444,6 +448,7 @@ func (e *Engine) Register(name string, c Component) Handle {
 	e.skip = append(e.skip, sa)
 	e.lastTick = append(e.lastTick, -1)
 	e.dormant = append(e.dormant, false)
+	e.ticks = append(e.ticks, 0)
 	e.cal.grow()
 	i := len(e.comps) - 1
 	if ic == nil {
@@ -489,6 +494,14 @@ func (e *Engine) ComponentNames() []string {
 	return out
 }
 
+// Ticks reports how many times the component registered at index i (the
+// ComponentNames order) has been ticked, on either engine path. It is a
+// diagnostic like SkippedTicks, with which it conserves component slots:
+// on the wake-cached path the sum over components plus SkippedTicks is
+// Components() x (Now - FastForwarded); on the naive path the sum alone
+// is Components() x Now.
+func (e *Engine) Ticks(i int) int64 { return e.ticks[i] }
+
 // Now returns the current cycle. During a tick, Now reports the cycle
 // being executed.
 func (e *Engine) Now() Cycle { return e.now }
@@ -503,8 +516,9 @@ func (e *Engine) Step() {
 	}
 	e.maybeSample()
 	e.ticking = true
-	for _, c := range e.comps {
+	for i, c := range e.comps {
 		c.Tick(e.now)
+		e.ticks[i]++
 	}
 	e.ticking = false
 	e.now++
@@ -601,6 +615,7 @@ func (e *Engine) advance(limit Cycle) {
 		}
 		e.lastTick[idx] = now
 		e.comps[idx].Tick(now)
+		e.ticks[idx]++
 		nTicked++
 	}
 	e.curIdx = -1
