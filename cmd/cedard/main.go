@@ -5,17 +5,20 @@
 // perfectly cacheable: a parameter sweep submitted by many clients
 // costs one simulation per distinct configuration — concurrent
 // identical requests are deduped in flight, repeats are served from
-// the cache, and distinct jobs fan out to a bounded worker pool.
+// the cache, and distinct jobs fan out to a bounded worker pool. Every
+// job runs on the wake-cached engine: both engine paths give
+// bit-identical results, so a spec's engine is not part of its cache
+// key and does not choose how cedard runs it.
 //
 //	cedard -addr localhost:8633 -shards 16 -workers 8
 //
 //	POST /jobs     one Spec object or an array of Specs; returns a
-//	               response per job, in order, each carrying the spec
-//	               fingerprint, whether it was served without running a
-//	               simulation, and the result. Any invalid spec rejects
-//	               the whole batch with 400 and per-job errors; a body
-//	               over 1 MiB is refused with 413 and a batch of more
-//	               than 1024 jobs with 400.
+//	               compact JSON response per job, in order, each
+//	               carrying the spec fingerprint, whether it was served
+//	               without running a simulation, and the result. Any
+//	               invalid spec rejects the whole batch with 400 and
+//	               per-job errors; a body over 1 MiB is refused with 413
+//	               and a batch of more than 1024 jobs with 400.
 //	GET  /metrics  the cache/pool telemetry registry as text
 //	GET  /healthz  liveness probe
 package main
@@ -29,6 +32,8 @@ import (
 	"net/http"
 	"os"
 	"runtime"
+	"runtime/debug"
+	"strconv"
 	"sync"
 
 	"repro/internal/job"
@@ -48,6 +53,9 @@ func main() {
 		usageError(fmt.Errorf("-workers %d: need at least one worker", *workers))
 	}
 
+	if os.Getenv("GOGC") == "" {
+		debug.SetGCPercent(gcPercent)
+	}
 	svc := job.NewService(runner.Run, *shards, *workers)
 	reg := telemetry.NewRegistry()
 	svc.RegisterMetrics(reg, "cedard")
@@ -58,6 +66,16 @@ func main() {
 	}
 }
 
+// gcPercent is cedard's garbage-collection target, unless GOGC sets one.
+// Its live heap is mostly 64 MB machine stores, which hold no pointers
+// and so cost the collector almost nothing to mark. At the default 100%
+// a burst of misses leaves the heap goal at twice two stores, and hits,
+// which allocate little, take seconds to reach it: the server holds that
+// memory resident all the while. At 20% the heap stays within a fifth of
+// what is live, so with a few workers a store that gmem's spare slot
+// could not keep is collected before the next one is allocated.
+const gcPercent = 20
+
 // Request limits. Each batch element gets its own goroutine, so both
 // the body and the batch must be bounded for one request not to exhaust
 // the server.
@@ -67,7 +85,8 @@ const (
 )
 
 // jobResponse is one element of the POST /jobs reply, parallel to the
-// submitted batch.
+// submitted batch: the documented wire schema. appendJobs writes it
+// without an encoder, so the stored result bytes go out unchanged.
 type jobResponse struct {
 	// Fingerprint is the spec's canonical fingerprint — the cache key,
 	// and the stable identity clients can correlate sweeps by.
@@ -78,8 +97,9 @@ type jobResponse struct {
 	Cached bool `json:"cached"`
 	// Result is the simulation outcome; nil when Error is set.
 	Result *job.Result `json:"result,omitempty"`
-	// Error reports a runner failure for this job (the batch itself was
-	// valid, so the other jobs still carry results).
+	// Error reports a runner failure for this job, or a result that
+	// could not be encoded (the batch itself was valid, so the other
+	// jobs still carry results).
 	Error string `json:"error,omitempty"`
 }
 
@@ -130,23 +150,33 @@ func newHandler(svc *job.Service, reg *telemetry.Registry) http.Handler {
 		// Fan out: the service dedupes identical specs in flight and
 		// bounds distinct ones by the worker pool, so the handler can
 		// submit the whole batch at once.
-		resps := make([]jobResponse, len(specs))
+		replies := make([]jobReply, len(specs))
 		var wg sync.WaitGroup
 		for i, s := range specs {
 			wg.Add(1)
 			go func(i int, s job.Spec) {
 				defer wg.Done()
+				// The engine is not in the key, so a client must not
+				// choose it for a shared entry: every miss runs wake-cached.
+				s.Engine = ""
 				fp, _ := s.Fingerprint() // validated above; cannot fail
-				res, cached, err := svc.Do(s)
+				data, cached, err := svc.DoJSON(s)
 				if err != nil {
-					resps[i] = jobResponse{Fingerprint: fp, Cached: cached, Error: err.Error()}
+					msg, _ := json.Marshal(err.Error()) // a string always encodes
+					replies[i] = jobReply{fp: fp, cached: cached, key: "error", value: msg}
 					return
 				}
-				resps[i] = jobResponse{Fingerprint: fp, Cached: cached, Result: &res}
+				replies[i] = jobReply{fp: fp, cached: cached, key: "result", value: data}
 			}(i, s)
 		}
 		wg.Wait()
-		writeJSON(w, http.StatusOK, resps)
+		body := appendJobs(replies)
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		w.WriteHeader(http.StatusOK)
+		if _, err := w.Write(body); err != nil {
+			log.Print("cedard: write response: ", err)
+		}
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -159,12 +189,49 @@ func newHandler(svc *job.Service, reg *telemetry.Registry) http.Handler {
 	return mux
 }
 
+// jobReply is one job's element of the POST /jobs reply: its
+// fingerprint, whether it was cached, and either its stored result
+// bytes under "result" or its error as a JSON string under "error".
+type jobReply struct {
+	fp     string
+	cached bool
+	key    string
+	value  []byte
+}
+
+// appendJobs builds the POST /jobs reply, a jobResponse array, around
+// the stored result bytes, which go out unchanged: serving a hit runs no
+// encoder. The buffer is sized up front, so it is allocated once and the
+// reply goes out in one write.
+func appendJobs(replies []jobReply) []byte {
+	const frame = `{"fingerprint":"","cached":false,"":},`
+	n := len("[]\n")
+	for _, r := range replies {
+		n += len(frame) + len(r.fp) + len(r.key) + len(r.value)
+	}
+	buf := make([]byte, 0, n)
+	buf = append(buf, '[')
+	for i, r := range replies {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, `{"fingerprint":"`...)
+		buf = append(buf, r.fp...)
+		buf = append(buf, `","cached":`...)
+		buf = strconv.AppendBool(buf, r.cached)
+		buf = append(buf, `,"`...)
+		buf = append(buf, r.key...)
+		buf = append(buf, `":`...)
+		buf = append(buf, r.value...)
+		buf = append(buf, '}')
+	}
+	return append(buf, "]\n"...)
+}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	if err := json.NewEncoder(w).Encode(v); err != nil {
 		log.Print("cedard: encode response: ", err)
 	}
 }

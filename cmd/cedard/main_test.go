@@ -1,14 +1,17 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -20,11 +23,33 @@ import (
 func testServer(t *testing.T, workers int) (*httptest.Server, *job.Service) {
 	t.Helper()
 	svc := job.NewService(runner.Run, 4, workers)
+	return serve(t, svc), svc
+}
+
+// serve starts an httptest server for svc, closed when t ends.
+func serve(tb testing.TB, svc *job.Service) *httptest.Server {
 	reg := telemetry.NewRegistry()
 	svc.RegisterMetrics(reg, "cedard")
 	srv := httptest.NewServer(newHandler(svc, reg))
-	t.Cleanup(srv.Close)
-	return srv, svc
+	tb.Cleanup(srv.Close)
+	return srv
+}
+
+// rawResults decodes a 200 /jobs body keeping each job's result as the
+// bytes the server wrote.
+func rawResults(t *testing.T, body []byte) []json.RawMessage {
+	t.Helper()
+	var resps []struct {
+		Result json.RawMessage `json:"result"`
+	}
+	if err := json.Unmarshal(body, &resps); err != nil {
+		t.Fatalf("bad response: %v\n%s", err, body)
+	}
+	out := make([]json.RawMessage, len(resps))
+	for i, r := range resps {
+		out[i] = r.Result
+	}
+	return out
 }
 
 func postJobs(t *testing.T, srv *httptest.Server, body string) (int, []byte) {
@@ -48,7 +73,7 @@ func readAll(t *testing.T, resp *http.Response) string {
 
 // TestJobsBatch: a batch of distinct jobs returns one response per job
 // in order; resubmitting the batch serves every job from the cache with
-// identical results and fingerprints.
+// identical fingerprints and result bytes identical to the misses'.
 func TestJobsBatch(t *testing.T) {
 	srv, svc := testServer(t, 4)
 	batch := `[
@@ -85,10 +110,17 @@ func TestJobsBatch(t *testing.T) {
 		t.Fatalf("unexpected workload name %q", first[0].Result.Workload)
 	}
 
+	missBytes := rawResults(t, body)
+
 	// Round 2: everything is a cache hit with identical payloads.
 	status, body = postJobs(t, srv, batch)
 	if status != http.StatusOK {
 		t.Fatalf("status %d on resubmit: %s", status, body)
+	}
+	for i, hit := range rawResults(t, body) {
+		if !bytes.Equal(hit, missBytes[i]) {
+			t.Fatalf("job %d: hit bytes differ from the miss's:\n%s\n%s", i, hit, missBytes[i])
+		}
 	}
 	var second []jobResponse
 	if err := json.Unmarshal(body, &second); err != nil {
@@ -133,6 +165,84 @@ func TestJobsDedupeWithinBatch(t *testing.T) {
 	}
 	if _, _, _, execs := svc.Stats(); execs != 1 {
 		t.Fatalf("%d executions for 2 identical jobs", execs)
+	}
+}
+
+// TestJobsEncodeFailure: a result JSON cannot carry (a NaN rate) fails
+// only its own job, with an error naming the encoding; the reply is
+// still a well-formed 200 and the other job keeps its result.
+func TestJobsEncodeFailure(t *testing.T) {
+	svc := job.NewService(func(s job.Spec) (job.Result, error) {
+		res := job.Result{Workload: s.Workload, Cycles: 1}
+		if s.Workload == "tm" {
+			res.MFLOPS = math.NaN()
+		}
+		return res, nil
+	}, 4, 2)
+	srv := serve(t, svc)
+	batch := `[{"workload":"vl","clusters":1},{"workload":"tm","clusters":1}]`
+	for round := 0; round < 2; round++ {
+		status, body := postJobs(t, srv, batch)
+		if status != http.StatusOK {
+			t.Fatalf("round %d: status %d: %s", round, status, body)
+		}
+		var resps []jobResponse
+		if err := json.Unmarshal(body, &resps); err != nil {
+			t.Fatalf("round %d: bad response: %v\n%s", round, err, body)
+		}
+		if len(resps) != 2 {
+			t.Fatalf("round %d: %d responses for 2 jobs", round, len(resps))
+		}
+		if resps[0].Error != "" || resps[0].Result == nil || resps[0].Result.Workload != "vl" {
+			t.Fatalf("round %d: the encodable job lost its result: %+v", round, resps[0])
+		}
+		if resps[1].Result != nil || !strings.Contains(resps[1].Error, "encode result") {
+			t.Fatalf("round %d: the NaN job's error does not name the encoding: %+v", round, resps[1])
+		}
+	}
+	if _, _, _, execs := svc.Stats(); execs != 2 {
+		t.Fatalf("%d executions for 2 distinct jobs submitted twice", execs)
+	}
+}
+
+// TestJobsIgnoreEngine: the engine is not part of a job's identity, so a
+// naive spec runs on the default engine and its wake-cached twin is a
+// hit on the same entry.
+func TestJobsIgnoreEngine(t *testing.T) {
+	var mu sync.Mutex
+	var engines []string
+	svc := job.NewService(func(s job.Spec) (job.Result, error) {
+		mu.Lock()
+		engines = append(engines, s.Engine)
+		mu.Unlock()
+		return job.Result{Workload: s.Workload}, nil
+	}, 4, 2)
+	srv := serve(t, svc)
+	var fps []string
+	for i, body := range []string{
+		`{"workload":"vl","clusters":1,"engine":"naive"}`,
+		`{"workload":"vl","clusters":1}`,
+	} {
+		status, resp := postJobs(t, srv, body)
+		if status != http.StatusOK {
+			t.Fatalf("status %d: %s", status, resp)
+		}
+		var resps []jobResponse
+		if err := json.Unmarshal(resp, &resps); err != nil {
+			t.Fatal(err)
+		}
+		if resps[0].Cached != (i == 1) {
+			t.Fatalf("request %d: cached=%v", i, resps[0].Cached)
+		}
+		fps = append(fps, resps[0].Fingerprint)
+	}
+	if fps[0] != fps[1] {
+		t.Fatal("naive and wake-cached spellings got distinct fingerprints")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(engines) != 1 || engines[0] != "" {
+		t.Fatalf("runner saw engines %q, want one run on the default engine", engines)
 	}
 }
 
@@ -228,7 +338,8 @@ func TestMetricsAndHealth(t *testing.T) {
 	}
 	text := readAll(t, resp)
 	resp.Body.Close()
-	for _, want := range []string{"cedard/cache/hits", "cedard/cache/misses", "cedard/pool/executions"} {
+	for _, want := range []string{"cedard/cache/hits", "cedard/cache/misses", "cedard/cache/evictions",
+		"cedard/cache/bytes", "cedard/pool/executions"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("/metrics missing %s:\n%s", want, text)
 		}
@@ -254,7 +365,8 @@ func TestMetricsAndHealth(t *testing.T) {
 }
 
 // TestSmoke builds the real binary, starts it on a free port, and runs
-// a sweep through it twice — the end-to-end path ci exercises.
+// a sweep through it twice — the end-to-end path ci exercises. The hits'
+// result bytes must equal the misses'.
 func TestSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binary; skipped with -short")
@@ -288,6 +400,7 @@ func TestSmoke(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 	}
 	batch := `[{"workload":"vl","clusters":1,"size":1024},{"workload":"rk","clusters":1,"size":64}]`
+	var missBytes []json.RawMessage
 	for round, wantCached := range []bool{false, true} {
 		resp, err := http.Post(url+"/jobs", "application/json", strings.NewReader(batch))
 		if err != nil {
@@ -310,5 +423,47 @@ func TestSmoke(t *testing.T) {
 				t.Fatalf("round %d job %d: cached=%v, want %v", round, i, jr.Cached, wantCached)
 			}
 		}
+		raw := rawResults(t, []byte(body))
+		if round == 0 {
+			missBytes = raw
+			continue
+		}
+		for i := range raw {
+			if !bytes.Equal(raw[i], missBytes[i]) {
+				t.Fatalf("job %d: hit bytes differ from the miss's", i)
+			}
+		}
 	}
+}
+
+// BenchmarkJobsHit times an all-hit POST /jobs of a 4-spec batch through
+// the handler: lookup and reply writing, over loopback HTTP.
+func BenchmarkJobsHit(b *testing.B) {
+	srv := serve(b, job.NewService(runner.Run, 16, 2))
+	batch := []byte(`[
+		{"workload":"vl","clusters":1,"size":256},
+		{"workload":"tm","clusters":2,"size":512},
+		{"workload":"mg3d","clusters":1,"iterations":1},
+		{"workload":"cg","clusters":1,"iterations":1}
+	]`)
+	post := func() []byte {
+		resp, err := http.Post(srv.URL+"/jobs", "application/json", bytes.NewReader(batch))
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			b.Fatalf("status %d, %v: %s", resp.StatusCode, err, body)
+		}
+		return body
+	}
+	post() // the misses
+	var n int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n = len(post())
+	}
+	b.ReportMetric(float64(n)/4, "resp-B/job")
 }

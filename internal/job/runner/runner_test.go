@@ -105,3 +105,19 @@ func TestRunScaledTopology(t *testing.T) {
 		t.Fatalf("8-cluster scaled machine reports %d CEs, want 64", res.CEs)
 	}
 }
+
+// TestRunRejectsBadRankSize: a rank-64 size that is not a multiple of
+// the strip length is an error naming it, as for the other kernels, not
+// a panic the job service has to catch.
+func TestRunRejectsBadRankSize(t *testing.T) {
+	svc := job.NewService(Run, 1, 1)
+	_, _, err := svc.Do(job.Spec{Workload: "rk", Clusters: 1, Size: 33})
+	var perr *job.PanicError
+	if errors.As(err, &perr) {
+		t.Fatalf("rk n=33 panicked: %v", err)
+	}
+	const want = "kernels: rank-64 n=33 not a multiple of 32"
+	if err == nil || err.Error() != want {
+		t.Fatalf("rk n=33: got %v, want %q", err, want)
+	}
+}

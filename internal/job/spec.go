@@ -1,21 +1,23 @@
 // Package job defines the canonical, serializable description of one
 // simulation — the public API drivers share. A Spec carries everything
 // that determines a run's outcome (workload and its parameters, machine
-// topology, engine path, fault schedule) and nothing else: no function
-// or interface field can hide in it, so its canonical encoding is a
-// sound cache key. The simulator is fully deterministic — identical
-// Specs yield bit-identical results — which makes Fingerprint the
-// memoization key cedard's result cache and in-flight dedupe are built
-// on, and the same Spec→runner path serves cedarsim's flag parsing.
+// topology, fault schedule), plus the engine path, which does not, and
+// nothing else: no function or interface field can hide in it, so its
+// canonical encoding is a sound cache key. The simulator is fully
+// deterministic — identical Specs yield bit-identical results — which
+// makes Fingerprint the memoization key cedard's result cache and
+// in-flight dedupe are built on, and the same Spec→runner path serves
+// cedarsim's flag parsing.
 //
 // Canonicalization contract: Canonical returns deterministic bytes — a
 // fixed-order, sorted-key JSON encoding of the normalized spec, with
 // every default materialized and semantically inert fields zeroed (a
-// fault seed with the fault rate at zero, for example). Two specs that
-// describe the same simulation therefore encode to the same bytes and
-// collide in the cache, however their fields were spelled. The golden
-// test pins the bytes; changing the encoding invalidates every
-// persisted fingerprint and must be deliberate.
+// fault seed with the fault rate at zero, or the engine path, whose
+// results are bit-identical on both paths). Two specs that describe the
+// same simulation therefore encode to the same bytes and collide in the
+// cache, however their fields were spelled. The golden test pins the
+// bytes; changing the encoding invalidates every persisted fingerprint
+// and must be deliberate.
 package job
 
 import (
@@ -62,7 +64,8 @@ type Spec struct {
 	// Default "cedar".
 	Topology string `json:"topology,omitempty"`
 	// Engine is the engine path: "naive" or "wake-cached". Results are
-	// bit-identical on both paths. Default "wake-cached".
+	// bit-identical on both paths, so the engine is not part of the
+	// fingerprint. Default "wake-cached".
 	Engine string `json:"engine,omitempty"`
 	// FaultSeed selects the deterministic fault schedule; non-negative.
 	// Ignored (and canonicalized away) while FaultRate is zero.
@@ -246,10 +249,13 @@ func (s Spec) Params() workload.Params {
 // omitempty — defaults are materialized, absent and default must
 // encode identically) and JSON keys in sorted order. Field order here
 // IS the wire order json.Marshal emits, so this struct is part of the
-// fingerprint contract pinned by the golden test. RetiredWorkers is
-// always zero: its par_workers key carried the retired parallel engine's
-// worker budget, and it stays because persisted fingerprints — the keys
-// of bench/testdata/golden.json among them — hash these bytes.
+// fingerprint contract pinned by the golden test. Two keys are
+// constants, kept because persisted fingerprints — the keys of
+// bench/testdata/golden.json among them — hash these bytes: engine is
+// always DefaultEngine, since both engine paths produce bit-identical
+// results and one simulation must not be cached twice, and par_workers
+// (RetiredWorkers) is always zero, since it carried the retired
+// parallel engine's worker budget.
 type canonicalSpec struct {
 	Clusters       int      `json:"clusters"`
 	Engine         string   `json:"engine"`
@@ -280,7 +286,7 @@ func (s Spec) Canonical() ([]byte, error) {
 	}
 	return json.Marshal(canonicalSpec{
 		Clusters:   n.Clusters,
-		Engine:     n.Engine,
+		Engine:     DefaultEngine,
 		FaultKinds: kinds,
 		FaultRate:  n.FaultRate,
 		FaultSeed:  n.FaultSeed,

@@ -2,6 +2,7 @@ package job
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -29,7 +30,7 @@ func TestCanonicalGolden(t *testing.T) {
 			Spec{Workload: "cg", Mode: "cache", Prefetch: Bool(false), Probe: Bool(false),
 				Iterations: 7, Size: 8192, Clusters: 2, Topology: "scaled", Engine: "naive",
 				FaultSeed: 9, FaultRate: 0.25, FaultKinds: []string{"net-stall", "ce-drop"}},
-			`{"clusters":2,"engine":"naive","fault_kinds":["ce-drop","net-stall"],"fault_rate":0.25,"fault_seed":9,"iterations":7,"mode":"cache","par_workers":0,"prefetch":false,"probe":false,"size":8192,"topology":"scaled","workload":"cg"}`,
+			`{"clusters":2,"engine":"wake-cached","fault_kinds":["ce-drop","net-stall"],"fault_rate":0.25,"fault_seed":9,"iterations":7,"mode":"cache","par_workers":0,"prefetch":false,"probe":false,"size":8192,"topology":"scaled","workload":"cg"}`,
 		},
 		{
 			"fault fields canonicalized away at rate zero",
@@ -53,7 +54,8 @@ func TestCanonicalGolden(t *testing.T) {
 // TestFingerprintCollapsesSpellings: specs that describe the same
 // simulation must fingerprint identically however they were spelled —
 // JSON field order, explicit defaults, kind-list order and duplicates,
-// and an inert fault seed must all collapse.
+// an inert fault seed and the engine path (bit-identical on both) must
+// all collapse.
 func TestFingerprintCollapsesSpellings(t *testing.T) {
 	base, err := Spec{Workload: "tm", Size: 2048}.Fingerprint()
 	if err != nil {
@@ -66,6 +68,7 @@ func TestFingerprintCollapsesSpellings(t *testing.T) {
 		{"field order", `{"size":2048,"workload":"tm"}`},
 		{"explicit defaults", `{"workload":"tm","size":2048,"mode":"pref","prefetch":true,"probe":true,"clusters":4,"topology":"cedar","engine":"wake-cached"}`},
 		{"inert fault seed", `{"workload":"tm","size":2048,"fault_seed":77}`},
+		{"naive engine", `{"workload":"tm","size":2048,"engine":"naive"}`},
 	}
 	for _, tc := range same {
 		specs, err := Decode(strings.NewReader(tc.json))
@@ -102,7 +105,6 @@ func TestFingerprintSeparatesSpecs(t *testing.T) {
 		{Workload: "vl", Size: 4096, Probe: Bool(false)},
 		{Workload: "vl", Size: 4096, Iterations: 2},
 		{Workload: "vl", Size: 4096, Topology: "scaled"},
-		{Workload: "vl", Size: 4096, Engine: "naive"},
 		{Workload: "vl", Size: 4096, FaultRate: 0.5},
 		{Workload: "vl", Size: 4096, FaultRate: 0.5, FaultSeed: 2},
 		{Workload: "vl", Size: 4096, FaultRate: 0.5, FaultKinds: []string{"net-stall"}},
@@ -208,4 +210,71 @@ func TestDecodeStrict(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzDecode: no body makes Decode panic or fail with anything but a
+// *ValidationError, and every spec it yields that validates normalizes
+// idempotently and fingerprints like its normalized copy and like the
+// same spec on the other engine path. The seeds are the bodies the spec
+// and cedard tests post.
+func FuzzDecode(f *testing.F) {
+	for _, body := range []string{
+		`{"workload":"rk"}`,
+		`[{"workload":"rk"},{"workload":"vl","size":1024}]`,
+		`{"size":2048,"workload":"tm"}`,
+		`{"workload":"tm","size":2048,"mode":"pref","prefetch":true,"probe":true,"clusters":4,"topology":"cedar","engine":"wake-cached"}`,
+		`{"workload":"tm","size":2048,"fault_seed":77}`,
+		`{"workload":"tm","size":2048,"engine":"naive"}`,
+		`{"workload":"tm","fault_rate":0.5,"fault_kinds":["ce-drop","net-stall","ce-drop"]}`,
+		`{"workload":"cg","mode":"cache","prefetch":false,"probe":false,"iterations":7,"size":8192,"clusters":2,"topology":"scaled","engine":"naive","fault_seed":9,"fault_rate":0.25}`,
+		`[{"workload":"vl","clusters":1,"size":1024},{"workload":"tm","clusters":1,"size":1024},{"workload":"vl","clusters":1,"size":1024,"prefetch":false}]`,
+		`[{"workload":"vl","clusters":1,"size":2048},{"size":2048,"clusters":1,"workload":"vl","mode":"pref"}]`,
+		`[{"workload":"vl","clusters":1,"size":1024},{"workload":"rk","clusters":1,"size":64}]`,
+		`[{"workload":"vl","clusters":1,"engine":"naive"},{"workload":"vl","clusters":1}]`,
+		`[{"workload":"vl","clusters":1,"size":1024},{"workload":"linpack"}]`,
+		`{"workload":"vl","size":-1}`,
+		`{"workload":"vl","engine":"parallel"}`,
+		`{"workload":"rk","iters":5}`,
+		`{"workload":"rk","par_workers":2}`,
+		`[{"workload":"rk","nope":1}]`,
+		`{"workload":"rk"} {"workload":"vl"}`,
+		`[]`,
+		`not json`,
+	} {
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		specs, err := Decode(strings.NewReader(body))
+		if err != nil {
+			var verr *ValidationError
+			if !errors.As(err, &verr) {
+				t.Fatalf("Decode error %v is not a *ValidationError", err)
+			}
+			return
+		}
+		for i, s := range specs {
+			n, err := s.Normalized()
+			if err != nil {
+				continue
+			}
+			again, err := n.Normalized()
+			if err != nil || !reflect.DeepEqual(again, n) {
+				t.Fatalf("spec %d: Normalized is not idempotent: %+v then %+v (%v)", i, n, again, err)
+			}
+			other := n
+			other.Engine = "naive"
+			if n.Engine == "naive" {
+				other.Engine = "wake-cached"
+			}
+			fp, err1 := s.Fingerprint()
+			nfp, err2 := n.Fingerprint()
+			ofp, err3 := other.Fingerprint()
+			if err := errors.Join(err1, err2, err3); err != nil {
+				t.Fatalf("spec %d validates but does not fingerprint: %v", i, err)
+			}
+			if fp != nfp || fp != ofp {
+				t.Fatalf("spec %d: fingerprint %s, normalized %s, other engine %s", i, fp, nfp, ofp)
+			}
+		}
+	})
 }

@@ -20,6 +20,9 @@ func init() {
 			if n == 0 {
 				n = 128
 			}
+			if n%StripLen != 0 {
+				return workload.Result{}, fmt.Errorf("kernels: rank-64 n=%d not a multiple of %d", n, StripLen)
+			}
 			return RunRank64(m, NewRank64Input(n), p)
 		}))
 	workload.Register(workload.New("vl",
