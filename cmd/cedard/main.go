@@ -10,7 +10,7 @@
 // bit-identical results, so a spec's engine is not part of its cache
 // key and does not choose how cedard runs it.
 //
-//	cedard -addr localhost:8633 -shards 16 -workers 8
+//	cedard -addr localhost:8633 -workers 8
 //
 //	POST /jobs     one Spec object or an array of Specs; returns a
 //	               compact JSON response per job, in order, each
@@ -35,6 +35,7 @@ import (
 	"runtime/debug"
 	"strconv"
 	"sync"
+	"time"
 
 	"repro/internal/job"
 	"repro/internal/job/runner"
@@ -43,12 +44,8 @@ import (
 
 func main() {
 	addr := flag.String("addr", "localhost:8633", "listen address")
-	shards := flag.Int("shards", 16, "result-cache shard count")
 	workers := flag.Int("workers", runtime.NumCPU(), "worker-pool bound: distinct jobs simulated concurrently")
 	flag.Parse()
-	if *shards < 1 {
-		usageError(fmt.Errorf("-shards %d: need at least one cache shard", *shards))
-	}
 	if *workers < 1 {
 		usageError(fmt.Errorf("-workers %d: need at least one worker", *workers))
 	}
@@ -56,13 +53,42 @@ func main() {
 	if os.Getenv("GOGC") == "" {
 		debug.SetGCPercent(gcPercent)
 	}
-	svc := job.NewService(runner.Run, *shards, *workers)
+	svc := job.NewService(runner.Run, cacheShards, *workers)
 	reg := telemetry.NewRegistry()
 	svc.RegisterMetrics(reg, "cedard")
 
-	log.Printf("cedard: listening on %s (%d cache shards, %d workers)", *addr, *shards, *workers)
-	if err := http.ListenAndServe(*addr, newHandler(svc, reg)); err != nil {
+	log.Printf("cedard: listening on %s (%d cache shards, %d workers)", *addr, cacheShards, *workers)
+	if err := newServer(*addr, newHandler(svc, reg)).ListenAndServe(); err != nil {
 		log.Fatal("cedard: ", err)
+	}
+}
+
+// cacheShards is the result cache's shard count. It trades lock
+// contention between a batch's fan-out goroutines against footprint and
+// does not affect results.
+const cacheShards = 16
+
+// Connection timeouts: how long a client may take to send a request's
+// header and its whole request, and how long an idle keep-alive
+// connection is kept. They stop a slow or stalled client from holding a
+// connection open.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer builds cedard's HTTP server. It sets no WriteTimeout: the
+// handler writes only after the batch's simulations finish, and no job
+// has a cycle budget yet, so a valid batch of 1024 misses can run for
+// minutes, and a write timeout would cut its reply off.
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }
 

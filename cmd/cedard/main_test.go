@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -361,6 +363,79 @@ func TestMetricsAndHealth(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || !strings.Contains(ok, "ok") {
 		t.Fatalf("/healthz: %d %q", resp.StatusCode, ok)
+	}
+}
+
+// TestServerTimeouts: the server bounds how long a client may take to
+// send its request and how long an idle connection is kept, and leaves
+// writes unbounded (see newServer).
+func TestServerTimeouts(t *testing.T) {
+	srv := newServer("localhost:0", http.NotFoundHandler())
+	if srv.ReadHeaderTimeout <= 0 || srv.ReadTimeout <= 0 || srv.IdleTimeout <= 0 {
+		t.Errorf("read-header timeout %v, read timeout %v, idle timeout %v; want all set",
+			srv.ReadHeaderTimeout, srv.ReadTimeout, srv.IdleTimeout)
+	}
+	if srv.WriteTimeout != 0 {
+		t.Errorf("WriteTimeout = %v, want none", srv.WriteTimeout)
+	}
+}
+
+// TestSlowClientHeaderTimeout: a client that sends half a request header
+// and stalls has its connection closed once the header timeout passes,
+// and a complete request on another connection is served meanwhile.
+func TestSlowClientHeaderTimeout(t *testing.T) {
+	const headerTimeout = 300 * time.Millisecond
+	svc := job.NewService(runner.Run, 4, 1)
+	srv := newServer("", newHandler(svc, telemetry.NewRegistry()))
+	srv.ReadHeaderTimeout = headerTimeout
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	t.Cleanup(func() {
+		srv.Close()
+		if err := <-served; !errors.Is(err, http.ErrServerClosed) {
+			t.Errorf("Serve: %v", err)
+		}
+	})
+
+	slow, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer slow.Close()
+	start := time.Now()
+	if _, err := io.WriteString(slow, "POST /jobs HTTP/1.1\r\nHost: cedard\r\nContent-Ty"); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Post("http://"+ln.Addr().String()+"/jobs", "application/json",
+		strings.NewReader(`{"workload":"vl","clusters":1,"size":256}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := readAll(t, resp)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("complete request beside the stalled one: status %d: %s", resp.StatusCode, body)
+	}
+
+	if err := slow.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	// The server may answer the partial request with an error status
+	// before it closes; reaching EOF is what matters.
+	reply, err := io.ReadAll(slow)
+	if err != nil {
+		t.Fatalf("stalled connection still open: %v", err)
+	}
+	if bytes.HasPrefix(reply, []byte("HTTP/1.1 2")) {
+		t.Fatalf("stalled partial request was answered %q", reply)
+	}
+	if elapsed := time.Since(start); elapsed < headerTimeout {
+		t.Fatalf("stalled connection closed after %v, before the %v header timeout", elapsed, headerTimeout)
 	}
 }
 

@@ -145,12 +145,6 @@ func main() {
 
 	res, err := jb.Execute(att)
 	if err != nil {
-		// Param-level failures surface as usage errors here too (the
-		// registry validates workload.Params on every execution).
-		var perr *workload.ParamError
-		if errors.As(err, &perr) {
-			usageError(perr)
-		}
 		fail(err)
 	}
 	for _, note := range res.Notes {

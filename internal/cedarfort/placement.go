@@ -6,7 +6,6 @@ import (
 	"repro/internal/isa"
 	"repro/internal/perfmon"
 	"repro/internal/sim"
-	"repro/internal/xylem"
 )
 
 // Data placement (Section 3.1 of the paper): a variable can be placed in
@@ -113,41 +112,4 @@ func (c *Ctx) IONamed(words int64, formatted bool, label string) {
 	op := isa.NewIORequest(words, formatted)
 	op.IOLabel = label
 	c.Emit(isa.NewCompute(2), op) // syscall issue, then park on the transfer
-}
-
-// IOOp returns an operation performing a synchronous file transfer of n
-// words through the executing cluster's interactive processors: the IP
-// serves requests sequentially, and the issuing CE spins (with backoff)
-// until the transfer completes — Fortran-style blocking I/O. It must be
-// emitted into a Gen-based stream (every runtime loop body qualifies).
-//
-// Deprecated: use Ctx.IO (or IONamed), which parks the issuing program
-// on the outstanding transfer instead of burning CE cycles in a spin
-// loop. IOOp remains for callers that want the legacy spin-poll timing.
-func (c *Ctx) IOOp(words int64, formatted bool) {
-	if c.Cluster == nil || c.Cluster.IPs == nil {
-		panic("cedarfort: IOOp without a cluster I/O path")
-	}
-	done := false
-	submit := isa.NewCompute(2) // syscall issue
-	submit.Do = func() {
-		c.Cluster.IPs.Submit(c.R.M.Eng.Now(), words, formatted, func(xylem.IOCompletion) { done = true })
-	}
-	g := c.G
-	var mkPoll func() *isa.Op
-	mkPoll = func() *isa.Op {
-		poll := isa.NewCompute(c.R.Cfg.SpinBackoff)
-		poll.OnDone = func(int64, bool) {
-			if !done {
-				g.EmitFront(mkPoll())
-			}
-		}
-		return poll
-	}
-	submit.OnDone = func(int64, bool) {
-		if !done {
-			g.EmitFront(mkPoll())
-		}
-	}
-	c.Emit(submit)
 }

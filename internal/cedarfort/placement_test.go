@@ -126,39 +126,11 @@ func TestSoftwareEventPosting(t *testing.T) {
 	_ = sim.Cycle(0)
 }
 
-// TestIOOpBlocksAndSerializes: the BDNA story on the simulator —
-// formatted I/O through the cluster's IP dominates; unformatted I/O is
-// an order of magnitude cheaper; concurrent requests from one cluster
-// serialize at the IP.
-func TestIOOpBlocksAndSerializes(t *testing.T) {
-	run := func(formatted bool) sim.Cycle {
-		m := testMachine(1)
-		r := New(m, DefaultConfig())
-		elapsed, err := r.XDOALL(4, Static, func(ctx *Ctx, iter int) {
-			ctx.IOOp(200, formatted)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return elapsed
-	}
-	f, u := run(true), run(false)
-	if f < 5*u {
-		t.Fatalf("formatted I/O (%d cycles) not much slower than raw (%d)", f, u)
-	}
-	// 4 transfers of 200 words serialize at one IP: at least 4x one
-	// transfer's raw cost.
-	per := sim.FromMicroseconds(0.6) * 200
-	if u < 4*per {
-		t.Fatalf("4 raw transfers finished in %d cycles; IP serialization missing (one transfer ~%d)", u, per)
-	}
-}
-
-// TestIOParksAndSerializes: the non-spinning successor to IOOp — Ctx.IO
+// TestIOParksAndSerializes: the BDNA story on the simulator — Ctx.IO
 // parks the issuing program in the Xylem I/O wait table until the IP's
-// completion handle arrives, with the same blocking semantics:
-// formatted still dominates, concurrent cluster requests still
-// serialize, and every park is attributed exactly once.
+// completion handle arrives; formatted I/O through the cluster's IP
+// dominates raw I/O, concurrent requests from one cluster serialize at
+// the IP, and every park is attributed exactly once.
 func TestIOParksAndSerializes(t *testing.T) {
 	run := func(formatted bool) (*core.Machine, sim.Cycle) {
 		m := testMachine(1)
