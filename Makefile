@@ -23,14 +23,14 @@ bench-unit:
 	cd bench && $(GO) test -short ./...
 
 # Race-detect the packages that start goroutines (cedard's batch
-# fan-out, the job service) or hold state shared across machines (gmem's
-# spare store slot); a package that gains either belongs on this list.
+# fan-out, the job service) or hold state shared across machines (none
+# does today); a package that gains either belongs on this list.
 # Every other package runs one machine on one goroutine, where -race
 # checks nothing `test` does not. runner's TestConcurrentMachines runs
 # every registry workload on several machines at once, so state a kernel
 # keeps at package level is reported here as a data race.
 race:
-	$(GO) test -race ./cmd/cedard/ ./internal/gmem/ ./internal/job/...
+	$(GO) test -race ./cmd/cedard/ ./internal/job/...
 
 # Every table/figure of the paper, printed once each.
 bench:

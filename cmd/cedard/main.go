@@ -32,7 +32,6 @@ import (
 	"net/http"
 	"os"
 	"runtime"
-	"runtime/debug"
 	"strconv"
 	"sync"
 	"time"
@@ -50,9 +49,6 @@ func main() {
 		usageError(fmt.Errorf("-workers %d: need at least one worker", *workers))
 	}
 
-	if os.Getenv("GOGC") == "" {
-		debug.SetGCPercent(gcPercent)
-	}
 	svc := job.NewService(runner.Run, cacheShards, *workers)
 	reg := telemetry.NewRegistry()
 	svc.RegisterMetrics(reg, "cedard")
@@ -91,16 +87,6 @@ func newServer(addr string, h http.Handler) *http.Server {
 		IdleTimeout:       idleTimeout,
 	}
 }
-
-// gcPercent is cedard's garbage-collection target, unless GOGC sets one.
-// Its live heap is mostly 64 MB machine stores, which hold no pointers
-// and so cost the collector almost nothing to mark. At the default 100%
-// a burst of misses leaves the heap goal at twice two stores, and hits,
-// which allocate little, take seconds to reach it: the server holds that
-// memory resident all the while. At 20% the heap stays within a fifth of
-// what is live, so with a few workers a store that gmem's spare slot
-// could not keep is collected before the next one is allocated.
-const gcPercent = 20
 
 // Request limits. Each batch element gets its own goroutine, so both
 // the body and the batch must be bounded for one request not to exhaust

@@ -62,20 +62,31 @@ func Default() Config {
 	}
 }
 
+// line is one tag-store entry: the line's tag, with its valid and dirty
+// flags in the top two bits, and its LRU stamp (0 when installed, the
+// cache's access clock at its latest hit).
 type line struct {
-	valid bool
-	dirty bool
-	tag   uint64
-	lru   uint64
+	tag uint64
+	lru uint64
 }
+
+const (
+	lineValid = 1 << 63
+	lineDirty = 1 << 62
+	// maxTag is the largest tag a line can hold below its flag bits.
+	maxTag = lineDirty - 1
+)
 
 // Cache is one cluster's shared cache plus its cluster-memory bandwidth
 // model. It is not a sim.Component: it is driven synchronously by CE
 // accesses and keeps its own busy bookkeeping against the engine clock.
 type Cache struct {
-	cfg  Config
-	sets [][]line
-	nset uint64
+	cfg Config
+	// lines is the tag store, set-major: set s's ways are
+	// lines[s*Ways : (s+1)*Ways]. It is allocated on the first access,
+	// since most workloads never touch cluster memory.
+	lines []line
+	nset  uint64
 
 	// Bank port accounting for the current cycle.
 	bankCycle sim.Cycle
@@ -152,11 +163,6 @@ func New(cfg Config) *Cache {
 		outstanding:   make([][]sim.Cycle, cfg.CEs),
 		fills:         map[uint64]sim.Cycle{},
 	}
-	c.sets = make([][]line, nsets)
-	backing := make([]line, nsets*cfg.Ways)
-	for s := range c.sets {
-		c.sets[s], backing = backing[:cfg.Ways], backing[cfg.Ways:]
-	}
 	return c
 }
 
@@ -165,6 +171,22 @@ func New(cfg Config) *Cache {
 func (c *Cache) Config() Config { return c.cfg }
 
 func (c *Cache) lineAddr(addr uint64) uint64 { return addr / uint64(c.cfg.LineWords) }
+
+// set returns the ways of the set holding line address la, and la's tag,
+// allocating the tag store on the cache's first access. A tag that would
+// reach the flag bits panics rather than alias another line.
+func (c *Cache) set(la uint64) ([]line, uint64) {
+	tag := la / c.nset
+	if tag > maxTag {
+		panic(fmt.Sprintf("cache: line address %d beyond the tag store's reach", la))
+	}
+	w := uint64(c.cfg.Ways)
+	if c.lines == nil {
+		c.lines = make([]line, c.nset*w)
+	}
+	s := la % c.nset * w
+	return c.lines[s : s+w], tag
+}
 
 // bankFor maps a word address to its bank (word interleaving).
 func (c *Cache) bankFor(addr uint64) int { return int(addr) % c.cfg.Banks }
@@ -223,18 +245,19 @@ func (c *Cache) pruneOutstanding(ce int, now sim.Cycle) {
 // lookup finds the way holding the line, or -1.
 func (c *Cache) lookup(set []line, tag uint64) int {
 	for w := range set {
-		if set[w].valid && set[w].tag == tag {
+		if set[w].tag&^lineDirty == tag|lineValid {
 			return w
 		}
 	}
 	return -1
 }
 
-// victim picks the LRU way of a set.
+// victim picks the way a new line replaces: the first invalid way, else
+// the least recently used, the lower way on a tie.
 func (c *Cache) victim(set []line) int {
 	v, best := 0, ^uint64(0)
 	for w := range set {
-		if !set[w].valid {
+		if set[w].tag&lineValid == 0 {
 			return w
 		}
 		if set[w].lru < best {
@@ -242,6 +265,19 @@ func (c *Cache) victim(set []line) int {
 		}
 	}
 	return v
+}
+
+// install replaces set's victim with a valid line holding tag, charging
+// a write-back when the victim is dirty.
+func (c *Cache) install(now sim.Cycle, set []line, tag uint64, dirty bool) {
+	w := c.victim(set)
+	if set[w].tag&(lineValid|lineDirty) == lineValid|lineDirty {
+		c.writeback(now)
+	}
+	set[w] = line{tag: tag | lineValid}
+	if dirty {
+		set[w].tag |= lineDirty
+	}
 }
 
 // Access performs one word access by CE ce at word address addr.
@@ -255,16 +291,11 @@ func (c *Cache) Access(now sim.Cycle, ce int, addr uint64, write bool) (ready si
 		panic(fmt.Sprintf("cache: CE index %d out of range", ce))
 	}
 	la := c.lineAddr(addr)
-	set := c.sets[la%c.nset]
-	tag := la / c.nset
+	set, tag := c.set(la)
 
 	// Completed in-flight fill? Install it.
 	if t, ok := c.fills[la]; ok && t <= now {
-		w := c.victim(set)
-		if set[w].valid && set[w].dirty {
-			c.writeback(now)
-		}
-		set[w] = line{valid: true, tag: tag}
+		c.install(now, set, tag, false)
 		delete(c.fills, la)
 	}
 
@@ -275,7 +306,7 @@ func (c *Cache) Access(now sim.Cycle, ce int, addr uint64, write bool) (ready si
 		c.lruClock++
 		set[w].lru = c.lruClock
 		if write {
-			set[w].dirty = true
+			set[w].tag |= lineDirty
 		}
 		c.Hits++
 		return now + 1, true
@@ -318,11 +349,7 @@ func (c *Cache) Access(now sim.Cycle, ce int, addr uint64, write bool) (ready si
 		// We mark dirtiness when the line is installed in the next
 		// access; to keep bookkeeping simple, install now and rely on
 		// the fill time for availability.
-		w := c.victim(set)
-		if set[w].valid && set[w].dirty {
-			c.writeback(now)
-		}
-		set[w] = line{valid: true, dirty: true, tag: tag}
+		c.install(now, set, tag, true)
 		delete(c.fills, la)
 	}
 	return done + 1, true
@@ -365,20 +392,17 @@ func (c *Cache) OutstandingMisses(ce int, now sim.Cycle) int {
 
 // Contains reports whether the line holding addr is resident (for tests).
 func (c *Cache) Contains(addr uint64) bool {
-	la := c.lineAddr(addr)
-	set := c.sets[la%c.nset]
-	return c.lookup(set, la/c.nset) >= 0
+	set, tag := c.set(c.lineAddr(addr))
+	return c.lookup(set, tag) >= 0
 }
 
 // Flush invalidates every line, charging write-backs for dirty ones.
 func (c *Cache) Flush(now sim.Cycle) {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			if c.sets[s][w].valid && c.sets[s][w].dirty {
-				c.writeback(now)
-			}
-			c.sets[s][w] = line{}
+	for _, l := range c.lines {
+		if l.tag&(lineValid|lineDirty) == lineValid|lineDirty {
+			c.writeback(now)
 		}
 	}
+	clear(c.lines)
 	c.fills = map[uint64]sim.Cycle{}
 }

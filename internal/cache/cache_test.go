@@ -283,3 +283,57 @@ func TestBadCEPanics(t *testing.T) {
 	}()
 	c.Access(0, 99, 0, false)
 }
+
+// TestReplacementOrder pins the victim choice: an invalid way first,
+// else the way with the lowest LRU stamp, the lower way on a tie. An
+// install stamps its line 0, so a line installed and not yet hit is
+// the next victim even though it is the newest.
+func TestReplacementOrder(t *testing.T) {
+	cfg := small()
+	cfg.Words = 32 // 4 sets of 2 ways; lines 0, 4, 8, 12 share set 0
+	c := New(cfg)
+	now := sim.Cycle(0)
+	touch := func(addr uint64) {
+		access(t, c, &now, 0, addr, true)
+		now += 20
+	}
+	resident := func(want ...uint64) {
+		t.Helper()
+		for _, a := range []uint64{0, 16, 32, 48} {
+			in := false
+			for _, w := range want {
+				in = in || w == a
+			}
+			if c.Contains(a) != in {
+				t.Fatalf("Contains(%d) = %v, want resident %v", a, c.Contains(a), want)
+			}
+		}
+	}
+	touch(0)  // way 0: invalid ways fill first
+	touch(16) // way 1
+	resident(0, 16)
+	touch(32) // both stamped 0: the tie evicts way 0
+	resident(16, 32)
+	touch(32) // hits stamp way 0, then way 1 later
+	touch(16)
+	touch(48) // way 0 holds the lower stamp
+	resident(16, 48)
+	touch(0) // 48 was stamped 0 by its install, 16 by a hit
+	resident(16, 0)
+}
+
+// TestTagBeyondFlagBitsPanics: a tag must fit below the line's flag
+// bits; one that would reach them panics instead of being truncated
+// into another line's tag.
+func TestTagBeyondFlagBitsPanics(t *testing.T) {
+	c := New(Config{Words: 2, LineWords: 1, Ways: 2}) // one set: tag = address
+	if _, ok := c.Access(0, 0, maxTag, true); !ok || !c.Contains(maxTag) {
+		t.Fatal("the largest tag was not installed")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a tag reaching the flag bits did not panic")
+		}
+	}()
+	c.Access(1, 0, maxTag+1, false)
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/gmem"
 	"repro/internal/isa"
 	"repro/internal/network"
 	"repro/internal/sim"
@@ -38,6 +39,11 @@ func directOps(base uint64) []*isa.Op {
 	return []*isa.Op{isa.NewVectorLoad(isa.Addr{Space: isa.Global, Word: base}, streamWords, 1, 2, false)}
 }
 
+// storeOps streams streamWords posted writes from base.
+func storeOps(base uint64) []*isa.Op {
+	return []*isa.Op{isa.NewVectorStore(isa.Addr{Space: isa.Global, Word: base}, streamWords, 1, 0)}
+}
+
 // streamMachine builds a one-cluster machine whose CE i runs ops(i,
 // base) forever, base starting a streamWords-word region of its own (a
 // strided stream reads past it, which is harmless: loads only read),
@@ -53,21 +59,23 @@ func streamMachine(ops func(ce int, base uint64) []*isa.Op) *Machine {
 }
 
 // TestTickPathAllocationFree guards the steady-state tick path: once
-// warm, a machine streaming prefetched and direct global vector loads
-// and fetch-and-add syncs executes 1,000 cycles without allocating —
-// requests come from the issuers' free lists, memory modules rewrite
-// them into replies in place, and the issuers take them back. The
-// prefetch streams stride by the module count, so each hammers one
-// module and the forward network refuses offers: refused packets must go
-// back on the list too. Posted writes are left out: a write ends at its
-// memory module and is left to the garbage collector.
+// warm, a machine streaming prefetched and direct global vector loads,
+// fetch-and-add syncs and vector stores executes 1,000 cycles without
+// allocating — requests come from the issuers' free lists, memory
+// modules rewrite them into replies in place, and the issuers take them
+// back; a posted write has no reply, so its module puts it back on its
+// issuer's list. The prefetch streams stride by the module count, so
+// each hammers one module and the forward network refuses offers:
+// refused packets must go back on the list too.
 func TestTickPathAllocationFree(t *testing.T) {
 	m := streamMachine(func(ce int, base uint64) []*isa.Op {
-		switch ce % 3 {
+		switch ce % 4 {
 		case 0:
 			return prefetchOps(base, testConfig(1).Global.Modules)
 		case 1:
 			return directOps(base)
+		case 2:
+			return storeOps(base)
 		}
 		return []*isa.Op{isa.NewSync(base, network.FetchAndAdd(1)), isa.NewCompute(5)}
 	})
@@ -75,7 +83,7 @@ func TestTickPathAllocationFree(t *testing.T) {
 	for _, c := range m.CEs() {
 		pfuIssued += c.PFU().Issued
 	}
-	injected, rejected, syncs := m.Fwd.Injected, m.Fwd.Rejected, syncOps(m)
+	injected, rejected, syncs, writes := m.Fwd.Injected, m.Fwd.Rejected, moduleCount(m, syncOpsOf), moduleCount(m, writesOf)
 
 	allocs := testing.AllocsPerRun(1, func() {
 		for i := 0; i < 1000; i++ {
@@ -91,26 +99,32 @@ func TestTickPathAllocationFree(t *testing.T) {
 	for _, c := range m.CEs() {
 		pfuNow += c.PFU().Issued
 	}
+	syncsNow, writesNow := moduleCount(m, syncOpsOf), moduleCount(m, writesOf)
 	if pfuNow == pfuIssued || m.Fwd.Injected-injected <= pfuNow-pfuIssued ||
-		m.Fwd.Rejected == rejected || syncOps(m) == syncs {
-		t.Fatalf("measured window idle: prefetch issued %d, injected %d, refused %d, syncs %d",
-			pfuNow-pfuIssued, m.Fwd.Injected-injected, m.Fwd.Rejected-rejected, syncOps(m)-syncs)
+		m.Fwd.Rejected == rejected || syncsNow == syncs || writesNow == writes {
+		t.Fatalf("measured window idle: prefetch issued %d, injected %d, refused %d, syncs %d, writes %d",
+			pfuNow-pfuIssued, m.Fwd.Injected-injected, m.Fwd.Rejected-rejected, syncsNow-syncs, writesNow-writes)
 	}
 }
 
-func syncOps(m *Machine) int64 {
+func syncOpsOf(mod *gmem.Module) int64 { return mod.SyncOps }
+func writesOf(mod *gmem.Module) int64  { return mod.Writes }
+
+// moduleCount sums one counter over the global memory modules.
+func moduleCount(m *Machine, count func(*gmem.Module) int64) int64 {
 	var n int64
 	for i := 0; i < m.Global.Modules(); i++ {
-		n += m.Global.Module(i).SyncOps
+		n += count(m.Global.Module(i))
 	}
 	return n
 }
 
 // BenchmarkMachineCycle reports the host cost of one simulated cycle of
 // a one-cluster machine whose eight CEs stream global vector loads,
-// through the prefetch units or as direct requests, or spin
-// fetch-and-add on one word (word 0, the first CE's region), each CE
-// parked on its reply for most of every round trip.
+// through the prefetch units or as direct requests, stream global
+// vector stores, or spin fetch-and-add on one word (word 0, the first
+// CE's region). A load or sync parks its CE on the reply for most of
+// every round trip; a store is posted.
 func BenchmarkMachineCycle(b *testing.B) {
 	for _, bc := range []struct {
 		name string
@@ -118,6 +132,7 @@ func BenchmarkMachineCycle(b *testing.B) {
 	}{
 		{"prefetch", func(_ int, base uint64) []*isa.Op { return prefetchOps(base, 1) }},
 		{"direct", func(_ int, base uint64) []*isa.Op { return directOps(base) }},
+		{"store", func(_ int, base uint64) []*isa.Op { return storeOps(base) }},
 		{"sync", func(int, uint64) []*isa.Op { return []*isa.Op{isa.NewSync(0, network.FetchAndAdd(1))} }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {

@@ -18,7 +18,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/cache"
 	"repro/internal/ce"
@@ -358,6 +360,26 @@ func (m *Machine) AllocGlobal(n uint64) uint64 {
 	base := m.globalAllocNext
 	m.globalAllocNext += n
 	return base
+}
+
+// ErrGlobalFull is the error a problem too large for the machine's global
+// memory gets from FitGlobal.
+var ErrGlobalFull = errors.New("more than global memory holds")
+
+// FitGlobal checks a workload's footprint before the workload allocates
+// anything sized by its problem: n elements of each words apiece, plus
+// extra words, must fit in global memory, so a problem the simulated
+// memory cannot hold is refused before it can exhaust the host's. The
+// error wraps ErrGlobalFull and is prefixed with what. The footprint is
+// computed without overflow, whatever n and each are.
+func (m *Machine) FitGlobal(what string, n, each, extra uint64) error {
+	hi, lo := bits.Mul64(n, each)
+	need, carry := bits.Add64(lo, extra, 0)
+	if hi == 0 && carry == 0 && need <= uint64(m.Global.Words()) {
+		return nil
+	}
+	return fmt.Errorf("%s n=%d needs %d words per element plus %d: %w (%d words)",
+		what, n, each, extra, ErrGlobalFull, m.Global.Words())
 }
 
 // AllocGlobalReset releases all global allocations (between workloads).

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -519,5 +521,32 @@ func TestEngineTicksConserveSlots(t *testing.T) {
 	}
 	if prints[0] != prints[1] {
 		t.Fatal("registry fingerprints differ between engine paths")
+	}
+}
+
+// TestFitGlobal: a footprint fits up to the last word of global memory,
+// and one word more, or a product or sum that overflows 64 bits, is an
+// ErrGlobalFull naming the caller.
+func TestFitGlobal(t *testing.T) {
+	m := MustNew(testConfig(1))
+	words := uint64(m.Global.Words())
+	for _, tc := range []struct {
+		n, each, extra uint64
+		fits           bool
+	}{
+		{words / 4, 4, 0, true},
+		{words/4 - 1, 4, 4, true},
+		{words / 4, 4, 1, false},
+		{1 << 62, 4, 0, false},           // the product wraps to 0
+		{math.MaxUint64, 1, 1, false},    // the sum wraps to 0
+		{1 << 32, 1<<32 + 128, 0, false}, // rk's n(n+128) at n = 2^32
+	} {
+		err := m.FitGlobal("test", tc.n, tc.each, tc.extra)
+		if tc.fits != (err == nil) {
+			t.Errorf("FitGlobal(%d, %d, %d) = %v, want fits %v", tc.n, tc.each, tc.extra, err, tc.fits)
+		}
+		if err != nil && (!errors.Is(err, ErrGlobalFull) || !strings.HasPrefix(err.Error(), "test n=")) {
+			t.Errorf("FitGlobal(%d, %d, %d) = %q, want an ErrGlobalFull prefixed by the caller", tc.n, tc.each, tc.extra, err)
+		}
 	}
 }

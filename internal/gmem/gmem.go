@@ -18,7 +18,6 @@ package gmem
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"repro/internal/network"
 	"repro/internal/sim"
@@ -54,32 +53,17 @@ func Default() Config {
 // Global is the shared memory system: the backing store plus the modules.
 type Global struct {
 	cfg Config
-	store
-	mods []*Module
+	// pages is the backing store, pageWords words a page. A page is
+	// allocated on its first store; a nil page has never been written,
+	// so every word of it reads zero.
+	pages []*[pageWords]uint64
+	mods  []*Module
 }
 
-// store is a global memory's backing array. Words at and above dirty have
-// never been written, so they are still zero.
-type store struct {
-	words []uint64
-	dirty int
-}
-
-// spare is the backing array of the most recently released memory, kept
-// for the next New. Reusing it clears only its written prefix, where a
-// fresh allocation that lands on a recycled heap span zeroes, and so makes
-// resident, every page of it. It is one slot rather than a sync.Pool: a
-// pool keeps a store per P, and idle stores count as live heap, which
-// swelled a job server's resident set between jobs.
-var spare atomic.Pointer[store]
-
-func newStore(words int) store {
-	if s := spare.Swap(nil); s != nil && len(s.words) == words {
-		clear(s.words[:s.dirty])
-		return store{words: s.words}
-	}
-	return store{words: make([]uint64, words)}
-}
+// pageWords is the page size of the backing store: 4096 words (32 KiB).
+// The default 8 Mword memory is 2048 pages, so its page table is 16 KiB,
+// and a run pays only for the pages it writes.
+const pageWords = 4096
 
 // New builds a global memory. Replies are injected into rev at the input
 // port equal to the module index; requests arrive from fwd output ports
@@ -94,7 +78,7 @@ func New(cfg Config, rev *network.Network) (*Global, error) {
 	if cfg.QueueWords <= 0 {
 		cfg.QueueWords = 4
 	}
-	g := &Global{cfg: cfg, store: newStore(cfg.Words)}
+	g := &Global{cfg: cfg, pages: make([]*[pageWords]uint64, (cfg.Words+pageWords-1)/pageWords)}
 	g.mods = make([]*Module, cfg.Modules)
 	for m := range g.mods {
 		g.mods[m] = &Module{
@@ -107,17 +91,6 @@ func New(cfg Config, rev *network.Network) (*Global, error) {
 		}
 	}
 	return g, nil
-}
-
-// Release hands the backing store to the next New, replacing any store
-// released earlier and not yet reused. The memory's contents
-// are gone: any load or store after Release panics. Modules and their
-// counters stay readable.
-func (g *Global) Release() {
-	if g.words != nil {
-		spare.Store(&store{words: g.words, dirty: g.dirty})
-		g.store = store{}
-	}
 }
 
 // Config returns the configuration the memory was built with.
@@ -138,25 +111,43 @@ func (g *Global) ModuleOf(a uint64) int { return int(a % uint64(len(g.mods))) }
 
 // LoadWord returns the raw word at address a. This is the functional
 // (zero-time) view used by workload code; timing flows through packets.
-func (g *Global) LoadWord(a uint64) uint64 { return g.words[a] }
-
-// StoreWord sets the raw word at address a.
-func (g *Global) StoreWord(a uint64, v uint64) {
-	g.words[a] = v
-	if int(a) >= g.dirty {
-		g.dirty = int(a) + 1
+func (g *Global) LoadWord(a uint64) uint64 {
+	if pg := g.pages[g.page(a)]; pg != nil {
+		return pg[a%pageWords]
 	}
+	return 0
+}
+
+// StoreWord sets the raw word at address a, allocating its page on the
+// page's first store.
+func (g *Global) StoreWord(a uint64, v uint64) {
+	i := g.page(a)
+	pg := g.pages[i]
+	if pg == nil {
+		pg = new([pageWords]uint64)
+		g.pages[i] = pg
+	}
+	pg[a%pageWords] = v
+}
+
+// page returns the index of the page holding address a. An address at or
+// beyond Words panics even where its page would hold it.
+func (g *Global) page(a uint64) uint64 {
+	if a >= uint64(g.cfg.Words) {
+		panic(fmt.Sprintf("gmem: address %d beyond %d words", a, g.cfg.Words))
+	}
+	return a / pageWords
 }
 
 // LoadFloat returns the word at a interpreted as a float64.
-func (g *Global) LoadFloat(a uint64) float64 { return math.Float64frombits(g.words[a]) }
+func (g *Global) LoadFloat(a uint64) float64 { return math.Float64frombits(g.LoadWord(a)) }
 
 // StoreFloat stores a float64 at a.
 func (g *Global) StoreFloat(a uint64, v float64) { g.StoreWord(a, math.Float64bits(v)) }
 
 // LoadInt returns the word at a interpreted as an int64 (the view the
 // synchronization processor uses).
-func (g *Global) LoadInt(a uint64) int64 { return int64(g.words[a]) }
+func (g *Global) LoadInt(a uint64) int64 { return int64(g.LoadWord(a)) }
 
 // StoreInt stores an int64 at a.
 func (g *Global) StoreInt(a uint64, v int64) { g.StoreWord(a, uint64(v)) }
@@ -339,8 +330,9 @@ func (m *Module) Tick(now sim.Cycle) {
 // request's Tag, Addr and issue stamp (Born, BornSet) for latency
 // monitoring; BornSet also keeps the reverse network from re-stamping
 // replies to requests injected at cycle 0. A posted write has no reply:
-// complete returns nil and the request is left to the garbage collector,
-// since the module does not know which issuer's free list it came from.
+// complete returns nil and puts the request back on the Pool that sent
+// it. The forward network delivered it at least ServiceCycles earlier,
+// so nothing still reads it.
 func (m *Module) complete(p *network.Packet) *network.Packet {
 	switch p.Kind {
 	case network.Read:
@@ -351,6 +343,7 @@ func (m *Module) complete(p *network.Packet) *network.Packet {
 		if !p.Phantom {
 			m.g.StoreWord(p.Addr, p.Value)
 		}
+		p.Recycle()
 		return nil // Writes are posted: no reply (weak ordering).
 	case network.Sync:
 		m.SyncOps++

@@ -1,6 +1,7 @@
 package gmem
 
 import (
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -408,14 +409,83 @@ func TestFaultBusyModuleStaysFastForwardable(t *testing.T) {
 	}
 }
 
-// TestReleasedStoreReusedZeroed: a memory built after another released
-// its store reads zero everywhere the released one wrote, whether or not
-// the pool handed the store back, and the released memory panics on any
-// later access instead of aliasing the new one.
+// TestPagedStore: a new memory reads zero at every word, a store
+// allocates only the page it lands in, two memories never share a word,
+// and a load or store at or beyond Words panics, also where the last
+// page would hold the address.
+func TestPagedStore(t *testing.T) {
+	cfg := Config{Words: 2*pageWords + 5, Modules: 8}
+	rev := network.MustNew("r", 8, 8, 0)
+	g, err := New(cfg, rev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := New(cfg, rev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(g.pages) != 3 {
+		t.Fatalf("%d pages for %d words, want 3", len(g.pages), cfg.Words)
+	}
+	for a := uint64(0); a < uint64(cfg.Words); a++ {
+		if v := g.LoadWord(a); v != 0 {
+			t.Fatalf("word %d = %d in a new memory, want 0", a, v)
+		}
+	}
+	if touched := materialized(g); touched != 0 {
+		t.Fatalf("loads materialized %d pages, want 0", touched)
+	}
+
+	last := uint64(cfg.Words - 1)
+	g.StoreWord(7, 1)
+	g.StoreInt(pageWords-1, -2)
+	g.StoreFloat(last, 3.5)
+	if touched := materialized(g); touched != 2 || g.pages[1] != nil {
+		t.Fatalf("stores to pages 0 and 2 materialized %d pages (page 1 %p), want 2", touched, g.pages[1])
+	}
+	if g.LoadWord(7) != 1 || g.LoadInt(pageWords-1) != -2 || g.LoadFloat(last) != 3.5 || g.LoadWord(8) != 0 {
+		t.Fatalf("read back %d %d %v %d, want 1 -2 3.5 0",
+			g.LoadWord(7), g.LoadInt(pageWords-1), g.LoadFloat(last), g.LoadWord(8))
+	}
+	for _, a := range []uint64{7, pageWords - 1, last} {
+		if v := h.LoadWord(a); v != 0 {
+			t.Fatalf("word %d = %d in the other memory, want 0", a, v)
+		}
+	}
+	h.StoreWord(7, 9)
+	if g.LoadWord(7) != 1 || h.LoadWord(7) != 9 {
+		t.Fatalf("word 7 reads %d and %d, want 1 and 9: the memories share a page", g.LoadWord(7), h.LoadWord(7))
+	}
+
+	for name, access := range map[string]func(){
+		"load at Words":       func() { g.LoadWord(uint64(cfg.Words)) },
+		"store at Words":      func() { g.StoreWord(uint64(cfg.Words), 1) },
+		"load past last page": func() { g.LoadWord(3 * pageWords) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			access()
+		}()
+	}
+	if g.pages[2][5] != 0 {
+		t.Fatal("an out-of-range store wrote into the last page")
+	}
+}
+
+// TestReleasedStoreReusedZeroed: a memory built after earlier ones were
+// written and dropped reads zero everywhere they wrote, also once the
+// collector has reclaimed their pages for reuse, and writing it leaves
+// the earlier memories' words as they were. A finished machine's store
+// goes to the collector, never to the next machine.
 func TestReleasedStoreReusedZeroed(t *testing.T) {
 	cfg := Config{Words: 4096, Modules: 8}
 	rev := network.MustNew("r", 8, 8, 0)
 	addrs := []uint64{0, 7, 1000, 4095}
+	var prev *Global
 	for round := 0; round < 4; round++ {
 		g, err := New(cfg, rev)
 		if err != nil {
@@ -426,26 +496,26 @@ func TestReleasedStoreReusedZeroed(t *testing.T) {
 				t.Fatalf("round %d: word %d = %d in a new memory, want 0", round, a, v)
 			}
 		}
-		g.StoreWord(addrs[0], 1)
-		g.StoreInt(addrs[1], -2)
-		g.StoreFloat(addrs[2], 3.5)
-		g.StoreWord(addrs[3], 4)
-		g.Release()
-		if g.Words() != cfg.Words {
-			t.Fatalf("Words() = %d after Release, want %d", g.Words(), cfg.Words)
+		r := int64(round)
+		g.StoreWord(addrs[0], uint64(r+1))
+		g.StoreInt(addrs[1], -r-2)
+		g.StoreFloat(addrs[2], float64(r)+3.5)
+		g.StoreWord(addrs[3], uint64(r+4))
+		if prev != nil {
+			p := r - 1
+			if prev.LoadWord(addrs[0]) != uint64(p+1) || prev.LoadInt(addrs[1]) != -p-2 ||
+				prev.LoadFloat(addrs[2]) != float64(p)+3.5 || prev.LoadWord(addrs[3]) != uint64(p+4) {
+				t.Fatalf("round %d: the previous memory reads %d %d %v %d, want %d %d %v %d: the memories share a page",
+					round, prev.LoadWord(addrs[0]), prev.LoadInt(addrs[1]), prev.LoadFloat(addrs[2]), prev.LoadWord(addrs[3]),
+					p+1, -p-2, float64(p)+3.5, p+4)
+			}
 		}
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("load from a released memory did not panic")
-				}
-			}()
-			g.LoadWord(addrs[0])
-		}()
+		prev = g
+		runtime.GC()
 	}
 }
 
-// TestReleasedStoreConcurrent: memories built and released from several
+// TestReleasedStoreConcurrent: memories built and dropped from several
 // goroutines at once (a job server's workers) never share a store and
 // always start zeroed.
 func TestReleasedStoreConcurrent(t *testing.T) {
@@ -475,11 +545,21 @@ func TestReleasedStoreConcurrent(t *testing.T) {
 						return
 					}
 				}
-				g.Release()
 			}
 		}(w)
 	}
 	wg.Wait()
+}
+
+// materialized counts g's allocated pages.
+func materialized(g *Global) int {
+	n := 0
+	for _, pg := range g.pages {
+		if pg != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // TestCompleteRewritesRequestInPlace pins the in-place reply contract:

@@ -103,10 +103,8 @@ func Prepare(spec job.Spec) (*Job, error) {
 // metrics, the rendered report tables, the registry fingerprint (the
 // determinism witness identical Specs reproduce bit-for-bit) and, on
 // faulted runs, the injection census. Execute is one-shot: the machine
-// is consumed by the run, and its global memory store is released for
-// the next machine (the counters and registry stay readable).
+// is consumed by the run (its counters and registry stay readable).
 func (j *Job) Execute(att workload.Attachments) (job.Result, error) {
-	defer j.Machine.Global.Release()
 	res, err := workload.Run(j.Spec.Workload, j.Machine, j.Spec.Params(), att)
 	if err != nil {
 		return job.Result{}, err

@@ -2,10 +2,16 @@ package runner
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/job"
+	"repro/internal/telemetry"
+	"repro/internal/workload"
 )
 
 // TestRunDeterministicAcrossEngines: one Spec means one simulation —
@@ -119,5 +125,95 @@ func TestRunRejectsBadRankSize(t *testing.T) {
 	const want = "kernels: rank-64 n=33 not a multiple of 32"
 	if err == nil || err.Error() != want {
 		t.Fatalf("rk n=33: got %v, want %q", err, want)
+	}
+}
+
+// oversizedSpecs holds, for every registry workload, a problem whose
+// global-memory footprint is far beyond the 8 Mword default: rk's n² +
+// 128n words at n = 65536 are 32 GiB, and the others' few words per
+// element at n = 2^40 are terabytes.
+var oversizedSpecs = map[string]job.Spec{
+	"rk":   {Workload: "rk", Clusters: 1, Size: 65536},
+	"vl":   {Workload: "vl", Clusters: 1, Size: 1 << 40},
+	"tm":   {Workload: "tm", Clusters: 1, Size: 1 << 40},
+	"cg":   {Workload: "cg", Clusters: 1, Size: 1 << 40},
+	"bdna": {Workload: "bdna", Clusters: 1, Size: 1 << 40},
+	"mg3d": {Workload: "mg3d", Clusters: 1, Size: 1 << 40},
+}
+
+// TestOversizedProblemsRefused: a problem that cannot fit in global
+// memory is refused with core.ErrGlobalFull before its workload
+// allocates anything sized by it, so one request cannot exhaust a job
+// server's host memory (an allocation the host cannot back kills the
+// process; it is not a panic the job service can catch).
+func TestOversizedProblemsRefused(t *testing.T) {
+	svc := job.NewService(Run, 1, 1)
+	for _, name := range workload.Names() {
+		spec, ok := oversizedSpecs[name]
+		if !ok {
+			t.Errorf("workload %q has no oversized spec, so nothing checks that it bounds its problem", name)
+			continue
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := svc.Do(spec)
+		runtime.ReadMemStats(&after)
+		var perr *job.PanicError
+		if errors.As(err, &perr) || !errors.Is(err, core.ErrGlobalFull) {
+			t.Errorf("%s size %d: got %v, want an error wrapping core.ErrGlobalFull", name, spec.Size, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 16<<20 {
+			t.Errorf("%s size %d: allocated %d MB before refusing, want under 16", name, spec.Size, grew>>20)
+		}
+	}
+}
+
+// referenceFingerprint is the registry fingerprint as first written: a
+// Sprintf per architected metric, sorted as whole lines and joined.
+// Registry.Fingerprint must render exactly these bytes; the benchmark's
+// goldens and every cached result hash them.
+func referenceFingerprint(reg *telemetry.Registry) string {
+	var lines []string
+	values := reg.Snapshot()
+	for i, path := range reg.Paths() {
+		if kind, _ := reg.KindOf(path); kind == telemetry.Diagnostic {
+			continue
+		}
+		lines = append(lines, fmt.Sprintf("%s %d", path, values[i]))
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n") + "\n"
+}
+
+// TestFingerprintMatchesReference runs every registry workload on 1 and
+// 4 clusters, fault-free and at fault_rate 1, and requires the result's
+// registry fingerprint to equal the reference rendering byte for byte.
+func TestFingerprintMatchesReference(t *testing.T) {
+	for _, name := range workload.Names() {
+		spec, ok := smallSpecs[name]
+		if !ok {
+			t.Errorf("workload %q has no small spec", name)
+			continue
+		}
+		for _, clusters := range []int{1, 4} {
+			for _, rate := range []float64{0, 1} {
+				s := spec
+				s.Clusters, s.FaultRate, s.FaultSeed = clusters, rate, concurrentFaultSeed
+				if s.Workload == "cg" && clusters == 4 {
+					s.Size = 0 // 512 is not a multiple of 32 CEs' strips
+				}
+				j, err := Prepare(s)
+				if err != nil {
+					t.Fatalf("%s clusters=%d: %v", label(s), clusters, err)
+				}
+				res, err := j.Execute(workload.Attachments{})
+				if err != nil {
+					t.Fatalf("%s clusters=%d: %v", label(s), clusters, err)
+				}
+				if want := referenceFingerprint(j.Machine.Registry()); res.RegistryFingerprint != want {
+					t.Errorf("%s clusters=%d: fingerprint differs from the reference rendering", label(s), clusters)
+				}
+			}
+		}
 	}
 }

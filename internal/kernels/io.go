@@ -153,6 +153,13 @@ func runIOKernel(m *core.Machine, spec ioKernelSpec, p workload.Params, att work
 	if n%(nces*StripLen) != 0 {
 		return Result{}, fmt.Errorf("kernels: %s n=%d not a multiple of %d", spec.name, n, nces*StripLen)
 	}
+	arrays := uint64(2) // the double buffer, and MG3D's traces
+	if spec.aux != nil {
+		arrays++
+	}
+	if err := m.FitGlobal("kernels: "+spec.name, uint64(n), arrays, 0); err != nil {
+		return Result{}, err
+	}
 
 	// Functional state: a double-buffered array stepped in place, plus
 	// the optional second input (MG3D's traces).

@@ -194,6 +194,14 @@ func buildRank64Program(in *Rank64Input, mode Mode, aBase, bBase, cBase, workBas
 		s := -1
 		j := j0 - 1
 		stagedB := false
+		// The 64 inner vector loads read the same work-array columns for
+		// every strip and column, and a CE never modifies an operation,
+		// so one set is built and emitted each time.
+		workLoads := make([]*isa.Op, 64)
+		for k := range workLoads {
+			w := workBase + uint64(k*StripLen)
+			workLoads[k] = isa.NewVectorLoad(isa.Addr{Space: isa.Cluster, Word: w}, StripLen, 1, 2, false)
+		}
 		return isa.NewGen(func(g *isa.Gen) bool {
 			if !stagedB {
 				stagedB = true
@@ -237,10 +245,7 @@ func buildRank64Program(in *Rank64Input, mode Mode, aBase, bBase, cBase, workBas
 			// B values from the cluster work array.
 			g.Emit(isa.NewVectorLoad(isa.Addr{Space: isa.Cluster, Word: bWorkBase + uint64((col-j0)*64)}, 64, 1, 0, false))
 			emitCStrip(g, strip, col)
-			for k := 0; k < 64; k++ {
-				w := workBase + uint64(k*StripLen)
-				g.Emit(isa.NewVectorLoad(isa.Addr{Space: isa.Cluster, Word: w}, StripLen, 1, 2, false))
-			}
+			g.Emit(workLoads...)
 			emitCStore(g, strip, col)
 			return true
 		})

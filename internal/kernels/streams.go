@@ -29,6 +29,9 @@ func RunVectorLoad(m *core.Machine, p workload.Params) (Result, error) {
 	if n%(nces*StripLen) != 0 {
 		return Result{}, fmt.Errorf("kernels: VL n=%d not a multiple of %d", n, nces*StripLen)
 	}
+	if err := m.FitGlobal("kernels: VL", uint64(n), 2, 0); err != nil {
+		return Result{}, err
+	}
 	x := make([]float64, n)
 	y := make([]float64, n)
 	r := sim.NewRand(2)
@@ -100,6 +103,9 @@ func RunTriMatVec(m *core.Machine, p workload.Params) (Result, error) {
 	usePrefetch, probe := p.Prefetch, p.Probe
 	if n%(nces*StripLen) != 0 {
 		return Result{}, fmt.Errorf("kernels: TM n=%d not a multiple of %d", n, nces*StripLen)
+	}
+	if err := m.FitGlobal("kernels: TM", uint64(n), 5, 0); err != nil {
+		return Result{}, err
 	}
 	a := make([]float64, n) // subdiagonal (a[0] unused)
 	b := make([]float64, n) // main diagonal

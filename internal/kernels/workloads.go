@@ -23,6 +23,10 @@ func init() {
 			if n%StripLen != 0 {
 				return workload.Result{}, fmt.Errorf("kernels: rank-64 n=%d not a multiple of %d", n, StripLen)
 			}
+			// A (n x 64), B (64 x n) and C (n x n).
+			if err := m.FitGlobal("kernels: rank-64", uint64(n), uint64(n)+128, 0); err != nil {
+				return workload.Result{}, err
+			}
 			return RunRank64(m, NewRank64Input(n), p)
 		}))
 	workload.Register(workload.New("vl",
@@ -41,6 +45,10 @@ func init() {
 			n := p.Size
 			if n == 0 {
 				n = m.NumCEs() * StripLen * 2
+			}
+			// x, r, q and p, plus two partial sums per CE.
+			if err := m.FitGlobal("kernels: CG", uint64(n), 4, 2*uint64(m.NumCEs())); err != nil {
+				return workload.Result{}, err
 			}
 			w := 64
 			if n <= 2*w {

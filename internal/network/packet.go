@@ -227,14 +227,28 @@ type Packet struct {
 	// enq is the cycle the packet entered its current queue (congestion
 	// bookkeeping internal to the network).
 	enq sim.Cycle
+	// home is the Pool whose Send built the packet; nil for a packet
+	// built without one.
+	home *Pool
+}
+
+// Recycle puts a packet at the end of its life back on the Pool that
+// sent it; a packet no Pool sent is left to the garbage collector. The
+// caller must hold no other reference to it.
+func (p *Packet) Recycle() {
+	if p.home != nil {
+		p.home.Put(p)
+	}
 }
 
 // Pool is one issuer's free list of packets, last in first out. The
 // issuer builds every request with Send, and puts each reply back once it
 // has read it: the reply is the issuer's own request, rewritten in place
-// by the memory module. A Pool is not safe for concurrent use; its Sends
-// (the issuer's Tick) and Puts (the reverse network's Tick) both run on
-// the engine's one goroutine.
+// by the memory module. A posted write has no reply; the memory module
+// recycles it to its sender's Pool once it has stored it. A Pool is not
+// safe for concurrent use; its Sends (the issuer's Tick) and Puts (the
+// reverse network's Tick, a memory module's Tick) all run on the
+// engine's one goroutine.
 type Pool struct {
 	free []*Packet
 }
@@ -255,6 +269,7 @@ func (pl *Pool) Send(n *Network, now sim.Cycle, src int, v Packet) bool {
 		p = new(Packet)
 	}
 	*p = v
+	p.home = pl
 	if n.Offer(now, src, p) {
 		return true
 	}
@@ -272,8 +287,8 @@ func (pl *Pool) Put(p *Packet) { pl.free = append(pl.free, p) }
 // cannot accept the packet this cycle; the network then retries, applying
 // backpressure through its queues. A sink that accepts a packet owns it,
 // but the network may still read it until its own Tick returns, so a
-// sink may put it on a Pool only if that Pool's Sends run in some other
-// Tick.
+// sink may put it on a Pool, or Recycle it, only if that Pool's Sends
+// run in some other Tick.
 type Sink interface {
 	Offer(p *Packet) bool
 }

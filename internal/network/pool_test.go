@@ -45,7 +45,7 @@ func TestPoolSendRecycles(t *testing.T) {
 		t.Fatalf("port 2 sent %p, want the refused packet %p back from the list", reused, first)
 	}
 	want := req(2)
-	want.Born, want.BornSet, want.enq = now, true, reused.enq
+	want.Born, want.BornSet, want.enq, want.home = now, true, reused.enq, &pl
 	if *reused != want {
 		t.Fatalf("reused packet %+v, want %+v", *reused, want)
 	}

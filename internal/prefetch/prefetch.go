@@ -60,12 +60,6 @@ const DefaultPageCrossCycles = 10
 // instead of spinning silently forever.
 const SpinBound = 1 << 20
 
-// slot is one prefetch-buffer word with its full/empty bit.
-type slot struct {
-	full  bool
-	value uint64
-}
-
 // outReq is one outstanding request tracked for timeout/reissue.
 type outReq struct {
 	seq     int
@@ -107,7 +101,10 @@ type PFU struct {
 	pageWords int
 	pageCost  sim.Cycle
 
-	buf [BufferWords]slot
+	// The prefetch buffer: each slot's word and its full/empty bit, kept
+	// in separate arrays so neither pads the other.
+	value [BufferWords]uint64
+	full  [BufferWords]bool
 
 	// Request-layer recovery (enabled by SetTimeout; all dormant when
 	// timeout is zero, so the no-fault machine is bit-identical to one
@@ -130,8 +127,9 @@ type PFU struct {
 	// curTag[s] is the epoch-qualified tag of slot s's current request
 	// instance; a reply carrying any other tag for the slot is stale.
 	// Epochs advance at issue and deliberately survive Fire — staleness
-	// crosses prefetch boundaries.
-	curTag [BufferWords]uint64
+	// crosses prefetch boundaries. Tags are below TagSpan (2^19), so 32
+	// bits hold them.
+	curTag [BufferWords]uint32
 
 	// Spin-wait bookkeeping for Consume on an empty full/empty bit.
 	spinSeq   int
@@ -177,7 +175,7 @@ func New(fwd *network.Network, port, pageWords int, pageCost sim.Cycle) *PFU {
 	}
 	u := &PFU{port: port, fwd: fwd, pageWords: pageWords, pageCost: pageCost, spinSeq: -1}
 	for s := range u.curTag {
-		u.curTag[s] = uint64(s) // epoch 0: reserved for "never issued"
+		u.curTag[s] = uint32(s) // epoch 0: reserved for "never issued"
 	}
 	return u
 }
@@ -242,9 +240,7 @@ func (u *PFU) ArmMasked(length, stride int, mask []bool) {
 // remaining in the buffer from a previous prefetch is invalidated, as in
 // the hardware.
 func (u *PFU) Fire(addr uint64) {
-	for i := range u.buf {
-		u.buf[i].full = false
-	}
+	clear(u.full[:])
 	u.active = u.length > 0
 	u.nextAddr = addr
 	u.issued = 0
@@ -252,9 +248,7 @@ func (u *PFU) Fire(addr uint64) {
 	u.consumed = 0
 	u.resumeAt = 0
 	u.outq, u.outqHead = u.outq[:0], 0
-	for i := range u.got {
-		u.got[i] = false
-	}
+	clear(u.got[:])
 	u.lost = nil
 	u.spinSeq = -1
 	u.spinRun = 0
@@ -264,8 +258,8 @@ func (u *PFU) Fire(addr uint64) {
 		// sees them as (zero) data that never traveled the network.
 		for i, on := range u.mask {
 			if !on && i < BufferWords {
-				u.buf[i].full = true
-				u.buf[i].value = 0
+				u.full[i] = true
+				u.value[i] = 0
 			}
 		}
 	}
@@ -417,8 +411,8 @@ func (u *PFU) Tick(now sim.Cycle) {
 	// pre-filled at fire time and the address/issue counters advance for
 	// free here.
 	for u.issued < u.length && u.mask != nil && !u.mask[u.issued] {
-		u.buf[u.issued%BufferWords].full = true
-		u.buf[u.issued%BufferWords].value = 0
+		u.full[u.issued%BufferWords] = true
+		u.value[u.issued%BufferWords] = 0
 		u.issued++
 		u.arrived++
 		u.nextAddr += uint64(u.stride)
@@ -430,7 +424,7 @@ func (u *PFU) Tick(now sim.Cycle) {
 		return
 	}
 	slot := u.issued % BufferWords
-	tag := nextSlotTag(u.curTag[slot])
+	tag := nextSlotTag(uint64(u.curTag[slot]))
 	if !u.pool.Send(u.fwd, now, u.port, network.Packet{
 		Dst:   u.route(u.nextAddr),
 		Src:   u.port,
@@ -442,7 +436,7 @@ func (u *PFU) Tick(now sim.Cycle) {
 		u.StallCycles++
 		return
 	}
-	u.curTag[slot] = tag // committed: any older instance's reply is now stale
+	u.curTag[slot] = uint32(tag) // committed: any older instance's reply is now stale
 	if u.OnIssue != nil {
 		u.OnIssue(now, u.issued, u.nextAddr)
 	}
@@ -502,7 +496,7 @@ func (u *PFU) Deliver(now sim.Cycle, p *network.Packet) bool {
 	}
 	defer u.pool.Put(p)
 	seqSlot := int(p.Tag % BufferWords)
-	if p.Tag != u.curTag[seqSlot] {
+	if p.Tag != uint64(u.curTag[seqSlot]) {
 		// A superseded instance's reply: the original answer of a
 		// reissued read outliving its slot's lap, or its whole prefetch.
 		// Swallow it — accepting would poison the slot with another
@@ -511,7 +505,7 @@ func (u *PFU) Deliver(now sim.Cycle, p *network.Packet) bool {
 		u.StaleReplies++
 		return true
 	}
-	if (u.timeout > 0 && u.got[seqSlot]) || u.buf[seqSlot].full {
+	if (u.timeout > 0 && u.got[seqSlot]) || u.full[seqSlot] {
 		// The slot's current occupant already has its data: the loser of
 		// a reply/retry race. Swallow it for the same reason.
 		u.DuplicateReplies++
@@ -520,8 +514,8 @@ func (u *PFU) Deliver(now sim.Cycle, p *network.Packet) bool {
 	if u.timeout > 0 {
 		u.got[seqSlot] = true
 	}
-	u.buf[seqSlot].value = p.Value
-	u.buf[seqSlot].full = true
+	u.value[seqSlot] = p.Value
+	u.full[seqSlot] = true
 	u.arrived++
 	if u.OnArrive != nil {
 		u.OnArrive(now, seqSlot)
@@ -537,7 +531,7 @@ func (u *PFU) Ready() bool {
 	if u.consumed >= u.length {
 		return false
 	}
-	return u.buf[u.consumed%BufferWords].full
+	return u.full[u.consumed%BufferWords]
 }
 
 // Consume removes and returns the next word in request order. The CE both
@@ -559,15 +553,15 @@ func (u *PFU) Consume() (uint64, bool) {
 		u.spinWait()
 		return 0, false
 	}
-	s := &u.buf[u.consumed%BufferWords]
-	if !s.full {
+	i := u.consumed % BufferWords
+	if !u.full[i] {
 		u.spinWait()
 		return 0, false
 	}
 	u.spinSeq = -1
 	u.spinRun = 0
-	s.full = false
-	v := s.value
+	u.full[i] = false
+	v := u.value[i]
 	u.consumed++
 	u.wake() // frees a buffer slot: a full-buffer PFU may issue again
 	return v, true

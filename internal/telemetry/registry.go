@@ -5,11 +5,12 @@
 // exporter that renders sampler output (plus performance-monitor events)
 // as Chrome trace_event JSON loadable in Perfetto.
 //
-// The registry is pull-based: a component registers a closure over the
-// counter it already maintains (`reg.Counter("cluster0/ce3/stall_mem",
-// &c.StallMem)`), so the instrumented fast path is untouched — the
-// exported counter fields remain the backing store and the registry is
-// the uniform, path-addressable view over all of them. Registration
+// The registry is pull-based: a component registers the counter it
+// already maintains (`reg.Counter("cluster0/ce3/stall_mem",
+// &c.StallMem)`), or a closure computing a gauge, so the instrumented
+// fast path is untouched — the exported counter fields remain the
+// backing store and the registry is the uniform, path-addressable view
+// over all of them. Registration
 // happens once at machine assembly and costs nothing afterwards;
 // reading happens only when a snapshot is taken. A machine that never
 // asks for its registry pays nothing at all.
@@ -29,7 +30,9 @@ package telemetry
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -67,11 +70,20 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// metric is one registered instrument.
+// metric is one registered instrument: an int64 field it reads in
+// place, or else a closure it calls.
 type metric struct {
 	path string
 	kind Kind
+	v    *int64
 	read func() int64
+}
+
+func (m *metric) value() int64 {
+	if m.v != nil {
+		return *m.v
+	}
+	return m.read()
 }
 
 // Registry holds the machine's metrics. The zero value is not usable;
@@ -89,24 +101,32 @@ func NewRegistry() *Registry {
 
 // Register adds a metric under path, read through the given closure at
 // snapshot time. Paths are slash-separated, must be unique, and become
-// part of the machine's observable surface — treat them as API.
+// part of the machine's observable surface — treat them as API. A path
+// holds no byte at or below ' ', so no path sorts between another and
+// its fingerprint line (see Fingerprint).
 func (r *Registry) Register(path string, kind Kind, read func() int64) {
 	if read == nil {
 		panic(fmt.Sprintf("telemetry: Register(%q) with nil reader", path))
 	}
-	if path == "" || strings.HasPrefix(path, "/") || strings.HasSuffix(path, "/") {
+	r.add(metric{path: path, kind: kind, read: read})
+}
+
+func (r *Registry) add(m metric) {
+	path := m.path
+	if path == "" || strings.HasPrefix(path, "/") || strings.HasSuffix(path, "/") ||
+		strings.IndexFunc(path, func(c rune) bool { return c <= ' ' }) >= 0 {
 		panic(fmt.Sprintf("telemetry: malformed metric path %q", path))
 	}
 	if _, dup := r.index[path]; dup {
 		panic(fmt.Sprintf("telemetry: duplicate metric path %q", path))
 	}
 	r.index[path] = len(r.metrics)
-	r.metrics = append(r.metrics, metric{path: path, kind: kind, read: read})
+	r.metrics = append(r.metrics, m)
 }
 
 // Counter registers a counter backed by an existing int64 field.
 func (r *Registry) Counter(path string, v *int64) {
-	r.Register(path, Counter, func() int64 { return *v })
+	r.add(metric{path: path, kind: Counter, v: v})
 }
 
 // CounterFunc registers a computed counter.
@@ -118,7 +138,7 @@ func (r *Registry) Gauge(path string, f func() int64) { r.Register(path, Gauge, 
 // Diagnostic registers a simulator-side statistic backed by an int64
 // field; see Kind for why these are fenced off from fingerprints.
 func (r *Registry) Diagnostic(path string, v *int64) {
-	r.Register(path, Diagnostic, func() int64 { return *v })
+	r.add(metric{path: path, kind: Diagnostic, v: v})
 }
 
 // Len reports the number of registered metrics.
@@ -149,7 +169,7 @@ func (r *Registry) Value(path string) (int64, bool) {
 	if !ok {
 		return 0, false
 	}
-	return r.metrics[i].read(), true
+	return r.metrics[i].value(), true
 }
 
 // Snapshot reads every metric, in registration order (parallel to
@@ -157,7 +177,7 @@ func (r *Registry) Value(path string) (int64, bool) {
 func (r *Registry) Snapshot() []int64 {
 	out := make([]int64, len(r.metrics))
 	for i, m := range r.metrics {
-		out[i] = m.read()
+		out[i] = m.value()
 	}
 	return out
 }
@@ -167,16 +187,34 @@ func (r *Registry) Snapshot() []int64 {
 // same architected state produce identical fingerprints regardless of
 // which engine path ran them — the property the determinism suite
 // asserts.
+//
+// The lines are sorted by path, which sorts them as whole lines too: a
+// path holds no byte at or below the separating space, so a path that
+// is a prefix of another sorts first either way. The text is built in
+// one buffer sized exactly up front.
 func (r *Registry) Fingerprint() string {
-	lines := make([]string, 0, len(r.metrics))
-	for _, m := range r.metrics {
-		if m.kind == Diagnostic {
-			continue
+	lines := make([]*metric, 0, len(r.metrics))
+	var num [20]byte
+	size := 0
+	for i := range r.metrics {
+		if m := &r.metrics[i]; m.kind != Diagnostic {
+			lines = append(lines, m)
+			size += len(m.path) + len(strconv.AppendInt(num[:0], m.value(), 10)) + 2
 		}
-		lines = append(lines, fmt.Sprintf("%s %d", m.path, m.read()))
 	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n") + "\n"
+	if len(lines) == 0 {
+		return "\n"
+	}
+	slices.SortFunc(lines, func(a, b *metric) int { return strings.Compare(a.path, b.path) })
+	var b strings.Builder
+	b.Grow(size)
+	for _, m := range lines {
+		b.WriteString(m.path)
+		b.WriteByte(' ')
+		b.Write(strconv.AppendInt(num[:0], m.value(), 10))
+		b.WriteByte('\n')
+	}
+	return b.String()
 }
 
 // Dump renders every metric (diagnostics included, flagged) as sorted
@@ -188,7 +226,7 @@ func (r *Registry) Dump() string {
 		if m.kind == Diagnostic {
 			suffix = " (diagnostic)"
 		}
-		lines = append(lines, fmt.Sprintf("%-40s %12d%s", m.path, m.read(), suffix))
+		lines = append(lines, fmt.Sprintf("%-40s %12d%s", m.path, m.value(), suffix))
 	}
 	sort.Strings(lines)
 	return strings.Join(lines, "\n") + "\n"

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -65,6 +66,32 @@ func TestRegistryPanics(t *testing.T) {
 	expectPanic("empty path", func() { reg.CounterFunc("", func() int64 { return 0 }) })
 	expectPanic("leading slash", func() { reg.CounterFunc("/a/b", func() int64 { return 0 }) })
 	expectPanic("trailing slash", func() { reg.CounterFunc("a/b/", func() int64 { return 0 }) })
+	// Fingerprint sorts by path; that sorts its "path value" lines only
+	// while no path holds a byte at or below the separating space.
+	for _, path := range []string{"a/b c", "a/b\tc", "a/b\nc", "a/b\x00c", " a/b"} {
+		expectPanic(fmt.Sprintf("path %q", path), func() { reg.Counter(path, &v) })
+		expectPanic(fmt.Sprintf("diagnostic path %q", path), func() { reg.Diagnostic(path, &v) })
+		expectPanic(fmt.Sprintf("gauge path %q", path), func() { reg.Gauge(path, func() int64 { return 0 }) })
+	}
+}
+
+// TestFingerprintLines pins the rendering edge cases: a path that is a
+// prefix of another sorts first, negative values keep their sign, and an
+// empty registry renders one newline.
+func TestFingerprintLines(t *testing.T) {
+	if fp := NewRegistry().Fingerprint(); fp != "\n" {
+		t.Fatalf("empty fingerprint = %q, want a lone newline", fp)
+	}
+	reg := NewRegistry()
+	a, b, c := int64(-12), int64(3), int64(9223372036854775807)
+	reg.Counter("net/x!", &a)
+	reg.Counter("net/x/y", &b)
+	reg.Counter("net/x", &c)
+	reg.Gauge("net/w", func() int64 { return -9223372036854775808 })
+	want := "net/w -9223372036854775808\nnet/x 9223372036854775807\nnet/x! -12\nnet/x/y 3\n"
+	if fp := reg.Fingerprint(); fp != want {
+		t.Fatalf("fingerprint = %q, want %q", fp, want)
+	}
 }
 
 func TestFingerprintExcludesDiagnostics(t *testing.T) {
@@ -126,5 +153,19 @@ func TestSplitPath(t *testing.T) {
 			t.Fatalf("splitPath(%q) = %q,%q,%q, want %q,%q,%q",
 				c.path, p, th, n, c.process, c.thread, c.name)
 		}
+	}
+}
+
+// TestFingerprintAllocations: a fingerprint is built in one buffer, not
+// a string per metric, so its allocations do not grow with the registry.
+func TestFingerprintAllocations(t *testing.T) {
+	reg := NewRegistry()
+	values := make([]int64, 1500)
+	for i := range values {
+		values[i] = int64(i * 7919)
+		reg.Counter(fmt.Sprintf("cluster%d/ce%d/m%d", i%4, i%8, i), &values[i])
+	}
+	if n := testing.AllocsPerRun(10, func() { reg.Fingerprint() }); n > 10 {
+		t.Fatalf("Fingerprint of %d metrics allocated %v times, want at most 10", len(values), n)
 	}
 }
