@@ -9,8 +9,11 @@ all: ci
 build:
 	$(GO) build ./...
 
+# go vet, and gofmt: a file gofmt would rewrite fails the leg.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l: not formatted:" >&2; echo "$$unformatted" >&2; exit 1; fi
 
 test:
 	$(GO) test ./...

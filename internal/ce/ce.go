@@ -213,13 +213,14 @@ type CE struct {
 	// per-cycle ticks would classify it.
 	parkAs isa.Bucket
 
-	// parkMarks are stimulus-driven reclassifications pending since the
-	// last tick: from mark.at onward, elided cycles charge mark.b. A
-	// check-stop or repair can land on a dormant CE without provoking a
-	// tick (the CE still reports no next event), so the skip span that
-	// is eventually flushed covers cycles both before and after the
-	// stimulus; the marks split it at the exact cycles the naive
-	// engine's ticks would have switched buckets.
+	// parkMarks are reclassifications pending since the last tick: from
+	// mark.at onward, elided cycles charge mark.b. A check-stop or
+	// repair can land on a dormant CE without provoking a tick (the CE
+	// still reports no next event), and a vector load can go from its
+	// startup fill straight into a parked operand wait, so the skip span
+	// that is eventually flushed covers cycles both before and after the
+	// change; the marks split it at the exact cycles the naive engine's
+	// ticks would have switched buckets.
 	parkMarks []parkMark
 
 	// Counters.
@@ -273,9 +274,12 @@ func (c *CE) SetIOPath(p IOPath) { c.io = p }
 // AttachWaker implements sim.WakeSink: the engine hands the CE its own
 // Handle at registration. The CE reports sim.Never when it has no
 // program and no operation in flight, while an I/O operation is parked,
-// and while a scalar read or sync awaits its reply, so the stimuli that
-// must wake it are the program-assignment entry points, the I/O
-// completion callback and Deliver of the awaited reply.
+// while a scalar read or sync awaits its reply, and while a vector load
+// waits for its head element's reply or for its head prefetch-buffer
+// slot to fill, so the stimuli that must wake it are the
+// program-assignment entry points, the I/O completion callback, and
+// Deliver of the awaited reply, of the head element's reply, or of the
+// word that fills the head slot.
 func (c *CE) AttachWaker(w sim.Waker) { c.waker = w }
 
 func (c *CE) wake() {
@@ -358,15 +362,17 @@ func (c *CE) markPark(now sim.Cycle, b isa.Bucket) {
 func (c *CE) CheckStopped() bool { return c.checkStopped }
 
 // NextEvent implements sim.IdleComponent: the earliest cycle at which
-// ticking this CE could change observable state. Structural retries and
-// vector streams, whose ticks decide per cycle between progress and a
-// stall, tick every cycle; pure timer waits (compute spans, vector
-// startup, posted-write and sync-extra completions) report their expiry.
-// A scalar read or sync awaiting its reply only counts StallMem until
-// Deliver wakes it, so it reports Never (a read with a reissue deadline
-// reports the deadline) and SkipCycles credits the elided stalls. Once
-// the reply is in, a read retires at replyUsable and a sync starts its
-// SyncExtra timer at its next tick.
+// ticking this CE could change observable state. Structural retries,
+// stores and vector streams that can make progress, whose ticks decide
+// per cycle between progress and a stall, tick every cycle; pure timer
+// waits (compute spans, vector startup, posted-write and sync-extra
+// completions) report their expiry. A scalar read or sync awaiting its
+// reply only counts StallMem until Deliver wakes it, so it reports Never
+// (a read with a reissue deadline reports the deadline) and SkipCycles
+// credits the elided stalls. Once the reply is in, a read retires at
+// replyUsable and a sync starts its SyncExtra timer at its next tick.
+// A vector load that can neither consume nor issue parks the same way
+// (see vectorNextEvent).
 func (c *CE) NextEvent(now sim.Cycle) sim.Cycle {
 	if c.cur == nil {
 		if c.prog != nil {
@@ -381,7 +387,7 @@ func (c *CE) NextEvent(now sim.Cycle) sim.Cycle {
 		if now < c.startupEnd {
 			return c.startupEnd
 		}
-		return now // consuming/issuing: StallMem/StallNet accrue per cycle
+		return c.vectorNextEvent(now)
 	case isa.Scalar, isa.Sync:
 		switch {
 		case c.finishAt >= 0:
@@ -406,27 +412,76 @@ func (c *CE) NextEvent(now sim.Cycle) sim.Cycle {
 	}
 }
 
+// vectorNextEvent answers for a vector operation past its startup fill.
+// A load that can neither consume nor issue only counts StallMem (and,
+// prefetched, the PFU's spin) each cycle, so it parks:
+//
+//   - a direct stream with no request left to issue or no issue slot
+//     free (MaxOutstanding requests in flight) waits for its head
+//     element's reply, Never until Deliver of it wakes the CE, then until
+//     the head's usableAt;
+//   - a prefetched stream waits, Never, while its head buffer slot is
+//     empty but its word is on its way (PFU.Pending), until Deliver of
+//     that word wakes the CE.
+//
+// Everything else ticks every cycle: direct reads with a reissue
+// deadline (the head's deadline and the retry's injection are decided
+// per cycle), consumption of a masked-off word or past the armed block,
+// an empty load (it retires at its first tick), and stores.
+func (c *CE) vectorNextEvent(now sim.Cycle) sim.Cycle {
+	op := c.cur
+	if op.Write || op.N == 0 {
+		return now
+	}
+	if op.UsePrefetch {
+		if c.pfu.Pending() {
+			return sim.Never
+		}
+		return now
+	}
+	if c.cfg.ReadTimeout > 0 || len(c.inflight) == 0 ||
+		(c.vIssued < op.N && len(c.inflight) < c.cfg.MaxOutstanding) {
+		return now
+	}
+	switch h := &c.inflight[0]; {
+	case !h.arrived:
+		return sim.Never
+	case h.usableAt > now:
+		return h.usableAt
+	}
+	return now
+}
+
 // SkipCycles implements sim.SkipAware: the engine never executed the
-// cycles [from, to) for this CE. Two skippable states accrue a counter
+// cycles [from, to) for this CE. Three skippable states accrue counters
 // per cycle: with no operation in flight the span is idle (a program
-// assigned during it would have ended it at the CE's next tick slot),
-// and a scalar read or sync awaiting its reply stalls on memory (the
-// reply's Deliver wakes the CE for the cycle after it lands, so every
-// elided tick ran before it). Every other counting state pins NextEvent
-// to now.
+// assigned during it would have ended it at the CE's next tick slot); a
+// scalar read or sync awaiting its reply stalls on memory (the reply's
+// Deliver wakes the CE for the cycle after it lands, so every elided
+// tick ran before it); and a parked vector load stalls on memory from
+// the end of its startup fill, a prefetched one also spinning on the
+// PFU's full/empty bit. Every other counting state pins NextEvent to
+// now.
 //
 // Cycle accounting charges the span to the bucket recorded at the last
-// tick (parkAs): skippable states — idle, check-stop freeze, compute
-// spans, vector startup, scalar/sync reply waits and completion timers,
-// I/O parks — keep their classification constant until the next tick,
-// so the whole span lands where the naive engine's per-cycle ticks
-// would have put it.
+// tick (parkAs), split at any pending parkMark: skippable states — idle,
+// check-stop freeze, compute spans, vector startup and operand waits,
+// scalar/sync reply waits and completion timers, I/O parks — keep their
+// classification constant until the next tick or the mark, so the whole
+// span lands where the naive engine's per-cycle ticks would have put it.
 func (c *CE) SkipCycles(from, to sim.Cycle) {
 	switch {
 	case c.cur == nil:
 		c.IdleCycles += int64(to - from)
 	case c.finishAt == -2 && (c.cur.Kind == isa.Scalar || c.cur.Kind == isa.Sync):
 		c.StallMem += int64(to - from)
+	case c.cur.Kind == isa.Vector:
+		if n := int64(to - max(from, c.startupEnd)); n > 0 {
+			c.StallMem += n
+			if c.cur.UsePrefetch {
+				c.pfu.Spin(n)
+			}
+		}
 	}
 	cursor, bucket := from, c.parkAs
 	kept := 0
@@ -453,14 +508,24 @@ func (c *CE) SkipCycles(from, to sim.Cycle) {
 // dispatching prefetch-buffer fills to the PFU. Every reply the CE
 // accepts — matched, late or unmatched — goes back on its free list once
 // read: the reply is the CE's own request packet, rewritten by the
-// memory module. The awaited scalar or sync reply wakes the CE, which
-// parks while it waits.
+// memory module. The awaited scalar or sync reply, a vector stream's
+// head element reply and the word that fills the head prefetch-buffer
+// slot wake the CE, which may park while it waits for them.
 func (c *CE) Deliver(now sim.Cycle, p *network.Packet) bool {
 	if p.Tag < prefetch.TagSpan {
 		if c.pfu == nil {
 			panic(fmt.Sprintf("ce %d: prefetch reply without a PFU", c.ID))
 		}
-		return c.pfu.Deliver(now, p)
+		// Only a prefetched vector load past its startup fill parks on
+		// the head buffer slot (vectorNextEvent), so only it needs a wake
+		// when the slot fills.
+		op := c.cur
+		parkable := op != nil && op.Kind == isa.Vector && op.UsePrefetch && now >= c.startupEnd && c.pfu.Pending()
+		ok := c.pfu.Deliver(now, p)
+		if parkable && c.pfu.Ready() {
+			c.wake()
+		}
+		return ok
 	}
 	defer c.pool.Put(p)
 	usable := now + c.cfg.XferCycles
@@ -476,6 +541,9 @@ func (c *CE) Deliver(now sim.Cycle, p *network.Packet) bool {
 		if c.inflight[i].tag == p.Tag {
 			c.inflight[i].arrived = true
 			c.inflight[i].usableAt = usable
+			if i == 0 {
+				c.wake()
+			}
 			return true
 		}
 	}
@@ -514,7 +582,14 @@ func (c *CE) forgetTag(tag uint64) {
 func (c *CE) Tick(now sim.Cycle) {
 	c.parkMarks = c.parkMarks[:0] // post-tick state supersedes pending marks
 	c.Acct.Add(c.tick(now), 1)
-	c.parkAs = c.parkBucket()
+	c.parkAs = c.parkBucket(now + 1)
+	if c.cur != nil && c.cur.Kind == isa.Vector && now+1 < c.startupEnd {
+		// A span elided across the end of the startup fill goes on as
+		// the operand wait the load may park in right after it.
+		if b := c.parkBucket(c.startupEnd); b != c.parkAs {
+			c.markPark(c.startupEnd, b)
+		}
+	}
 }
 
 // tick is the per-cycle state machine; it returns the bucket this cycle
@@ -580,11 +655,12 @@ func (c *CE) tick(now sim.Cycle) isa.Bucket {
 	}
 }
 
-// parkBucket classifies the cycles that may be elided between this tick
-// and the next: the skippable states are exactly those whose NextEvent
+// parkBucket classifies an elided cycle at or after at, the cycle after
+// the last tick: the skippable states are exactly those whose NextEvent
 // answer is in the future (or Never), and each keeps one bucket for the
-// whole span.
-func (c *CE) parkBucket() isa.Bucket {
+// whole span, except that a vector load's span may run from its startup
+// fill on into an operand wait.
+func (c *CE) parkBucket(at sim.Cycle) isa.Bucket {
 	if c.cur == nil {
 		if c.checkStopped {
 			return isa.AcctCheckStop
@@ -595,7 +671,10 @@ func (c *CE) parkBucket() isa.Bucket {
 	case isa.Compute:
 		return isa.AcctBusy
 	case isa.Vector:
-		return isa.AcctVectorWait // only the startup fill is skippable
+		if at >= c.startupEnd && c.cur.UsePrefetch {
+			return isa.AcctPrefetchWait // parked on the head buffer slot
+		}
+		return isa.AcctVectorWait // the startup fill, a direct operand wait
 	case isa.Scalar:
 		if c.finishAt == -2 && c.reqRetries > 0 {
 			return isa.AcctRecovery // parked on a reissued read
@@ -770,7 +849,7 @@ func (c *CE) tickVector(now sim.Cycle) isa.Bucket {
 		addr := op.Base.Word + uint64(c.vIssued*op.Stride)
 		if op.Base.Space == isa.Global {
 			tag := c.newTag()
-			if c.pool.Send(c.fwd, now, c.Port, network.Packet{Dst: c.route(addr), Src: c.Port, Words: 1,
+			if c.pool.Send(c.fwd, now, c.Port, &network.Packet{Dst: c.route(addr), Src: c.Port, Words: 1,
 				Kind: network.Read, Addr: addr, Tag: tag, Phantom: true}) {
 				req := inflightReq{tag: tag, addr: addr}
 				if c.cfg.ReadTimeout > 0 {
@@ -832,7 +911,7 @@ func (c *CE) retryVectorHead(now sim.Cycle) bool {
 		return false
 	}
 	tag := c.newTag()
-	if !c.pool.Send(c.fwd, now, c.Port, network.Packet{Dst: c.route(h.addr), Src: c.Port, Words: 1,
+	if !c.pool.Send(c.fwd, now, c.Port, &network.Packet{Dst: c.route(h.addr), Src: c.Port, Words: 1,
 		Kind: network.Read, Addr: h.addr, Tag: tag, Phantom: true}) {
 		c.StallNet++
 		return true // port busy: deadline stays due, try again next cycle
@@ -857,7 +936,7 @@ func (c *CE) tickVectorStore(now sim.Cycle) isa.Bucket {
 	issued := false
 	addr := op.Base.Word + uint64(c.vIssued*op.Stride)
 	if op.Base.Space == isa.Global {
-		if c.pool.Send(c.fwd, now, c.Port, network.Packet{Dst: c.route(addr), Src: c.Port, Words: 2,
+		if c.pool.Send(c.fwd, now, c.Port, &network.Packet{Dst: c.route(addr), Src: c.Port, Words: 2,
 			Kind: network.Write, Addr: addr, Phantom: true}) {
 			c.vIssued++
 			c.Flops += int64(op.Flops)
@@ -893,7 +972,7 @@ func (c *CE) startScalar(op *isa.Op, now sim.Cycle) {
 			words = 2
 		}
 		tag := c.newTag()
-		if !c.pool.Send(c.fwd, now, c.Port, network.Packet{Dst: c.route(op.ScalarAddr.Word), Src: c.Port, Words: words,
+		if !c.pool.Send(c.fwd, now, c.Port, &network.Packet{Dst: c.route(op.ScalarAddr.Word), Src: c.Port, Words: words,
 			Kind: kind, Addr: op.ScalarAddr.Word, Tag: tag, Phantom: true}) {
 			// Retry from tickScalar.
 			c.waitTag = 0
@@ -973,7 +1052,7 @@ func (c *CE) retryScalar(now sim.Cycle) {
 		return
 	}
 	tag := c.newTag()
-	if !c.pool.Send(c.fwd, now, c.Port, network.Packet{Dst: c.route(op.ScalarAddr.Word), Src: c.Port, Words: 1,
+	if !c.pool.Send(c.fwd, now, c.Port, &network.Packet{Dst: c.route(op.ScalarAddr.Word), Src: c.Port, Words: 1,
 		Kind: network.Read, Addr: op.ScalarAddr.Word, Tag: tag, Phantom: true}) {
 		c.StallNet++
 		return // port busy: try again next cycle (deadline already due)
@@ -1001,7 +1080,7 @@ func (c *CE) FaultReason() string {
 
 func (c *CE) startSync(op *isa.Op, now sim.Cycle) {
 	tag := c.newSyncTag()
-	if !c.pool.Send(c.fwd, now, c.Port, network.Packet{Dst: c.route(op.SyncAddr), Src: c.Port, Words: 2,
+	if !c.pool.Send(c.fwd, now, c.Port, &network.Packet{Dst: c.route(op.SyncAddr), Src: c.Port, Words: 2,
 		Kind: network.Sync, Addr: op.SyncAddr, Sync: op.SyncSpec, Tag: tag}) {
 		c.finishAt = -1
 		c.StallNet++

@@ -358,21 +358,16 @@ func (m *Module) complete(p *network.Packet) *network.Packet {
 	}
 }
 
-// reply overwrites request p with its reply carrying value v and test
-// result ok; every field the reply does not carry is zeroed.
+// reply rewrites request p into its reply carrying value v and test
+// result ok, field by field: the reply keeps the request's Addr, Tag and
+// issue stamp, and every other field the reply does not carry is zeroed.
 func (m *Module) reply(p *network.Packet, v uint64, ok bool) *network.Packet {
-	src, addr, tag, born, bornSet := p.Src, p.Addr, p.Tag, p.Born, p.BornSet
-	*p = network.Packet{
-		Dst:     src,
-		Src:     m.index,
-		Words:   1,
-		Kind:    network.Reply,
-		Addr:    addr,
-		Value:   v,
-		OK:      ok,
-		Tag:     tag,
-		Born:    born,
-		BornSet: bornSet,
-	}
+	p.Dst, p.Src = p.Src, m.index
+	p.Words = 1
+	p.Kind = network.Reply
+	p.Value = v
+	p.OK = ok
+	p.Sync = network.SyncSpec{}
+	p.Phantom = false
 	return p
 }

@@ -128,6 +128,25 @@ func TestRunRejectsBadRankSize(t *testing.T) {
 	}
 }
 
+// TestSmallSizesNeverPanic: every registry workload at sizes 1 to 8
+// either runs or returns an error naming the size, never a panic the job
+// service has to catch (cg used to panic building a system too small
+// for its outer diagonals).
+func TestSmallSizesNeverPanic(t *testing.T) {
+	svc := job.NewService(Run, 1, 1)
+	for _, name := range workload.Names() {
+		for size := 1; size <= 8; size++ {
+			_, _, err := svc.Do(job.Spec{Workload: name, Clusters: 1, Size: size})
+			var perr *job.PanicError
+			if errors.As(err, &perr) {
+				t.Errorf("%s size %d panicked: %v", name, size, err)
+			} else if err != nil && !strings.Contains(err.Error(), fmt.Sprintf("n=%d ", size)) {
+				t.Errorf("%s size %d: error %q does not name the size", name, size, err)
+			}
+		}
+	}
+}
+
 // oversizedSpecs holds, for every registry workload, a problem whose
 // global-memory footprint is far beyond the 8 Mword default: rk's n² +
 // 128n words at n = 65536 are 32 GiB, and the others' few words per

@@ -86,6 +86,17 @@ type CGResult struct {
 	X []float64
 }
 
+// checkCGSize rejects a problem size the CG kernel cannot partition
+// over nces CEs: every CE takes whole 32-word strips. A size that passes
+// is at least 32, so both outer-diagonal offsets the cg workload picks
+// fit inside the system.
+func checkCGSize(n, nces int) error {
+	if n%(nces*StripLen) != 0 {
+		return fmt.Errorf("kernels: CG n=%d not a multiple of %d", n, nces*StripLen)
+	}
+	return nil
+}
+
 // RunCG runs Params.Iterations iterations (default 5) of the
 // conjugate-gradient method on m, with all vectors in global memory,
 // compiler-style 32-word prefetches (when Params.Prefetch), vector
@@ -100,8 +111,8 @@ func RunCG(m *core.Machine, rt *cedarfort.Runtime, prob *CGProblem, p workload.P
 	usePrefetch, probe := p.Prefetch, p.Probe
 	n := prob.N
 	nces := m.NumCEs()
-	if n%(nces*StripLen) != 0 {
-		return CGResult{}, fmt.Errorf("kernels: CG n=%d not a multiple of %d", n, nces*StripLen)
+	if err := checkCGSize(n, nces); err != nil {
+		return CGResult{}, err
 	}
 
 	// Functional state.

@@ -109,6 +109,10 @@ func RunRank64(m *core.Machine, in *Rank64Input, p workload.Params) (Result, err
 			clusterWork[ci] = cl.Alloc(64 * StripLen)
 		}
 	}
+	var aOps [][]*isa.Op
+	if mode != GMCache {
+		aOps = rank64AOps(mode, aBase, strips)
+	}
 	for id := 0; id < nces; id++ {
 		ce := m.CE(id)
 		ci := id / cesPerCluster
@@ -123,7 +127,7 @@ func RunRank64(m *core.Machine, in *Rank64Input, p workload.Params) (Result, err
 			bWorkBase = cl.Alloc(uint64(64 * (j1 - j0)))
 		}
 		prog := buildRank64Program(in, mode, aBase, bBase, cBase, clusterWork[ci], bWorkBase,
-			j0, j1-j0, strips, moveLo, moveLo+slice)
+			j0, j1-j0, strips, moveLo, moveLo+slice, aOps)
 		ce.SetProgram(prog)
 	}
 
@@ -143,13 +147,41 @@ func RunRank64(m *core.Machine, in *Rank64Input, p workload.Params) (Result, err
 	return res, nil
 }
 
+// rank64AOps builds, for each row strip, the GM modes' operations on
+// A's 64 column strips: 64 register-memory vector loads with 2 chained
+// flops per element, in GM/pref consumed from 256-word prefetch blocks
+// (8 column strips of A at a time, aggressively overlapped with the
+// consuming vector operations). Their addresses depend only on the strip
+// and the column within it, and a CE never modifies an operation, so one
+// set per job serves every CE and every column of C.
+func rank64AOps(mode Mode, aBase uint64, strips int) [][]*isa.Op {
+	aStrip := func(strip, k int) isa.Addr {
+		return isa.Addr{Space: isa.Global, Word: aBase + uint64(strip*64*StripLen+k*StripLen)}
+	}
+	ops := make([][]*isa.Op, strips)
+	for strip := range ops {
+		if mode == GMNoPrefetch {
+			for k := 0; k < 64; k++ {
+				ops[strip] = append(ops[strip], isa.NewVectorLoad(aStrip(strip, k), StripLen, 1, 2, false))
+			}
+			continue
+		}
+		for k := 0; k < 64; k += 8 {
+			ops[strip] = append(ops[strip], isa.NewPrefetch(aStrip(strip, k), 8*StripLen, 1))
+			for q := 0; q < 8; q++ {
+				ops[strip] = append(ops[strip], isa.NewVectorLoad(aStrip(strip, k+q), StripLen, 1, 2, true))
+			}
+		}
+	}
+	return ops
+}
+
 // buildRank64Program emits one CE's work.
 //
 // In the GM modes the column loop is outermost so the B column (64 words
 // at stride n) is fetched once per column and held in registers across
-// the row strips; per strip the code fetches C's strip and runs 64
-// register-memory vector operations with 2 chained flops per element
-// over A's column strips.
+// the row strips; per strip the code fetches C's strip and runs the
+// strip's shared A operations (aOps, see rank64AOps).
 //
 // In the GM/cache mode the strip loop is outermost: A's 64x32-word strip
 // block is transferred into the cluster's shared cached work array
@@ -159,7 +191,7 @@ func RunRank64(m *core.Machine, in *Rank64Input, p workload.Params) (Result, err
 // through the networks. The cluster's CEs advance through the same strip
 // sequence at the same pace, so no explicit barrier is modeled around
 // the cooperative move.
-func buildRank64Program(in *Rank64Input, mode Mode, aBase, bBase, cBase, workBase, bWorkBase uint64, j0, cols, strips, moveLo, moveHi int) isa.Program {
+func buildRank64Program(in *Rank64Input, mode Mode, aBase, bBase, cBase, workBase, bWorkBase uint64, j0, cols, strips, moveLo, moveHi int, aOps [][]*isa.Op) isa.Program {
 	n := in.N
 	emitCStrip := func(g *isa.Gen, strip, col int) {
 		cStrip := cBase + uint64(col*n+strip*StripLen)
@@ -188,7 +220,6 @@ func buildRank64Program(in *Rank64Input, mode Mode, aBase, bBase, cBase, workBas
 		}
 		g.Emit(st)
 	}
-	aStrip := func(strip, k int) uint64 { return aBase + uint64(strip*64*StripLen+k*StripLen) }
 
 	if mode == GMCache {
 		s := -1
@@ -274,20 +305,7 @@ func buildRank64Program(in *Rank64Input, mode Mode, aBase, bBase, cBase, workBas
 		}
 		strip, col := s, j
 		emitCStrip(g, strip, col)
-		if mode == GMNoPrefetch {
-			for k := 0; k < 64; k++ {
-				g.Emit(isa.NewVectorLoad(isa.Addr{Space: isa.Global, Word: aStrip(strip, k)}, StripLen, 1, 2, false))
-			}
-		} else {
-			// 256-word prefetch blocks: 8 column strips of A at a time,
-			// aggressively overlapped with the consuming vector ops.
-			for k := 0; k < 64; k += 8 {
-				g.Emit(isa.NewPrefetch(isa.Addr{Space: isa.Global, Word: aStrip(strip, k)}, 8*StripLen, 1))
-				for q := 0; q < 8; q++ {
-					g.Emit(isa.NewVectorLoad(isa.Addr{Space: isa.Global, Word: aStrip(strip, k+q)}, StripLen, 1, 2, true))
-				}
-			}
-		}
+		g.Emit(aOps[strip]...)
 		emitCStore(g, strip, col)
 		s++
 		if s >= strips {

@@ -46,6 +46,11 @@ func init() {
 			if n == 0 {
 				n = m.NumCEs() * StripLen * 2
 			}
+			// Checked before NewCGProblem, which panics on a system too
+			// small for its outer diagonals.
+			if err := checkCGSize(n, m.NumCEs()); err != nil {
+				return workload.Result{}, err
+			}
 			// x, r, q and p, plus two partial sums per CE.
 			if err := m.FitGlobal("kernels: CG", uint64(n), 4, 2*uint64(m.NumCEs())); err != nil {
 				return workload.Result{}, err

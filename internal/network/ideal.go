@@ -43,26 +43,10 @@ type idealPkt struct {
 	arriveAt sim.Cycle
 }
 
-// offerIdeal injects in ideal mode: the packet arrives at its output
-// port after the unloaded transit, subject only to that port's one-word-
-// per-cycle delivery rate and the sink's acceptance.
-func (n *Network) offerIdeal(now sim.Cycle, src int, p *Packet) bool {
-	if !p.BornSet {
-		p.Born = now
-		p.BornSet = true
-	}
-	n.Injected++
-	n.WordsIn += int64(p.Words)
-	transit := sim.Cycle(n.stages + 1)
-	n.idealFlight = append(n.idealFlight, idealPkt{p: p, arriveAt: now + transit})
-	n.wake()
-	return true
-}
-
 // tickIdeal delivers everything whose transit has elapsed, in arrival
 // order, at one word per cycle per output port.
 func (n *Network) tickIdeal(now sim.Cycle) {
-	// offerIdeal appends at now plus a constant transit and now never
+	// inject appends at now plus a constant transit and now never
 	// decreases, and this filter keeps the survivors' order, so the
 	// in-flight slice is always in arrival order, ties in insertion order.
 	remaining := n.idealFlight[:0]

@@ -320,20 +320,31 @@ func (n *Network) SetSink(p int, s Sink) {
 // first-stage input queue cannot accept the packet this cycle; the source
 // must retry (this is how backpressure reaches the processors).
 func (n *Network) Offer(now sim.Cycle, src int, p *Packet) bool {
+	if !n.admit(src, p) {
+		return false
+	}
+	n.inject(now, src, p)
+	return true
+}
+
+// admit validates p and reports whether input port src accepts it this
+// cycle, counting a refusal in Rejected. It neither stamps nor keeps p.
+func (n *Network) admit(src int, p *Packet) bool {
 	if p.Dst < 0 || p.Dst >= n.ports {
 		panic(fmt.Sprintf("network %s: packet destination %d out of range [0,%d)", n.name, p.Dst, n.ports))
 	}
 	if p.Words < 1 || p.Words > 4 {
 		panic(fmt.Sprintf("network %s: packet of %d words (must be 1..4)", n.name, p.Words))
 	}
-	if n.ideal {
-		return n.offerIdeal(now, src, p)
+	if n.ideal || n.entry[src].canAccept(p.Words) {
+		return true
 	}
-	q := &n.entry[src]
-	if !q.canAccept(p.Words) {
-		n.Rejected++
-		return false
-	}
+	n.Rejected++
+	return false
+}
+
+// inject takes an admitted packet into the network at input port src.
+func (n *Network) inject(now sim.Cycle, src int, p *Packet) {
 	if !p.BornSet {
 		// Stamp the injection time once; replies carry BornSet from the
 		// original request so round-trip latency can be measured at the
@@ -342,12 +353,19 @@ func (n *Network) Offer(now sim.Cycle, src int, p *Packet) bool {
 		p.Born = now
 		p.BornSet = true
 	}
-	q.push(p, now)
-	n.entryMask[src>>6] |= 1 << uint(src&63)
+	if n.ideal {
+		// The packet reaches its output port after the unloaded transit
+		// (one cycle per stage plus the entry register), subject only to
+		// that port's one-word-per-cycle delivery rate and the sink's
+		// acceptance.
+		n.idealFlight = append(n.idealFlight, idealPkt{p: p, arriveAt: now + sim.Cycle(n.stages+1)})
+	} else {
+		n.entry[src].push(p, now)
+		n.entryMask[src>>6] |= 1 << uint(src&63)
+	}
 	n.Injected++
 	n.WordsIn += int64(p.Words)
 	n.wake()
-	return true
 }
 
 // AttachWaker implements sim.WakeSink: the engine hands the network its

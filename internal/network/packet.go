@@ -253,14 +253,20 @@ type Pool struct {
 	free []*Packet
 }
 
-// Send takes a packet from the list (a new one when the list is empty),
-// overwrites every field with v, and offers it to n at input port src. A
-// refused packet goes straight back on the list. Overwriting drops the
-// old stamp: with BornSet false in v, n stamps a reused packet afresh.
-// The issuer must call Send only from its own Tick, never while a
-// network ticks: a network may still read a packet it has just
-// delivered until its Tick returns.
-func (pl *Pool) Send(n *Network, now sim.Cycle, src int, v Packet) bool {
+// Send offers the request v to n at input port src. Admission comes
+// first: a refused offer (counted in n.Rejected, validated as Offer
+// validates) takes no packet and copies nothing. An accepted request is
+// copied once, into a packet taken from the list (a new one when the
+// list is empty), which n then owns until the reply comes back.
+// Copying drops the old stamp: with BornSet false in v, n stamps a
+// reused packet afresh. v itself is only read, so a caller's request
+// built on its stack stays there. The issuer must call Send only from
+// its own Tick, never while a network ticks: a network may still read a
+// packet it has just delivered until its Tick returns.
+func (pl *Pool) Send(n *Network, now sim.Cycle, src int, v *Packet) bool {
+	if !n.admit(src, v) {
+		return false
+	}
 	var p *Packet
 	if k := len(pl.free); k > 0 {
 		p = pl.free[k-1]
@@ -268,13 +274,10 @@ func (pl *Pool) Send(n *Network, now sim.Cycle, src int, v Packet) bool {
 	} else {
 		p = new(Packet)
 	}
-	*p = v
+	*p = *v
 	p.home = pl
-	if n.Offer(now, src, p) {
-		return true
-	}
-	pl.Put(p)
-	return false
+	n.inject(now, src, p)
+	return true
 }
 
 // Put returns p to the list. The caller must hold no other reference

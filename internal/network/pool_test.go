@@ -9,7 +9,7 @@ import "testing"
 func TestPoolSendRecycles(t *testing.T) {
 	e, n, sinks := build(t, 64, 8)
 	var pl Pool
-	req := func(src int) Packet { return Packet{Dst: 9, Src: src, Words: 2, Kind: Write, Tag: uint64(src)} }
+	req := func(src int) *Packet { return &Packet{Dst: 9, Src: src, Words: 2, Kind: Write, Tag: uint64(src)} }
 
 	if !pl.Send(n, e.Now(), 0, req(0)) {
 		t.Fatal("first send refused")
@@ -44,7 +44,7 @@ func TestPoolSendRecycles(t *testing.T) {
 	if reused != first {
 		t.Fatalf("port 2 sent %p, want the refused packet %p back from the list", reused, first)
 	}
-	want := req(2)
+	want := *req(2)
 	want.Born, want.BornSet, want.enq, want.home = now, true, reused.enq, &pl
 	if *reused != want {
 		t.Fatalf("reused packet %+v, want %+v", *reused, want)

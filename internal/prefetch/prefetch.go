@@ -86,6 +86,11 @@ type PFU struct {
 	pool  network.Pool // free packets: refused offers and read replies
 	waker sim.Waker
 
+	// req is the request every issue and reissue offers: only its Dst,
+	// Addr and Tag change, so an attempt the network refuses builds no
+	// packet.
+	req network.Packet
+
 	// Armed parameters.
 	length int
 	stride int
@@ -173,7 +178,8 @@ func New(fwd *network.Network, port, pageWords int, pageCost sim.Cycle) *PFU {
 	if pageCost < 0 {
 		pageCost = DefaultPageCrossCycles
 	}
-	u := &PFU{port: port, fwd: fwd, pageWords: pageWords, pageCost: pageCost, spinSeq: -1}
+	u := &PFU{port: port, fwd: fwd, pageWords: pageWords, pageCost: pageCost, spinSeq: -1,
+		req: network.Packet{Src: port, Words: 1, Kind: network.Read}}
 	for s := range u.curTag {
 		u.curTag[s] = uint32(s) // epoch 0: reserved for "never issued"
 	}
@@ -367,14 +373,8 @@ func (u *PFU) tickRetry(now sim.Cycle) bool {
 		u.popOutq()
 		return false
 	}
-	if !u.pool.Send(u.fwd, now, u.port, network.Packet{
-		Dst:   u.route(h.addr),
-		Src:   u.port,
-		Words: 1,
-		Kind:  network.Read,
-		Addr:  h.addr,
-		Tag:   h.tag, // same instance, same tag: the got bit resolves reply/retry races
-	}) {
+	// Same instance, same tag: the got bit resolves reply/retry races.
+	if !u.send(now, h.addr, h.tag) {
 		u.StallCycles++
 		return true
 	}
@@ -425,14 +425,7 @@ func (u *PFU) Tick(now sim.Cycle) {
 	}
 	slot := u.issued % BufferWords
 	tag := nextSlotTag(uint64(u.curTag[slot]))
-	if !u.pool.Send(u.fwd, now, u.port, network.Packet{
-		Dst:   u.route(u.nextAddr),
-		Src:   u.port,
-		Words: 1,
-		Kind:  network.Read,
-		Addr:  u.nextAddr,
-		Tag:   tag,
-	}) {
+	if !u.send(now, u.nextAddr, tag) {
 		u.StallCycles++
 		return
 	}
@@ -454,6 +447,13 @@ func (u *PFU) Tick(now sim.Cycle) {
 		u.PageCrossings++
 		u.resumeAt = now + u.pageCost
 	}
+}
+
+// send offers a read of the word at addr under tag to the forward
+// network, reporting whether it was accepted.
+func (u *PFU) send(now sim.Cycle, addr, tag uint64) bool {
+	u.req.Dst, u.req.Addr, u.req.Tag = u.route(addr), addr, tag
+	return u.pool.Send(u.fwd, now, u.port, &u.req)
 }
 
 // nextSlotTag advances a slot's instance epoch, returning the tag for
@@ -534,6 +534,17 @@ func (u *PFU) Ready() bool {
 	return u.full[u.consumed%BufferWords]
 }
 
+// Pending reports whether the next word in request order is on its way
+// through the network: inside the armed block, fetched (not masked off),
+// and not in the buffer yet. A consumer spinning on a pending word can
+// sleep until Deliver fills its slot, which is exactly when Ready turns
+// true; a masked-off word is filled by the PFU's own issue pointer, and
+// a word past the armed block never arrives.
+func (u *PFU) Pending() bool {
+	return u.consumed < u.length && !u.full[u.consumed%BufferWords] &&
+		(u.mask == nil || u.mask[u.consumed])
+}
+
 // Consume removes and returns the next word in request order. The CE both
 // accesses the buffer without waiting for the whole prefetch and receives
 // the data in the order requested — the role of the full/empty bits. A
@@ -550,12 +561,12 @@ func (u *PFU) Consume() (uint64, bool) {
 		// gang rescheduling can create) lands exactly on this path, so
 		// run the same spin diagnosis as an empty slot — a silent wedge
 		// becomes a named fault in ErrDeadline instead.
-		u.spinWait()
+		u.Spin(1)
 		return 0, false
 	}
 	i := u.consumed % BufferWords
 	if !u.full[i] {
-		u.spinWait()
+		u.Spin(1)
 		return 0, false
 	}
 	u.spinSeq = -1
@@ -567,18 +578,21 @@ func (u *PFU) Consume() (uint64, bool) {
 	return v, true
 }
 
-// spinWait records one failed Consume against the spin diagnosis: repeated
-// failures on the same word index past SpinBound mark the PFU stuck.
-func (u *PFU) spinWait() {
-	u.SpinWaits++
+// Spin records n failed Consume calls on the current next word, for a
+// consumer that slept through n cycles of its spin-wait: SpinWaits, the
+// spin run and the SpinBound diagnosis advance exactly as n calls would.
+// Repeated failures on the same word index past SpinBound mark the PFU
+// stuck.
+func (u *PFU) Spin(n int64) {
+	u.SpinWaits += n
 	if u.spinSeq == u.consumed {
-		u.spinRun++
-		if u.spinRun > SpinBound {
-			u.spinStuck = true
-		}
+		u.spinRun += n
 	} else {
 		u.spinSeq = u.consumed
-		u.spinRun = 1
+		u.spinRun = n
+	}
+	if u.spinRun > SpinBound {
+		u.spinStuck = true
 	}
 }
 

@@ -1,12 +1,14 @@
 package sim
 
-// calendar is the engine's wake calendar: an indexed binary min-heap of
-// registered components keyed by (due cycle, registration index). The
-// index tie-break is load-bearing — components due the same cycle must
-// be processed in registration order so tick order stays bit-identical
-// to the naive scan — and the position index makes moveEarlier (the
-// Wake-reschedule used when external stimulus invalidates a future
-// NextEvent answer) O(log n) instead of a linear search.
+// calendar is the engine's wake calendar heap: an indexed binary
+// min-heap of registered components keyed by (due cycle, registration
+// index), holding only NextEvent answers more than one cycle ahead (the
+// engine's due bitsets hold the rest). The index tie-break is
+// load-bearing — components due the same cycle must be processed in
+// registration order so tick order stays bit-identical to the naive scan
+// — and the position index makes remove (the Wake used when external
+// stimulus invalidates a future NextEvent answer) O(log n) instead of a
+// linear search.
 //
 // Entries are component indices; the at/pos arrays are parallel to the
 // engine's component slice and grown at Register time, so scheduling a
@@ -25,12 +27,8 @@ func (c *calendar) grow() {
 
 func (c *calendar) empty() bool { return len(c.heap) == 0 }
 
-// contains reports whether component i currently has a calendar entry.
-func (c *calendar) contains(i int) bool { return c.pos[i] >= 0 }
-
-// minIdx returns the component index of the earliest entry; minAt its
-// due cycle. Both require a non-empty calendar.
-func (c *calendar) minIdx() int  { return c.heap[0] }
+// minAt returns the due cycle of the earliest entry. It requires a
+// non-empty calendar.
 func (c *calendar) minAt() Cycle { return c.at[c.heap[0]] }
 
 // less orders heap entries by due cycle, ties broken by registration
@@ -54,28 +52,28 @@ func (c *calendar) push(i int, t Cycle) {
 // popMin removes and returns the earliest entry's component index.
 func (c *calendar) popMin() int {
 	i := c.heap[0]
-	c.pos[i] = -1
-	last := len(c.heap) - 1
-	if last > 0 {
-		c.heap[0] = c.heap[last]
-		c.pos[c.heap[0]] = 0
-	}
-	c.heap = c.heap[:last]
-	if last > 0 {
-		c.siftDown(0)
-	}
+	c.remove(i)
 	return i
 }
 
-// moveEarlier reschedules component i to cycle t if t is earlier than
-// its current entry; a later t is ignored (a Wake may never delay an
-// already scheduled event). The component must be scheduled.
-func (c *calendar) moveEarlier(i int, t Cycle) {
-	if t >= c.at[i] {
-		return
+// remove deletes component i's entry, reporting whether it had one.
+func (c *calendar) remove(i int) bool {
+	p := c.pos[i]
+	if p < 0 {
+		return false
 	}
-	c.at[i] = t
-	c.siftUp(c.pos[i])
+	c.pos[i] = -1
+	last := len(c.heap) - 1
+	if p < last {
+		c.heap[p] = c.heap[last]
+		c.pos[c.heap[p]] = p
+	}
+	c.heap = c.heap[:last]
+	if p < last {
+		c.siftDown(p)
+		c.siftUp(p)
+	}
+	return true
 }
 
 // reset removes every entry.

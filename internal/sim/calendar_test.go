@@ -28,7 +28,7 @@ func TestCalendarPopOrder(t *testing.T) {
 		if c.empty() {
 			t.Fatalf("calendar empty before popping (%d, %d)", w.idx, w.at)
 		}
-		if got, at := c.minIdx(), c.minAt(); got != w.idx || at != w.at {
+		if got, at := c.heap[0], c.minAt(); got != w.idx || at != w.at {
 			t.Fatalf("min = (%d, %d), want (%d, %d)", got, at, w.idx, w.at)
 		}
 		if got := c.popMin(); got != w.idx {
@@ -55,23 +55,29 @@ func TestCalendarTiesBreakByRegistrationIndex(t *testing.T) {
 	}
 }
 
-func TestCalendarMoveEarlier(t *testing.T) {
-	c := newTestCalendar(3)
-	c.push(0, 50)
-	c.push(1, 30)
-	c.push(2, 70)
-	// A later time is ignored: a Wake may never delay a scheduled event.
-	c.moveEarlier(1, 90)
-	if c.minIdx() != 1 || c.minAt() != 30 {
-		t.Fatalf("min = (%d, %d) after ignored delay, want (1, 30)", c.minIdx(), c.minAt())
+func TestCalendarRemove(t *testing.T) {
+	c := newTestCalendar(5)
+	for i, at := range []Cycle{50, 30, 70, 10, 40} {
+		c.push(i, at)
 	}
-	// An earlier time reorders the heap.
-	c.moveEarlier(2, 10)
-	if c.minIdx() != 2 || c.minAt() != 10 {
-		t.Fatalf("min = (%d, %d) after moveEarlier, want (2, 10)", c.minIdx(), c.minAt())
+	// Removing an interior entry, the minimum and an absent component:
+	// the heap keeps (cycle, index) order and membership stays exact.
+	if !c.remove(0) || !c.remove(3) {
+		t.Fatal("remove of a scheduled component reported no entry")
 	}
-	if got := []int{c.popMin(), c.popMin(), c.popMin()}; got[0] != 2 || got[1] != 1 || got[2] != 0 {
-		t.Fatalf("pop order %v, want [2 1 0]", got)
+	if c.remove(3) {
+		t.Fatal("remove of an unscheduled component reported an entry")
+	}
+	if c.pos[0] >= 0 || c.pos[3] >= 0 {
+		t.Fatal("removed components still scheduled")
+	}
+	if got := []int{c.popMin(), c.popMin(), c.popMin()}; got[0] != 1 || got[1] != 4 || got[2] != 2 {
+		t.Fatalf("pop order %v, want [1 4 2]", got)
+	}
+	// A removed component can be scheduled again.
+	c.push(3, 5)
+	if c.heap[0] != 3 || c.minAt() != 5 {
+		t.Fatalf("min = (%d, %d) after re-push, want (3, 5)", c.heap[0], c.minAt())
 	}
 }
 
@@ -96,13 +102,13 @@ func TestCalendarResetClearsMembership(t *testing.T) {
 		t.Fatal("calendar not empty after reset")
 	}
 	for i := 0; i < 4; i++ {
-		if c.contains(i) {
+		if c.pos[i] >= 0 {
 			t.Fatalf("component %d still scheduled after reset", i)
 		}
 	}
 	// Entries must be re-pushable after reset.
 	c.push(2, 9)
-	if c.minIdx() != 2 || c.minAt() != 9 {
-		t.Fatalf("min = (%d, %d) after reset+push, want (2, 9)", c.minIdx(), c.minAt())
+	if c.heap[0] != 2 || c.minAt() != 9 {
+		t.Fatalf("min = (%d, %d) after reset+push, want (2, 9)", c.heap[0], c.minAt())
 	}
 }

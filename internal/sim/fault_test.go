@@ -103,7 +103,7 @@ type schedState struct {
 	nDormant            int
 	calHeap             []int
 	calAt               []Cycle
-	nextDue             []int
+	due, next           []uint64
 	lastTick            []Cycle
 }
 
@@ -113,7 +113,8 @@ func snapshot(e *Engine) schedState {
 		nDormant: e.nDormant,
 		dormant:  append([]bool(nil), e.dormant...),
 		calHeap:  append([]int(nil), e.cal.heap...),
-		nextDue:  append([]int(nil), e.nextDue...),
+		due:      append([]uint64(nil), e.due...),
+		next:     append([]uint64(nil), e.next...),
 		lastTick: append([]Cycle(nil), e.lastTick...),
 	}
 	for _, i := range e.cal.heap {

@@ -16,13 +16,16 @@
 // suite precise. The paper's workloads nevertheless contain long quiet
 // stretches — the ≈90 µs XDOALL startup, barrier spin backoffs, drained
 // networks between strips — so the fast engine path runs on a wake
-// calendar: a min-heap keyed by each component's NextEvent cycle (ties
-// broken by registration index, preserving tick order). An executed
+// calendar: bitsets over registration indices mark the components due at
+// the current and the next cycle, and a min-heap keyed by each
+// component's NextEvent cycle (ties broken by registration index) holds
+// answers further ahead. Scanning a due set's bits in ascending order is
+// registration order, so tick order matches the naive scan. An executed
 // cycle touches only the components due at it; everything else costs
 // nothing, so per-cycle host cost is O(components due), not
 // O(components registered). A component whose answer is Never has no
 // calendar entry at all: it is marked dormant until an external
-// stimulus calls Wake on its Handle, which reinserts it at the exact
+// stimulus calls Wake on its Handle, which sets its bit at the exact
 // slot the naive engine would next observe the stimulus. Fast-forward
 // falls out of the same structure — when nothing is due, time jumps to
 // the calendar's minimum. All optimizations are exact: the wake-cached
@@ -35,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 	"time"
 )
@@ -146,8 +150,8 @@ const Never = Cycle(math.MaxInt64)
 // it. A future answer must therefore stay valid until it arrives:
 // external stimulus delivered between the component's tick slots may
 // move the answer later (the calendar re-queries on arrival and
-// reschedules) or call Wake on the component's Handle (which reinserts
-// the calendar entry at the wake slot), but an earlier event without a
+// reschedules) or call Wake on the component's Handle (which makes it
+// due at the wake slot), but an earlier event without a
 // Wake is unobservable. Components whose wake-up time can move earlier
 // outside a waking entry point must return now or Never. A Never answer
 // removes the component from the calendar entirely: it is marked dormant
@@ -246,17 +250,19 @@ type Engine struct {
 	// engine's self-profile, read through Ticks.
 	ticks []int64
 
-	// The wake calendar (fast path only). Every IdleComponent is in
-	// exactly one place at a time: the calendar heap (a future or due
-	// query is scheduled), the due ring (due exactly next cycle — kept
-	// out of the heap to spare push/pop churn in dense phases where
-	// every unit ticks every cycle), or the dormant set (last answer
-	// Never). Components that do not implement IdleComponent live in
+	// The wake calendar (fast path only). Due sets are bitsets over
+	// registration indices, one bit per component. Every IdleComponent is
+	// in exactly one place at a time: due (queried at the cycle being
+	// executed, or between cycles at e.now), next (queried at the cycle
+	// after it), the calendar heap (an answer more than one cycle ahead),
+	// or the dormant set (last answer Never). The two due sets spare the
+	// heap push/pop churn of dense phases where every unit ticks every
+	// cycle. Components that do not implement IdleComponent have a bit in
 	// always and are ticked at every executed cycle.
-	always   []int
+	always   []uint64
+	due      []uint64
+	next     []uint64
 	cal      calendar
-	curDue   []int // due ring being consumed this cycle (scratch)
-	nextDue  []int // due ring for the next cycle, in registration order
 	nDormant int
 
 	mode    EngineMode
@@ -317,14 +323,14 @@ func (e *Engine) SetMode(m EngineMode) {
 // all. The naive path uses no calendar.
 func (e *Engine) rebuild() {
 	e.cal.reset()
-	e.curDue = e.curDue[:0]
-	e.nextDue = e.nextDue[:0]
+	clear(e.due)
+	clear(e.next)
 	if e.mode == ModeNaive {
 		return
 	}
 	for i, ic := range e.idle {
 		if ic != nil {
-			e.cal.push(i, e.now)
+			e.due[i>>6] |= 1 << uint(i&63)
 		}
 	}
 }
@@ -371,12 +377,12 @@ type Handle struct {
 }
 
 // Wake marks the component runnable again after external stimulus. A
-// dormant component (last NextEvent answer Never) is reinserted into the
-// wake calendar at the next cycle if the waker ticks later in
-// registration order than the woken component, or within the current
-// cycle otherwise — exactly when the naive engine would next observe
-// the stimulus. Waking a component that already has a calendar entry
-// pulls the entry forward to that same slot if it was later — a
+// dormant component (last NextEvent answer Never) becomes due at the
+// next cycle if the waker ticks later in registration order than the
+// woken component, or within the current cycle otherwise — exactly when
+// the naive engine would next observe the stimulus. Waking a component
+// that has a calendar heap entry (an answer more than one cycle ahead)
+// removes the entry and makes the component due at that same slot — a
 // query-only perturbation (the re-query either ticks the component,
 // exactly as the naive engine would, or reschedules it), which is what
 // lets stimulus invalidate a previously reported future event: an
@@ -390,31 +396,27 @@ func (h Handle) Wake() {
 }
 
 // wake implements Handle.Wake and Engine.Wake for component index i.
+// A component already due this cycle or next is queried no later than
+// the wake slot, so it needs nothing; the naive path keeps no calendar.
 func (e *Engine) wake(i int) {
+	if e.mode == ModeNaive {
+		return
+	}
 	if e.dormant[i] {
 		e.dormant[i] = false
 		e.nDormant--
-		e.cal.push(i, e.wakeSlot(i))
+	} else if !e.cal.remove(i) {
 		return
 	}
-	// Non-dormant: pull a scheduled future query forward to the wake
-	// slot. Components in the due ring or mid-pop are already
-	// (re-)queried no later than the wake slot, so they need nothing. The
-	// naive path keeps no calendar at all.
-	if e.mode != ModeNaive && e.cal.contains(i) {
-		e.cal.moveEarlier(i, e.wakeSlot(i))
-	}
-}
-
-// wakeSlot is the cycle at which a component woken right now must next
-// be queried: the cycle being executed when its tick slot is still
-// ahead of the waker's, the next cycle otherwise. Between cycles
-// (ticking false) e.now is the next cycle to execute.
-func (e *Engine) wakeSlot(i int) Cycle {
+	// The wake slot: the cycle being executed when i's tick slot is still
+	// ahead of the waker's, the next cycle otherwise. Between cycles
+	// (ticking false) due holds the components due at e.now, the next
+	// cycle to execute.
 	if e.ticking && i <= e.curIdx {
-		return e.now + 1
+		e.next[i>>6] |= 1 << uint(i&63)
+	} else {
+		e.due[i>>6] |= 1 << uint(i&63)
 	}
-	return e.now
 }
 
 // Waker is the stimulus-notification half of the wake API: anything that
@@ -451,17 +453,23 @@ func (e *Engine) Register(name string, c Component) Handle {
 	e.ticks = append(e.ticks, 0)
 	e.cal.grow()
 	i := len(e.comps) - 1
+	w, bit := i>>6, uint64(1)<<uint(i&63)
+	if w == len(e.due) {
+		e.always = append(e.always, 0)
+		e.due = append(e.due, 0)
+		e.next = append(e.next, 0)
+	}
 	if ic == nil {
 		// No quiescence view: ticked at every executed cycle.
-		e.always = append(e.always, i)
+		e.always[w] |= bit
 	} else if e.mode != ModeNaive {
-		at := e.now
 		if e.ticking {
 			// Mid-cycle registration joins from the next cycle, matching
 			// the naive path's snapshot of the component slice.
-			at++
+			e.next[w] |= bit
+		} else {
+			e.due[w] |= bit
 		}
-		e.cal.push(i, at)
 	}
 	h := Handle{eng: e, idx: i}
 	if ws, ok := c.(WakeSink); ok {
@@ -535,22 +543,23 @@ func (e *Engine) MidCycle() bool { return e.ticking }
 // advance executes the cycle at e.now on the wake-cached path, then
 // moves time forward: by one cycle normally, or in a single jump to the
 // wake calendar's minimum when no component had work, capped at limit.
-// The cycle's candidates are merged in ascending registration index from
-// three sources — the always-active components, the due ring (components
-// the previous cycle scheduled for this one), and calendar entries whose
-// due cycle has arrived — so tick order is bit-identical to the naive
-// scan. Each candidate's NextEvent is queried at its own slot, never
-// from a snapshot: stimulus generated by an earlier-in-order component
-// the same cycle is observed exactly as on the naive path, because a
-// mid-cycle Wake inserts the woken component's calendar entry at this
-// cycle when its slot is still ahead (the merge picks it up in order)
-// and at the next cycle otherwise.
+// The cycle's candidates are the due set — components the previous
+// cycle scheduled for this one, calendar entries whose cycle has
+// arrived, and the always-active components — scanned in ascending bit
+// order, which is registration order, so tick order is bit-identical to
+// the naive scan. Each candidate's NextEvent is queried at its own slot,
+// never from a snapshot: stimulus generated by an earlier-in-order
+// component the same cycle is observed exactly as on the naive path,
+// because a mid-cycle Wake sets the woken component's bit in this
+// cycle's set when its slot is still ahead (the scan re-reads the word
+// and picks it up in order) and in the next cycle's set otherwise.
 //
-// A queried component is then rescheduled by its answer: at its slot
-// next cycle after a tick (re-querying each executed cycle is what the
-// naive path observes), at a future cycle it named, or into the dormant
-// set on Never. A jump happens only when no component ticked at all,
-// which guarantees every calendar entry is still valid.
+// A queried component is then rescheduled by its answer: into the next
+// cycle's set after a tick (re-querying each executed cycle is what the
+// naive path observes) or on an answer of now+1, onto the heap for an
+// answer further ahead, or into the dormant set on Never. A jump happens
+// only when no component ticked at all, which guarantees every calendar
+// entry is still valid.
 func (e *Engine) advance(limit Cycle) {
 	e.maybeSample()
 	now := e.now
@@ -558,72 +567,61 @@ func (e *Engine) advance(limit Cycle) {
 	// either ticks at an executed cycle or counts as an elided tick, and
 	// each component dormant as the cycle begins counts a dormant skip.
 	e.DormantSkips += int64(e.nDormant)
-	e.curDue, e.nextDue = e.nextDue, e.curDue[:0]
-	di, ai := 0, 0
+	for !e.cal.empty() && e.cal.minAt() <= now {
+		i := e.cal.popMin()
+		e.due[i>>6] |= 1 << uint(i&63)
+	}
+	for w, a := range e.always {
+		e.due[w] |= a
+	}
 	nTicked := 0
 	e.ticking = true
-	e.curIdx = -1
-	for {
-		// Next candidate: the smallest registration index among the three
-		// sources. The calendar is consulted live so entries inserted
-		// mid-cycle by Wake are merged in order.
-		idx := -1
-		src := srcAlways
-		if ai < len(e.always) {
-			idx = e.always[ai]
-		}
-		if di < len(e.curDue) && (idx < 0 || e.curDue[di] < idx) {
-			idx, src = e.curDue[di], srcDue
-		}
-		if !e.cal.empty() && e.cal.minAt() <= now {
-			if j := e.cal.minIdx(); idx < 0 || j < idx {
-				idx, src = j, srcCal
-			}
-		}
-		if idx < 0 {
-			break
-		}
-		switch src {
-		case srcAlways:
-			ai++
-		case srcDue:
-			di++
-		case srcCal:
-			e.cal.popMin()
-		}
-		e.curIdx = idx
-		if src != srcAlways {
-			ne := e.idle[idx].NextEvent(now)
-			if ne > now {
-				if ne == Never {
-					e.dormant[idx] = true
-					e.nDormant++
-				} else if ne == now+1 {
-					e.nextDue = append(e.nextDue, idx)
-				} else {
-					e.cal.push(idx, ne)
+	// The word is re-read after every candidate: a Wake during the slot
+	// may set a later bit in it, or in a later word, and registration
+	// mid-cycle may grow the sets.
+	for w := 0; w < len(e.due); w++ {
+		for e.due[w] != 0 {
+			m := e.due[w]
+			b := bits.TrailingZeros64(m)
+			e.due[w] = m & (m - 1)
+			idx := w<<6 | b
+			e.curIdx = idx
+			if ic := e.idle[idx]; ic != nil {
+				ne := ic.NextEvent(now)
+				if ne > now {
+					if ne == Never {
+						e.dormant[idx] = true
+						e.nDormant++
+					} else if ne == now+1 {
+						e.next[w] |= 1 << uint(b)
+					} else {
+						e.cal.push(idx, ne)
+					}
+					continue
 				}
-				continue
+				// Ticked components are due again next cycle: the re-query
+				// at their next slot is exactly what the scan engine did
+				// every executed cycle, and it keeps stale answers
+				// impossible.
+				e.next[w] |= 1 << uint(b)
 			}
-			// Ticked components are due again next cycle: the re-query at
-			// their next slot is exactly what the scan engine did every
-			// executed cycle, and it keeps stale answers impossible.
-			e.nextDue = append(e.nextDue, idx)
+			if sa := e.skip[idx]; sa != nil && e.lastTick[idx]+1 < now {
+				sa.SkipCycles(e.lastTick[idx]+1, now)
+			}
+			e.lastTick[idx] = now
+			e.comps[idx].Tick(now)
+			e.ticks[idx]++
+			nTicked++
 		}
-		if sa := e.skip[idx]; sa != nil && e.lastTick[idx]+1 < now {
-			sa.SkipCycles(e.lastTick[idx]+1, now)
-		}
-		e.lastTick[idx] = now
-		e.comps[idx].Tick(now)
-		e.ticks[idx]++
-		nTicked++
 	}
 	e.curIdx = -1
 	e.ticking = false
 	e.SkippedTicks += int64(len(e.comps) - nTicked)
+	// The scan emptied due; the next cycle's set becomes the due set.
+	e.due, e.next = e.next, e.due
 	if nTicked == 0 {
 		target := Never
-		if len(e.nextDue) > 0 {
+		if anySet(e.due) {
 			// A component answered now+1 without ticking: the next cycle
 			// is pinned even though the calendar heap does not hold it.
 			target = now + 1
@@ -634,7 +632,7 @@ func (e *Engine) advance(limit Cycle) {
 			target = limit
 		}
 		// Land exactly on the next sample boundary so the probe observes
-		// it; the landing runs the due-candidate merge but ticks nothing.
+		// it; the landing queries the due candidates but ticks nothing.
 		if target > e.nextSample {
 			target = e.nextSample
 		}
@@ -647,12 +645,15 @@ func (e *Engine) advance(limit Cycle) {
 	e.now++
 }
 
-// Candidate sources of advance's per-cycle merge loop.
-const (
-	srcAlways = iota
-	srcDue
-	srcCal
-)
+// anySet reports whether a bitset has any bit set.
+func anySet(set []uint64) bool {
+	for _, w := range set {
+		if w != 0 {
+			return true
+		}
+	}
+	return false
+}
 
 // Settle flushes deferred skip accounting: every SkipAware component is
 // credited for the cycles [lastTick+1, now) the engine never executed for
@@ -762,7 +763,7 @@ func (e *Engine) faulted() []string {
 // stuckDormant returns the names of dormant components when they are
 // provably the only possible source of progress: at least one component
 // is dormant and nothing else is scheduled anywhere — no always-active
-// component, no calendar entry and no due-ring entry. The decision reads
+// component, no due component and no calendar entry. The decision reads
 // only the engine's own scheduling state; it never re-queries
 // NextEvent, so a failed RunUntil cannot reinsert, reschedule, or
 // otherwise perturb a component — the engine is left bit-identical for
@@ -771,7 +772,7 @@ func (e *Engine) stuckDormant() []string {
 	if e.nDormant == 0 {
 		return nil
 	}
-	if len(e.always) > 0 || !e.cal.empty() || len(e.nextDue) > 0 {
+	if anySet(e.always) || anySet(e.due) || !e.cal.empty() {
 		return nil
 	}
 	names := make([]string, 0, e.nDormant)
