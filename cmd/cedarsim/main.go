@@ -200,7 +200,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		if err := telemetry.WriteTrace(f, sampler, nil); err != nil {
+		if err := telemetry.WriteTrace(f, sampler); err != nil {
 			fail(err)
 		}
 		if err := f.Close(); err != nil {

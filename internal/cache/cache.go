@@ -366,24 +366,6 @@ func (c *Cache) writeback(now sim.Cycle) {
 	c.Writebacks++
 }
 
-// Quiet reports whether the cache is quiescent at cycle now: no fill in
-// flight and the cluster-memory port free. The cache is not a
-// sim.Component — every cost is charged synchronously inside Access, so
-// it needs no tick to make progress and is quiescent by construction
-// whenever its CEs are; this predicate exists for introspection and for
-// asserting that property in tests.
-func (c *Cache) Quiet(now sim.Cycle) bool {
-	if c.memFree > now {
-		return false
-	}
-	for _, t := range c.fills {
-		if t > now {
-			return false
-		}
-	}
-	return true
-}
-
 // OutstandingMisses reports CE ce's in-flight fill count at cycle now.
 func (c *Cache) OutstandingMisses(ce int, now sim.Cycle) int {
 	c.pruneOutstanding(ce, now)

@@ -96,16 +96,19 @@ const (
 	SyncTagBase uint64 = 1 << 28
 )
 
-// inflightReq is one outstanding memory element in a vector stream or a
-// scalar access, consumed in issue order. Global-space entries carry
-// their word address and, when request-layer recovery is enabled, a
-// per-entry reissue deadline; cluster-space entries are created already
-// arrived (tag 0) and never retried.
+// inflightReq is one outstanding memory request, consumed in issue
+// order: an element of a vector stream, or the single entry of a global
+// scalar read or sync, whose reply's value and status it keeps.
+// Global-space entries carry their word address and, when request-layer
+// recovery is enabled, a per-entry reissue deadline; cluster-space
+// entries are created already arrived (tag 0) and never retried.
 type inflightReq struct {
 	tag      uint64
 	addr     uint64
 	arrived  bool
+	ok       bool
 	usableAt sim.Cycle
+	v        int64
 	retries  int
 	retryAt  sim.Cycle
 }
@@ -125,7 +128,7 @@ type parkMark struct {
 
 // lostReq records the pending request of an exhausted retry, for the
 // FaultReason diagnosis. what names the request class ("scalar read" or
-// "vector element read").
+// "vector element read"), from the kind of the operation that issued it.
 type lostReq struct {
 	what    string
 	tag     uint64
@@ -159,25 +162,19 @@ type CE struct {
 	finishAt sim.Cycle
 
 	// Vector state.
-	vIssued     int
-	vDone       int
-	startupEnd  sim.Cycle
+	vIssued    int
+	vDone      int
+	startupEnd sim.Cycle
+
+	// Outstanding requests: a vector stream's elements, or a global
+	// scalar read's or sync's single entry.
 	inflight    []inflightReq
 	nextTag     uint64
 	nextSyncTag uint64
 
-	// Scalar/sync reply state.
-	waitTag      uint64
-	replyArrived bool
-	replyUsable  sim.Cycle
-	replyV       int64
-	replyOK      bool
-
 	// Request-layer recovery state (active only with cfg.ReadTimeout set).
-	reqRetries int
-	reqRetryAt sim.Cycle
-	stale      []uint64
-	lost       *lostReq
+	stale []uint64
+	lost  *lostReq
 
 	// I/O state: ioDone flips when the completion callback fires and
 	// ioComp carries the handle the next tick consumes.
@@ -369,8 +366,8 @@ func (c *CE) CheckStopped() bool { return c.checkStopped }
 // completions) report their expiry. A scalar read or sync awaiting its
 // reply only counts StallMem until Deliver wakes it, so it reports Never
 // (a read with a reissue deadline reports the deadline) and SkipCycles
-// credits the elided stalls. Once the reply is in, a read retires at
-// replyUsable and a sync starts its SyncExtra timer at its next tick.
+// credits the elided stalls. Once the reply is in, a read retires when
+// it is usable and a sync starts its SyncExtra timer at its next tick.
 // A vector load that can neither consume nor issue parks the same way
 // (see vectorNextEvent).
 func (c *CE) NextEvent(now sim.Cycle) sim.Cycle {
@@ -394,12 +391,14 @@ func (c *CE) NextEvent(now sim.Cycle) sim.Cycle {
 			return c.finishAt
 		case c.finishAt == -1:
 			return now // structural retry: stall-counts every cycle
-		case c.replyArrived && c.cur.Kind == isa.Sync:
+		}
+		switch h := &c.inflight[0]; {
+		case h.arrived && c.cur.Kind == isa.Sync:
 			return now
-		case c.replyArrived:
-			return c.replyUsable
+		case h.arrived:
+			return h.usableAt
 		case c.cur.Kind == isa.Scalar && c.cfg.ReadTimeout > 0:
-			return c.reqRetryAt
+			return h.retryAt
 		}
 		return sim.Never // awaiting the reply: Deliver wakes the CE
 	case isa.IO:
@@ -528,19 +527,11 @@ func (c *CE) Deliver(now sim.Cycle, p *network.Packet) bool {
 		return ok
 	}
 	defer c.pool.Put(p)
-	usable := now + c.cfg.XferCycles
-	if p.Tag == c.waitTag && c.waitTag != 0 {
-		c.replyArrived = true
-		c.replyUsable = usable
-		c.replyV = int64(p.Value)
-		c.replyOK = p.OK
-		c.wake()
-		return true
-	}
 	for i := range c.inflight {
-		if c.inflight[i].tag == p.Tag {
-			c.inflight[i].arrived = true
-			c.inflight[i].usableAt = usable
+		if h := &c.inflight[i]; h.tag == p.Tag {
+			h.arrived = true
+			h.usableAt = now + c.cfg.XferCycles
+			h.v, h.ok = int64(p.Value), p.OK
 			if i == 0 {
 				c.wake()
 			}
@@ -676,7 +667,7 @@ func (c *CE) parkBucket(at sim.Cycle) isa.Bucket {
 		}
 		return isa.AcctVectorWait // the startup fill, a direct operand wait
 	case isa.Scalar:
-		if c.finishAt == -2 && c.reqRetries > 0 {
+		if c.finishAt == -2 && c.inflight[0].retries > 0 {
 			return isa.AcctRecovery // parked on a reissued read
 		}
 		return isa.AcctScalarWait // reply wait, posted-write / cache-ready timers
@@ -695,8 +686,6 @@ func (c *CE) start(op *isa.Op, now sim.Cycle) {
 	c.cur = op
 	c.vIssued, c.vDone = 0, 0
 	c.inflight = c.inflight[:0]
-	c.replyArrived = false
-	c.waitTag = 0
 	switch op.Kind {
 	case isa.Compute:
 		cost := op.Cycles
@@ -844,7 +833,7 @@ func (c *CE) tickVector(now sim.Cycle) isa.Bucket {
 	// Issue (not needed for the prefetch path: the PFU issues). A head
 	// reissue owns the cycle's injection slot: the retry packet and a
 	// fresh element request must not race for the same network port.
-	reissuing := !op.UsePrefetch && c.retryVectorHead(now)
+	reissuing := !op.UsePrefetch && c.retryHead(now)
 	if !op.UsePrefetch && !reissuing && c.vIssued < op.N && len(c.inflight) < c.cfg.MaxOutstanding {
 		addr := op.Base.Word + uint64(c.vIssued*op.Stride)
 		if op.Base.Space == isa.Global {
@@ -887,15 +876,18 @@ func (c *CE) tickVector(now sim.Cycle) isa.Bucket {
 	return isa.AcctVectorWait
 }
 
-// retryVectorHead applies the per-entry deadline to the head of the
-// inflight queue: an unanswered global element whose deadline has passed
-// is reissued under a fresh tag (the old tag retires through the stale
-// ring so its late reply is swallowed), with the same exponential
-// backoff as the scalar path. Head-only, like the PFU's reissue: in-order
+// retryHead applies the per-entry deadline to the head of the inflight
+// queue, a vector stream's or a scalar read's: an unanswered global read
+// whose deadline has passed is reissued under a fresh tag (the old tag
+// retires through the stale ring so its late reply is swallowed), with
+// exponential backoff. Head-only, like the PFU's reissue: in-order
 // consumption means a younger element's deadline only matters once it
-// becomes the head. Returns true when this cycle's injection slot was
-// spent on a retry attempt (successful or refused).
-func (c *CE) retryVectorHead(now sim.Cycle) bool {
+// becomes the head. Once MaxRetries is exhausted the request is recorded
+// for FaultReason and the CE keeps waiting (the surrounding RunUntil
+// budget converts the wedge into a diagnosable error). Syncs never come
+// here. Returns true when this cycle's injection slot was spent on a
+// retry attempt (successful or refused).
+func (c *CE) retryHead(now sim.Cycle) bool {
 	if c.cfg.ReadTimeout <= 0 || len(c.inflight) == 0 {
 		return false
 	}
@@ -906,7 +898,11 @@ func (c *CE) retryVectorHead(now sim.Cycle) bool {
 	if h.retries >= c.cfg.MaxRetries {
 		if c.lost == nil {
 			c.RetriesExhausted++
-			c.lost = &lostReq{what: "vector element read", tag: h.tag, addr: h.addr, retries: h.retries}
+			what := "vector element read"
+			if c.cur.Kind == isa.Scalar {
+				what = "scalar read"
+			}
+			c.lost = &lostReq{what: what, tag: h.tag, addr: h.addr, retries: h.retries}
 		}
 		return false
 	}
@@ -920,11 +916,7 @@ func (c *CE) retryVectorHead(now sim.Cycle) bool {
 	h.tag = tag
 	c.Retries++
 	h.retries++
-	shift := uint(h.retries)
-	if shift > 6 {
-		shift = 6
-	}
-	h.retryAt = now + c.cfg.ReadTimeout<<shift
+	h.retryAt = now + c.cfg.ReadTimeout<<min(h.retries, 6)
 	return true
 }
 
@@ -975,7 +967,6 @@ func (c *CE) startScalar(op *isa.Op, now sim.Cycle) {
 		if !c.pool.Send(c.fwd, now, c.Port, &network.Packet{Dst: c.route(op.ScalarAddr.Word), Src: c.Port, Words: words,
 			Kind: kind, Addr: op.ScalarAddr.Word, Tag: tag, Phantom: true}) {
 			// Retry from tickScalar.
-			c.waitTag = 0
 			c.finishAt = -1
 			c.StallNet++
 			return
@@ -983,12 +974,12 @@ func (c *CE) startScalar(op *isa.Op, now sim.Cycle) {
 		if op.ScalarWrite {
 			c.finishAt = now + 1 // posted
 		} else {
-			c.waitTag = tag
-			c.finishAt = -2 // waiting on reply
+			req := inflightReq{tag: tag, addr: op.ScalarAddr.Word}
 			if c.cfg.ReadTimeout > 0 {
-				c.reqRetries = 0
-				c.reqRetryAt = now + c.cfg.ReadTimeout
+				req.retryAt = now + c.cfg.ReadTimeout
 			}
+			c.inflight = append(c.inflight, req)
+			c.finishAt = -2 // waiting on reply
 		}
 		return
 	}
@@ -1016,15 +1007,14 @@ func (c *CE) tickScalar(now sim.Cycle) isa.Bucket {
 		c.startScalar(c.cur, now)
 		return isa.AcctScalarWait
 	case c.finishAt == -2: // waiting on global reply
-		if c.replyArrived && now >= c.replyUsable {
-			c.complete(now, c.replyV, c.replyOK)
+		h := &c.inflight[0]
+		if h.arrived && now >= h.usableAt {
+			c.complete(now, h.v, h.ok)
 			return isa.AcctBusy
 		}
 		c.StallMem++
-		if c.cfg.ReadTimeout > 0 && !c.replyArrived && now >= c.reqRetryAt {
-			c.retryScalar(now)
-		}
-		if c.reqRetries > 0 {
+		c.retryHead(now)
+		if h.retries > 0 {
 			return isa.AcctRecovery
 		}
 		return isa.AcctScalarWait
@@ -1035,37 +1025,6 @@ func (c *CE) tickScalar(now sim.Cycle) isa.Bucket {
 		}
 		return isa.AcctScalarWait
 	}
-}
-
-// retryScalar reissues the pending global read under a fresh tag after
-// its deadline expired, with exponential backoff; once MaxRetries is
-// exhausted the request is recorded for FaultReason and the CE keeps
-// waiting (the surrounding RunUntil budget converts the wedge into a
-// diagnosable error).
-func (c *CE) retryScalar(now sim.Cycle) {
-	op := c.cur
-	if c.reqRetries >= c.cfg.MaxRetries {
-		if c.lost == nil {
-			c.RetriesExhausted++
-			c.lost = &lostReq{what: "scalar read", tag: c.waitTag, addr: op.ScalarAddr.Word, retries: c.reqRetries}
-		}
-		return
-	}
-	tag := c.newTag()
-	if !c.pool.Send(c.fwd, now, c.Port, &network.Packet{Dst: c.route(op.ScalarAddr.Word), Src: c.Port, Words: 1,
-		Kind: network.Read, Addr: op.ScalarAddr.Word, Tag: tag, Phantom: true}) {
-		c.StallNet++
-		return // port busy: try again next cycle (deadline already due)
-	}
-	c.forgetTag(c.waitTag)
-	c.waitTag = tag
-	c.Retries++
-	c.reqRetries++
-	shift := uint(c.reqRetries)
-	if shift > 6 {
-		shift = 6
-	}
-	c.reqRetryAt = now + c.cfg.ReadTimeout<<shift
 }
 
 // FaultReason implements sim.FaultReporter: non-empty once a read's
@@ -1086,7 +1045,7 @@ func (c *CE) startSync(op *isa.Op, now sim.Cycle) {
 		c.StallNet++
 		return
 	}
-	c.waitTag = tag
+	c.inflight = append(c.inflight, inflightReq{tag: tag, addr: op.SyncAddr})
 	c.finishAt = -2
 }
 
@@ -1099,7 +1058,7 @@ func (c *CE) tickSync(now sim.Cycle) isa.Bucket {
 		c.startSync(c.cur, now)
 		return isa.AcctSyncWait
 	case c.finishAt == -2:
-		if c.replyArrived {
+		if c.inflight[0].arrived {
 			c.finishAt = now + c.cfg.SyncExtra
 		} else {
 			c.StallMem++
@@ -1107,7 +1066,8 @@ func (c *CE) tickSync(now sim.Cycle) isa.Bucket {
 		return isa.AcctSyncWait
 	default:
 		if now >= c.finishAt {
-			c.complete(now, c.replyV, c.replyOK)
+			h := c.inflight[0]
+			c.complete(now, h.v, h.ok)
 			return isa.AcctBusy
 		}
 		return isa.AcctSyncWait

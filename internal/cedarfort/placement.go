@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/isa"
-	"repro/internal/perfmon"
 	"repro/internal/sim"
 )
 
@@ -71,18 +70,6 @@ func MoveOps(dst, src isa.Addr, n int, do func()) []*isa.Op {
 		ops[len(ops)-1].Do = do
 	}
 	return ops
-}
-
-// TraceOp returns an operation that posts a software event to the
-// performance-monitoring hardware when it executes — the paper's "it is
-// also possible to post events to the performance hardware from programs
-// executing on Cedar". Posting costs a cycle on the CE.
-func (r *Runtime) TraceOp(tr *perfmon.Tracer, kind uint16, arg int64) *isa.Op {
-	op := isa.NewCompute(1)
-	op.Do = func() {
-		tr.Post(r.M.Eng.Now(), kind, arg)
-	}
-	return op
 }
 
 // MoveSeconds estimates the duration of a move of n words at the

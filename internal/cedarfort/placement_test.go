@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/isa"
-	"repro/internal/perfmon"
 	"repro/internal/sim"
 )
 
@@ -97,33 +96,6 @@ func TestMoveOpsRoundTrip(t *testing.T) {
 	if _, err := m.RunUntilIdle(100000); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestSoftwareEventPosting: programs post time-stamped events to the
-// monitoring hardware; the stamps are the completion cycles in order.
-func TestSoftwareEventPosting(t *testing.T) {
-	m := testMachine(1)
-	r := New(m, DefaultConfig())
-	tr := perfmon.NewTracer(16)
-	m.Dispatch(0, isa.NewSeq(
-		r.TraceOp(tr, 1, 10),
-		isa.NewCompute(100),
-		r.TraceOp(tr, 2, 20),
-	))
-	if _, err := m.RunUntilIdle(10000); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() != 2 {
-		t.Fatalf("%d events, want 2", tr.Len())
-	}
-	e0, e1 := tr.Events[0], tr.Events[1]
-	if e0.Kind != 1 || e0.Arg != 10 || e1.Kind != 2 || e1.Arg != 20 {
-		t.Fatalf("events %+v %+v", e0, e1)
-	}
-	if gap := e1.Cycle - e0.Cycle; gap < 100 {
-		t.Fatalf("events %d cycles apart, want >= the 100-cycle compute", gap)
-	}
-	_ = sim.Cycle(0)
 }
 
 // TestIOParksAndSerializes: the BDNA story on the simulator — Ctx.IO

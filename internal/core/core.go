@@ -194,7 +194,7 @@ func New(cfg Config) (*Machine, error) {
 	}
 	m := &Machine{cfg: cfg, Eng: eng, Fwd: fwd, Rev: rev, Global: g, IOWait: xylem.NewIOWait()}
 	if cfg.Fault.Enabled() {
-		m.Resched = xylem.NewRescheduler(cfg.Fault.RescheduleLatency)
+		m.Resched = xylem.NewRescheduler(fault.RescheduleLatency)
 	}
 
 	// Global memory modules sink the forward network; the module index

@@ -38,7 +38,7 @@ type Kind uint8
 
 const (
 	// NetStall blocks one network resource (an entry register, a switch
-	// output port, or a delivery link) for StallWindow cycles.
+	// output port, or a delivery link) for stallWindow cycles.
 	NetStall Kind = iota
 	// NetDrop discards one in-flight prefetch packet (request or reply).
 	// Only prefetch-tagged Read/Reply packets are droppable by this
@@ -46,28 +46,28 @@ const (
 	// droppable (the Test-And-Operate at the module is not idempotent).
 	NetDrop
 	// MemBusy makes one memory module refuse to start service for
-	// BusyWindow cycles (a controller check-stop with fast restart).
+	// busyWindow cycles (a controller check-stop with fast restart).
 	MemBusy
 	// MemDegrade puts one module in an ECC-retry regime: it keeps serving
-	// for DegradeWindow cycles but each access costs DegradePenalty extra.
+	// for degradeWindow cycles but each access costs degradePenalty extra.
 	MemDegrade
 	// CheckStop halts one CE at its next instruction boundary until the
 	// injector repairs it RepairWindow cycles later; a held program is
 	// surrendered for gang rescheduling.
 	CheckStop
 	// IPBusy occupies one cluster's interactive processor with non-I/O
-	// work for IPBusyWindow cycles: queued transfers wait, a transfer
+	// work for ipBusyWindow cycles: queued transfers wait, a transfer
 	// already in flight drains normally.
 	IPBusy
 	// IPDelay inflates the service time of the next transfer an IP
-	// starts by IPDelayPenalty cycles (a slow seek / retried sector).
+	// starts by ipDelayPenalty cycles (a slow seek / retried sector).
 	IPDelay
 	// CacheBankBusy monopolizes one cluster-cache bank for
-	// CacheBusyWindow cycles: all of the bank's ports refuse service
+	// cacheBusyWindow cycles: all of the bank's ports refuse service
 	// until the window expires. Recovery is structural — every cache
 	// client already retries refused accesses next cycle.
 	CacheBankBusy
-	// BusStall stalls one cluster's concurrency bus for BusStallWindow
+	// BusStall stalls one cluster's concurrency bus for busStallWindow
 	// cycles: claim and concurrent-start operations beginning inside the
 	// window are stretched by its remainder.
 	BusStall
@@ -116,6 +116,22 @@ func KindNames() []string {
 	return names
 }
 
+// Fault windows and penalties, in cycles.
+const (
+	stallWindow     sim.Cycle = 20  // network resource stall
+	busyWindow      sim.Cycle = 30  // memory-module busy fault
+	degradeWindow   sim.Cycle = 200 // memory-module ECC-retry regime
+	degradePenalty  sim.Cycle = 2   // extra cost of each access while degraded
+	ipBusyWindow    sim.Cycle = 400 // interactive-processor busy fault
+	ipDelayPenalty  sim.Cycle = 120 // extra service time of a delayed transfer
+	cacheBusyWindow sim.Cycle = 25  // cache-bank busy fault
+	busStallWindow  sim.Cycle = 40  // concurrency-bus stall
+)
+
+// RescheduleLatency is the Xylem kernel cost, in cycles, of
+// redispatching a cluster task surrendered by a check-stopped CE.
+const RescheduleLatency sim.Cycle = 500
+
 // Config parameterizes the fault schedule and the recovery knobs the
 // machine builder pushes into the affected layers.
 type Config struct {
@@ -125,41 +141,14 @@ type Config struct {
 	// zero disables the subsystem entirely (no injector is built, and
 	// the machine is bit-identical to a fault-free build).
 	MeanInterval sim.Cycle
-
-	// Enable flags per fault class. DefaultConfig enables all.
-	EnableNetStall      bool
-	EnableNetDrop       bool
-	EnableMemBusy       bool
-	EnableMemDegrade    bool
-	EnableCheckStop     bool
-	EnableIPBusy        bool
-	EnableIPDelay       bool
-	EnableCacheBankBusy bool
-	EnableBusStall      bool
-	EnableCEDrop        bool
-
-	// StallWindow is the duration of a network resource stall.
-	StallWindow sim.Cycle
-	// BusyWindow is the duration of a memory-module busy fault.
-	BusyWindow sim.Cycle
-	// DegradeWindow and DegradePenalty shape a module's ECC-retry regime.
-	DegradeWindow  sim.Cycle
-	DegradePenalty sim.Cycle
+	// Kinds are the fault classes the schedule draws from, each at most
+	// once and in declaration order: the schedule's random draw indexes
+	// into the list, so its order is part of the seed's schedule.
+	// DefaultConfig lists every kind; EnableOnly selects by name.
+	Kinds []Kind
 	// RepairWindow is how long a check-stopped CE stays down before the
 	// injector repairs it.
 	RepairWindow sim.Cycle
-	// RescheduleLatency is the Xylem kernel cost of redispatching a
-	// surrendered cluster task.
-	RescheduleLatency sim.Cycle
-	// IPBusyWindow is the duration of an interactive-processor busy
-	// fault; IPDelayPenalty the extra service time of a delayed
-	// transfer.
-	IPBusyWindow   sim.Cycle
-	IPDelayPenalty sim.Cycle
-	// CacheBusyWindow is the duration of a cache-bank busy fault;
-	// BusStallWindow the duration of a concurrency-bus stall.
-	CacheBusyWindow sim.Cycle
-	BusStallWindow  sim.Cycle
 	// ReadTimeout and MaxRetries are the request-layer recovery knobs the
 	// builder pushes into every CE and PFU when the subsystem is enabled.
 	ReadTimeout sim.Cycle
@@ -170,106 +159,48 @@ type Config struct {
 // enabled and the schedule disabled (MeanInterval zero) until a rate is
 // chosen.
 func DefaultConfig(seed uint64) Config {
+	kinds := make([]Kind, numKinds)
+	for i := range kinds {
+		kinds[i] = Kind(i)
+	}
 	return Config{
-		Seed:                seed,
-		EnableNetStall:      true,
-		EnableNetDrop:       true,
-		EnableMemBusy:       true,
-		EnableMemDegrade:    true,
-		EnableCheckStop:     true,
-		EnableIPBusy:        true,
-		EnableIPDelay:       true,
-		EnableCacheBankBusy: true,
-		EnableBusStall:      true,
-		EnableCEDrop:        true,
-		StallWindow:         20,
-		BusyWindow:          30,
-		DegradeWindow:       200,
-		DegradePenalty:      2,
-		IPBusyWindow:        400,
-		IPDelayPenalty:      120,
-		CacheBusyWindow:     25,
-		BusStallWindow:      40,
-		RepairWindow:        2000,
-		RescheduleLatency:   500,
-		ReadTimeout:         200,
-		MaxRetries:          6,
+		Seed:         seed,
+		Kinds:        kinds,
+		RepairWindow: 2000,
+		ReadTimeout:  200,
+		MaxRetries:   6,
 	}
 }
 
 // EnableOnly restricts the schedule to the named kinds (mnemonics from
-// KindNames), clearing every other enable flag. An unknown name or an
-// empty list is an error, reported before any flag is modified.
+// KindNames, in any order). An unknown name or an empty list is an
+// error, reported before the config is modified.
 func (c *Config) EnableOnly(names []string) error {
-	flags := map[string]*bool{
-		NetStall.String():      &c.EnableNetStall,
-		NetDrop.String():       &c.EnableNetDrop,
-		MemBusy.String():       &c.EnableMemBusy,
-		MemDegrade.String():    &c.EnableMemDegrade,
-		CheckStop.String():     &c.EnableCheckStop,
-		IPBusy.String():        &c.EnableIPBusy,
-		IPDelay.String():       &c.EnableIPDelay,
-		CacheBankBusy.String(): &c.EnableCacheBankBusy,
-		BusStall.String():      &c.EnableBusStall,
-		CEDrop.String():        &c.EnableCEDrop,
-	}
 	if len(names) == 0 {
 		return fmt.Errorf("fault: no kinds named (known: %s)", strings.Join(KindNames(), ","))
 	}
-	picked := make([]*bool, 0, len(names))
+	var on [numKinds]bool
 	for _, name := range names {
-		f, ok := flags[name]
-		if !ok {
+		k := Kind(0)
+		for k < numKinds && k.String() != name {
+			k++
+		}
+		if k == numKinds {
 			return fmt.Errorf("fault: unknown kind %q (known: %s)", name, strings.Join(KindNames(), ","))
 		}
-		picked = append(picked, f)
+		on[k] = true
 	}
-	for _, f := range flags {
-		*f = false
-	}
-	for _, f := range picked {
-		*f = true
+	c.Kinds = nil
+	for k := Kind(0); k < numKinds; k++ {
+		if on[k] {
+			c.Kinds = append(c.Kinds, k)
+		}
 	}
 	return nil
 }
 
 // Enabled reports whether the schedule injects anything.
 func (c Config) Enabled() bool { return c.MeanInterval > 0 }
-
-func (c Config) kinds() []Kind {
-	var ks []Kind
-	if c.EnableNetStall {
-		ks = append(ks, NetStall)
-	}
-	if c.EnableNetDrop {
-		ks = append(ks, NetDrop)
-	}
-	if c.EnableMemBusy {
-		ks = append(ks, MemBusy)
-	}
-	if c.EnableMemDegrade {
-		ks = append(ks, MemDegrade)
-	}
-	if c.EnableCheckStop {
-		ks = append(ks, CheckStop)
-	}
-	if c.EnableIPBusy {
-		ks = append(ks, IPBusy)
-	}
-	if c.EnableIPDelay {
-		ks = append(ks, IPDelay)
-	}
-	if c.EnableCacheBankBusy {
-		ks = append(ks, CacheBankBusy)
-	}
-	if c.EnableBusStall {
-		ks = append(ks, BusStall)
-	}
-	if c.EnableCEDrop {
-		ks = append(ks, CEDrop)
-	}
-	return ks
-}
 
 // Droppable is the predicate the injector hands to the network drop
 // hooks for NetDrop: only prefetch-tagged data packets may vanish,
@@ -334,9 +265,8 @@ type repairTimer struct {
 // is visible to the target's own tick at t in every engine mode, which
 // is what keeps fault-injected runs mode-bit-identical.
 type Injector struct {
-	cfg   Config
-	rng   *sim.Rand
-	kinds []Kind
+	cfg Config
+	rng *sim.Rand
 
 	fwd, rev *network.Network
 	mods     []*gmem.Module
@@ -371,14 +301,12 @@ func NewInjector(cfg Config, fwd, rev *network.Network, mods []*gmem.Module, ces
 	if !cfg.Enabled() {
 		panic("fault: NewInjector with a disabled config")
 	}
-	kinds := cfg.kinds()
-	if len(kinds) == 0 {
+	if len(cfg.Kinds) == 0 {
 		panic("fault: no fault kinds enabled")
 	}
 	inj := &Injector{
 		cfg:    cfg,
 		rng:    sim.NewRand(cfg.Seed),
-		kinds:  kinds,
 		fwd:    fwd,
 		rev:    rev,
 		mods:   mods,
@@ -441,19 +369,19 @@ func (inj *Injector) Tick(now sim.Cycle) {
 }
 
 func (inj *Injector) inject(now sim.Cycle) {
-	switch inj.kinds[inj.rng.Intn(len(inj.kinds))] {
+	switch inj.cfg.Kinds[inj.rng.Intn(len(inj.cfg.Kinds))] {
 	case NetStall:
 		inj.injectNetStall(now)
 	case NetDrop:
 		inj.injectNetDrop(now)
 	case MemBusy:
 		m := inj.mods[inj.rng.Intn(len(inj.mods))]
-		m.FaultBusy(now, inj.cfg.BusyWindow)
+		m.FaultBusy(now, busyWindow)
 		inj.MemBusies++
 		inj.Injected++
 	case MemDegrade:
 		m := inj.mods[inj.rng.Intn(len(inj.mods))]
-		m.FaultDegrade(now, inj.cfg.DegradeWindow, inj.cfg.DegradePenalty)
+		m.FaultDegrade(now, degradeWindow, degradePenalty)
 		inj.MemDegrades++
 		inj.Injected++
 	case CheckStop:
@@ -463,7 +391,7 @@ func (inj *Injector) inject(now sim.Cycle) {
 			inj.NoTarget++
 			return
 		}
-		inj.ips[inj.rng.Intn(len(inj.ips))].FaultBusy(now, inj.cfg.IPBusyWindow)
+		inj.ips[inj.rng.Intn(len(inj.ips))].FaultBusy(now, ipBusyWindow)
 		inj.IPBusies++
 		inj.Injected++
 	case IPDelay:
@@ -471,7 +399,7 @@ func (inj *Injector) inject(now sim.Cycle) {
 			inj.NoTarget++
 			return
 		}
-		inj.ips[inj.rng.Intn(len(inj.ips))].FaultDelayNext(inj.cfg.IPDelayPenalty)
+		inj.ips[inj.rng.Intn(len(inj.ips))].FaultDelayNext(ipDelayPenalty)
 		inj.IPDelays++
 		inj.Injected++
 	case CacheBankBusy:
@@ -480,7 +408,7 @@ func (inj *Injector) inject(now sim.Cycle) {
 			return
 		}
 		ch := inj.caches[inj.rng.Intn(len(inj.caches))]
-		ch.FaultBankBusy(now, inj.rng.Intn(ch.Banks()), inj.cfg.CacheBusyWindow)
+		ch.FaultBankBusy(now, inj.rng.Intn(ch.Banks()), cacheBusyWindow)
 		inj.CacheBusies++
 		inj.Injected++
 	case BusStall:
@@ -488,7 +416,7 @@ func (inj *Injector) inject(now sim.Cycle) {
 			inj.NoTarget++
 			return
 		}
-		inj.buses[inj.rng.Intn(len(inj.buses))].FaultBusStall(now, inj.cfg.BusStallWindow)
+		inj.buses[inj.rng.Intn(len(inj.buses))].FaultBusStall(now, busStallWindow)
 		inj.BusStalls++
 		inj.Injected++
 	case CEDrop:
@@ -506,7 +434,7 @@ func (inj *Injector) pickNet() *network.Network {
 
 func (inj *Injector) injectNetStall(now sim.Cycle) {
 	n := inj.pickNet()
-	w := inj.cfg.StallWindow
+	w := stallWindow
 	switch inj.rng.Intn(3) {
 	case 0:
 		n.StallEntry(now, inj.rng.Intn(n.Ports()), w)

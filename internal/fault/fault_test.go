@@ -212,14 +212,15 @@ func TestAllEnabledKindsEventuallyFire(t *testing.T) {
 	}
 }
 
+// TestCheckStopsAreRepairedAfterWindow: with check-stops among the
+// kinds (here beside the I/O and cluster-internal kinds, leaving out the
+// network and memory ones), every stopped CE is repaired a RepairWindow
+// later, stops and repairs alternate per CE, and the census balances.
 func TestCheckStopsAreRepairedAfterWindow(t *testing.T) {
 	cfg := DefaultConfig(3)
 	cfg.MeanInterval = 100
 	cfg.RepairWindow = 500
-	cfg.EnableNetStall = false
-	cfg.EnableNetDrop = false
-	cfg.EnableMemBusy = false
-	cfg.EnableMemDegrade = false
+	cfg.Kinds = []Kind{CheckStop, IPBusy, IPDelay, CacheBankBusy, BusStall, CEDrop}
 	r := newFaultRig(t, cfg)
 	r.eng.Run(30000)
 	if r.inj.CheckStops == 0 {
@@ -305,7 +306,7 @@ func TestEnableOnly(t *testing.T) {
 	if err := cfg.EnableOnly([]string{"ce-drop", "bus-stall"}); err != nil {
 		t.Fatal(err)
 	}
-	if got := cfg.kinds(); len(got) != 2 || got[0] != BusStall || got[1] != CEDrop {
+	if got := cfg.Kinds; len(got) != 2 || got[0] != BusStall || got[1] != CEDrop {
 		t.Fatalf("EnableOnly kept kinds %v, want [bus-stall ce-drop]", got)
 	}
 	cfg = DefaultConfig(1)
@@ -314,7 +315,7 @@ func TestEnableOnly(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "bogus") {
 		t.Fatalf("error does not name the unknown kind: %v", err)
 	}
-	if len(cfg.kinds()) != len(KindNames()) {
+	if len(cfg.Kinds) != len(KindNames()) {
 		t.Fatal("failed EnableOnly modified the config")
 	}
 	if err := cfg.EnableOnly(nil); err == nil {

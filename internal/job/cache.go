@@ -96,9 +96,6 @@ func NewService(run Runner, shards, workers int) *Service {
 	return s
 }
 
-// Workers returns the pool bound.
-func (s *Service) Workers() int { return cap(s.sem) }
-
 // Len returns the number of cached entries (including in-flight ones).
 func (s *Service) Len() int {
 	n := 0

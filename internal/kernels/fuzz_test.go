@@ -136,7 +136,7 @@ func replayFuzz(t *testing.T, m *core.Machine, sched []fuzzStep) (kernel, regist
 	}
 	s.Final()
 	var buf bytes.Buffer
-	if err := telemetry.WriteTrace(&buf, s, nil); err != nil {
+	if err := telemetry.WriteTrace(&buf, s); err != nil {
 		t.Fatal(err)
 	}
 	return fingerprint(m), m.Registry().Fingerprint(), s.Fingerprint(), buf.Bytes()

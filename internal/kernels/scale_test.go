@@ -31,7 +31,7 @@ func TestFourClusterFullSizeTelemetryEquivalence(t *testing.T) {
 		}
 		s.Final()
 		var buf bytes.Buffer
-		if err := telemetry.WriteTrace(&buf, s, nil); err != nil {
+		if err := telemetry.WriteTrace(&buf, s); err != nil {
 			t.Fatal(err)
 		}
 		return m, r, buf.Bytes()

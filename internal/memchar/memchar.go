@@ -61,13 +61,6 @@ type Result struct {
 	Rejected int64
 }
 
-// String formats a result row.
-func (r Result) String() string {
-	return fmt.Sprintf("src=%-3d rate=%.2f stride=%-3d wr=%.2f  offered=%5.2f delivered=%5.2f w/cyc  lat=%6.1f cyc",
-		r.Sources, r.RatePerSource, r.Stride, r.WriteFraction,
-		r.OfferedWordsPerCycle, r.DeliveredWordsPerCycle, r.MeanLatency)
-}
-
 // Run executes one probe.
 func Run(cfg Config) (Result, error) {
 	if cfg.Sources <= 0 || cfg.Sources > 64 {
@@ -190,33 +183,4 @@ func Run(cfg Config) (Result, error) {
 		res.MeanLatency = float64(latSum) / float64(delivered)
 	}
 	return res, nil
-}
-
-// LoadSweep measures throughput/latency across offered loads for a fixed
-// source count.
-func LoadSweep(sources int, rates []float64, cycles sim.Cycle) ([]Result, error) {
-	var out []Result
-	for _, rate := range rates {
-		r, err := Run(Config{Sources: sources, RatePerSource: rate, Stride: 1, Cycles: cycles})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// StrideSweep measures full-rate delivered bandwidth across strides: the
-// [GJTV91]-style probe showing module-aliasing collapse when the stride
-// shares a large factor with the interleave.
-func StrideSweep(sources int, strides []int, cycles sim.Cycle) ([]Result, error) {
-	var out []Result
-	for _, st := range strides {
-		r, err := Run(Config{Sources: sources, RatePerSource: 1, Stride: st, Cycles: cycles})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }

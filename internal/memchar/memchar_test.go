@@ -1,10 +1,6 @@
 package memchar
 
-import (
-	"testing"
-
-	"repro/internal/sim"
-)
+import "testing"
 
 func TestValidation(t *testing.T) {
 	if _, err := Run(Config{Sources: 0, RatePerSource: 1}); err == nil {
@@ -122,27 +118,6 @@ func TestIdealFabricComparison(t *testing.T) {
 	if ideal.DeliveredWordsPerCycle > 16.5 {
 		t.Fatalf("ideal fabric exceeded module capacity: %.2f w/cyc", ideal.DeliveredWordsPerCycle)
 	}
-}
-
-func TestSweeps(t *testing.T) {
-	rs, err := LoadSweep(16, []float64{0.1, 0.5, 1}, 5000)
-	if err != nil || len(rs) != 3 {
-		t.Fatalf("LoadSweep: %v %d", err, len(rs))
-	}
-	if rs[2].DeliveredWordsPerCycle <= rs[0].DeliveredWordsPerCycle {
-		t.Fatal("throughput not increasing with load")
-	}
-	ss, err := StrideSweep(8, []int{1, 8, 32}, 5000)
-	if err != nil || len(ss) != 3 {
-		t.Fatalf("StrideSweep: %v %d", err, len(ss))
-	}
-	if ss[2].DeliveredWordsPerCycle >= ss[0].DeliveredWordsPerCycle {
-		t.Fatal("aliasing stride not slower")
-	}
-	if ss[0].String() == "" {
-		t.Fatal("empty String")
-	}
-	_ = sim.Cycle(0)
 }
 
 // TestLatencyHistogramWired: the reply path is measured through the

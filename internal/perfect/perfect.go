@@ -16,8 +16,8 @@
 // executed at machine rates measured from this repository's cycle-level
 // simulator, plus scheduling overheads (loop startup, iteration claims
 // with or without the Cedar synchronization instructions), barriers,
-// file I/O (formatted or raw, via the Xylem cost model) and
-// virtual-memory faults (via the Xylem VM model). The published times of
+// file I/O (formatted or raw) and cross-cluster TLB-miss faults, the
+// last two priced by the model's own Rates. The published times of
 // Table 3 are calibration targets: a small solver derives the
 // decomposition from them once, and the variant deltas then follow from
 // the mechanisms. Hand optimizations are expressed as the paper
@@ -97,11 +97,11 @@ type Rates struct {
 	StartupSeconds float64
 	// BarrierSeconds is one multicluster barrier.
 	BarrierSeconds float64
-	// TLBMissSeconds is one cross-cluster first-touch fault;
-	// PageWords the page size (from the Xylem model).
+	// TLBMissSeconds is one cross-cluster first-touch fault: a kernel
+	// trap plus a fetch of the PTE that already exists in global memory.
 	TLBMissSeconds float64
-	// FormattedIOSecPerWord / RawIOSecPerWord are the Xylem file-system
-	// costs.
+	// FormattedIOSecPerWord / RawIOSecPerWord are the file-system costs
+	// per word with and without formatted conversion.
 	FormattedIOSecPerWord float64
 	RawIOSecPerWord       float64
 }

@@ -1,8 +1,10 @@
 // Package perfmon models Cedar's external performance-monitoring
-// hardware: event tracers that collect time-stamped event traces (1M
-// events each) and histogrammers with 64K 32-bit counters, attachable to
-// hardware signals anywhere in the machine. Software can also post events
-// from running programs.
+// hardware as the reproduction uses it: histogrammers with 64K 32-bit
+// counters, attachable to hardware signals anywhere in the machine (the
+// memory-characterization probes put one on the reply path). The
+// hardware's event tracers (1M time-stamped events each, which running
+// programs could also post to) are not modelled: no exhibit reads a
+// trace.
 //
 // The package also provides the probe used for Table 2 of the paper: for
 // every prefetch request it records when the address is issued to the
@@ -20,48 +22,8 @@ import (
 	"repro/internal/sim"
 )
 
-// TracerCapacity is the hardware event-trace depth.
-const TracerCapacity = 1 << 20
-
 // HistogramCounters is the hardware histogrammer counter count.
 const HistogramCounters = 64 << 10
-
-// Event is one time-stamped trace entry.
-type Event struct {
-	Cycle sim.Cycle
-	Kind  uint16
-	Arg   int64
-}
-
-// Tracer collects time-stamped events up to its capacity; further events
-// are counted as dropped (the hardware can cascade tracers to capture
-// more; model that by raising the capacity).
-type Tracer struct {
-	cap     int
-	Events  []Event
-	Dropped int64
-}
-
-// NewTracer returns a tracer with the given capacity (<= 0 selects the
-// hardware's 1M).
-func NewTracer(capacity int) *Tracer {
-	if capacity <= 0 {
-		capacity = TracerCapacity
-	}
-	return &Tracer{cap: capacity}
-}
-
-// Post records an event if capacity remains.
-func (t *Tracer) Post(cycle sim.Cycle, kind uint16, arg int64) {
-	if len(t.Events) >= t.cap {
-		t.Dropped++
-		return
-	}
-	t.Events = append(t.Events, Event{Cycle: cycle, Kind: kind, Arg: arg})
-}
-
-// Len reports the number of captured events.
-func (t *Tracer) Len() int { return len(t.Events) }
 
 // Histogram is a bank of counters over a fixed value range; values
 // outside the range land in the first or last bin. Like the hardware's

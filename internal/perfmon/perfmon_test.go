@@ -10,29 +10,6 @@ import (
 	"repro/internal/sim"
 )
 
-func TestTracerCapacityAndDrop(t *testing.T) {
-	tr := NewTracer(4)
-	for i := 0; i < 6; i++ {
-		tr.Post(sim.Cycle(i), 1, int64(i))
-	}
-	if tr.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", tr.Len())
-	}
-	if tr.Dropped != 2 {
-		t.Fatalf("Dropped = %d, want 2", tr.Dropped)
-	}
-	if tr.Events[3].Arg != 3 || tr.Events[3].Cycle != 3 {
-		t.Fatalf("event 3 = %+v", tr.Events[3])
-	}
-}
-
-func TestTracerDefaultCapacity(t *testing.T) {
-	tr := NewTracer(0)
-	if tr.cap != TracerCapacity {
-		t.Fatalf("default capacity %d, want %d", tr.cap, TracerCapacity)
-	}
-}
-
 func TestHistogramBasics(t *testing.T) {
 	h := NewHistogram(0, 99, 100)
 	for i := int64(0); i < 100; i++ {

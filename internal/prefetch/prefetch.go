@@ -282,9 +282,6 @@ func (u *PFU) Fire(addr uint64) {
 // issued and arrived).
 func (u *PFU) Active() bool { return u.active }
 
-// Length returns the armed length.
-func (u *PFU) Length() int { return u.length }
-
 // NextEvent implements sim.IdleComponent, mirroring Tick's early-return
 // guards. A PFU with nothing to issue is woken externally: Fire starts a
 // new block, Deliver completes one, and the owning CE (which ticks before

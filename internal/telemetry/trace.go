@@ -9,15 +9,6 @@ import (
 	"repro/internal/sim"
 )
 
-// Event is an instant on the simulated timeline contributed from outside
-// the registry — the performance-monitor bridge feeds tracer events
-// (sync releases, prefetch fires, ...) through it.
-type Event struct {
-	Cycle sim.Cycle
-	Name  string
-	Arg   int64
-}
-
 // traceEvent is one entry of the Chrome trace_event array. Timestamps
 // and durations are pre-rendered exact-decimal microseconds carried as
 // raw JSON numbers, so the emitted bytes are identical across runs and
@@ -97,9 +88,8 @@ func (l *traceLayout) place(process, thread string) (pid, tid int) {
 	return pid, tid
 }
 
-// WriteTrace renders the sampler's recorded series, plus any bridged
-// perfmon events, as Chrome trace_event JSON loadable in Perfetto or
-// chrome://tracing.
+// WriteTrace renders the sampler's recorded series as Chrome trace_event
+// JSON loadable in Perfetto or chrome://tracing.
 //
 // Layout: each top-level path segment becomes a trace process (cluster0,
 // net, gmem, engine, ...) and each second segment a thread within it
@@ -108,10 +98,9 @@ func (l *traceLayout) place(process, thread string) (pid, tid int) {
 // slice whose args carry the row's non-zero counter deltas; gauges
 // additionally emit counter-track ("C") events at every sample, as do
 // the cycle-accounting "attr/" counters (carrying per-interval deltas,
-// so each CE row reads as a stacked CPI chart); phase boundaries appear
-// as global instants on a synthetic workload/phases row, and perfmon
-// events as instants on perfmon/tracer.
-func WriteTrace(w io.Writer, s *Sampler, events []Event) error {
+// so each CE row reads as a stacked CPI chart); and phase boundaries
+// appear as global instants on a synthetic workload/phases row.
+func WriteTrace(w io.Writer, s *Sampler) error {
 	reg := s.Registry()
 	paths := reg.Paths()
 	layout := newTraceLayout()
@@ -125,13 +114,9 @@ func WriteTrace(w io.Writer, s *Sampler, events []Event) error {
 		kinds[i], _ = reg.KindOf(p)
 	}
 
-	// Rows threads appear in registration order; the synthetic rows come
+	// Threads appear in registration order; the synthetic row comes
 	// after every registered component.
 	phasePid, phaseTid := layout.place("workload", "phases")
-	var pmPid, pmTid int
-	if len(events) > 0 {
-		pmPid, pmTid = layout.place("perfmon", "tracer")
-	}
 
 	var evs []traceEvent
 	evs = append(evs, layout.meta...)
@@ -224,15 +209,6 @@ func WriteTrace(w io.Writer, s *Sampler, events []Event) error {
 		evs = append(evs, traceEvent{
 			Name: smp.Label, Ph: "i", Pid: phasePid, Tid: phaseTid,
 			Ts: usec(smp.Cycle), S: "g",
-		})
-	}
-
-	// Bridged perfmon tracer events as thread instants.
-	for _, ev := range events {
-		evs = append(evs, traceEvent{
-			Name: ev.Name, Ph: "i", Pid: pmPid, Tid: pmTid,
-			Ts: usec(ev.Cycle), S: "t",
-			Args: map[string]any{"arg": ev.Arg},
 		})
 	}
 

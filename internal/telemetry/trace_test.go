@@ -15,8 +15,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 
 // traceRig drives a small deterministic scenario through the sampler and
 // returns the exporter's bytes: one busy-then-idle worker, a derived
-// pfu-style counter, a gauge, a diagnostic, one mid-cycle phase mark and
-// one bridged perfmon event.
+// pfu-style counter, a gauge, a diagnostic and one mid-cycle phase mark.
 func traceRig(t *testing.T) []byte {
 	t.Helper()
 	eng := sim.New()
@@ -48,9 +47,8 @@ func traceRig(t *testing.T) []byte {
 	eng.Run(40)
 	s.Final()
 
-	events := []Event{{Cycle: 7, Name: "sync_release", Arg: 3}}
 	var buf bytes.Buffer
-	if err := WriteTrace(&buf, s, events); err != nil {
+	if err := WriteTrace(&buf, s); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -105,8 +103,8 @@ func TestWriteTraceStructure(t *testing.T) {
 	}
 
 	// Exactly one thread_name metadata row per registered component
-	// (cluster0/ce0, cluster0/pfu0, net/fwd, engine) plus the two
-	// synthetic rows (workload/phases, perfmon/tracer).
+	// (cluster0/ce0, cluster0/pfu0, net/fwd, engine) plus the synthetic
+	// workload/phases row.
 	threads := map[[2]int]string{}
 	processes := map[int]string{}
 	for _, e := range tf.TraceEvents {
@@ -121,10 +119,10 @@ func TestWriteTraceStructure(t *testing.T) {
 			processes[e.Pid] = e.Args["name"].(string)
 		}
 	}
-	if len(threads) != 6 {
-		t.Fatalf("got %d timeline rows %v, want 6", len(threads), threads)
+	if len(threads) != 5 {
+		t.Fatalf("got %d timeline rows %v, want 5", len(threads), threads)
 	}
-	for _, p := range []string{"cluster0", "net", "engine", "workload", "perfmon"} {
+	for _, p := range []string{"cluster0", "net", "engine", "workload"} {
 		found := false
 		for _, name := range processes {
 			if name == p {
@@ -136,10 +134,10 @@ func TestWriteTraceStructure(t *testing.T) {
 		}
 	}
 
-	// The phase mark and the perfmon event appear as instants; slices,
-	// gauge tracks and attribution tracks exist; a diagnostic never
-	// becomes a slice or track.
-	var sawMark, sawPerfmon, sawSlice, sawGauge, sawAttr bool
+	// The phase mark appears as an instant; slices, gauge tracks and
+	// attribution tracks exist; a diagnostic never becomes a slice or
+	// track.
+	var sawMark, sawSlice, sawGauge, sawAttr bool
 	var attrFirst *int64
 	for _, e := range tf.TraceEvents {
 		switch {
@@ -148,8 +146,6 @@ func TestWriteTraceStructure(t *testing.T) {
 			if string(e.Ts) != "2.55" { // cycle 15 at 170 ns = 2.55 us, exact decimal
 				t.Fatalf("phase mark ts = %s, want 2.55", e.Ts)
 			}
-		case e.Ph == "i" && e.Name == "sync_release":
-			sawPerfmon = true
 		case e.Ph == "X":
 			sawSlice = true
 			if _, leak := e.Args["skipped_ticks"]; leak {
@@ -168,9 +164,9 @@ func TestWriteTraceStructure(t *testing.T) {
 			}
 		}
 	}
-	if !sawMark || !sawPerfmon || !sawSlice || !sawGauge || !sawAttr {
-		t.Fatalf("missing event kinds: mark=%v perfmon=%v slice=%v gauge=%v attr=%v",
-			sawMark, sawPerfmon, sawSlice, sawGauge, sawAttr)
+	if !sawMark || !sawSlice || !sawGauge || !sawAttr {
+		t.Fatalf("missing event kinds: mark=%v slice=%v gauge=%v attr=%v",
+			sawMark, sawSlice, sawGauge, sawAttr)
 	}
 	// Attribution tracks carry per-interval deltas: the first snapshot
 	// has no preceding interval, so its value must be 0.

@@ -8,28 +8,27 @@ import (
 	"repro/internal/core"
 )
 
-// registry maps workload names to implementations. Kernel packages
-// register from init, so any import of the kernel package populates the
-// table; the map is never mutated after init in practice, and the
-// accessors copy what they expose.
-var registry = map[string]Workload{}
+// registry maps workload names to kernels. Kernel packages register
+// from init, so any import of the kernel package populates the table;
+// the map is never mutated after init in practice, and the accessors
+// copy what they expose.
+var registry = map[string]Func{}
 
-// Register adds w under its Name. Registering a duplicate name panics:
-// two kernels claiming one name is a programming error worth failing
-// loudly at init time.
-func Register(w Workload) {
-	name := w.Name()
+// Register adds fn under name. An empty or duplicate name panics: two
+// kernels claiming one name is a programming error worth failing loudly
+// at init time.
+func Register(name string, fn Func) {
 	if name == "" {
 		panic("workload: Register with an empty name")
 	}
 	if _, dup := registry[name]; dup {
 		panic(fmt.Sprintf("workload: duplicate registration of %q", name))
 	}
-	registry[name] = w
+	registry[name] = fn
 }
 
 // Get returns the workload registered under name, or nil.
-func Get(name string) Workload { return registry[name] }
+func Get(name string) Func { return registry[name] }
 
 // Names returns the registered workload names, sorted.
 func Names() []string {
@@ -41,47 +40,19 @@ func Names() []string {
 	return names
 }
 
-// Describe returns the registered workload's one-line description, or
-// "" when it has none.
-func Describe(name string) string {
-	if d, ok := registry[name].(interface{ Describe() string }); ok {
-		return d.Describe()
-	}
-	return ""
-}
-
 // Run looks up name, validates the parameters, and runs the workload;
 // an unknown name errors with the available names so drivers can
 // surface the registry directly. Every registry execution passes
 // through the Params.Validate gate, so negative sizes and iteration
 // counts never reach kernel code.
 func Run(name string, m *core.Machine, p Params, att Attachments) (Result, error) {
-	w := Get(name)
-	if w == nil {
+	fn := Get(name)
+	if fn == nil {
 		return Result{}, fmt.Errorf("workload: unknown workload %q (available: %s)",
 			name, strings.Join(Names(), ", "))
 	}
 	if err := p.Validate(); err != nil {
 		return Result{}, err
 	}
-	return w.Run(m, p, att)
-}
-
-// funcWorkload adapts a function to the Workload interface.
-type funcWorkload struct {
-	name  string
-	about string
-	fn    func(m *core.Machine, p Params, att Attachments) (Result, error)
-}
-
-func (f funcWorkload) Name() string     { return f.name }
-func (f funcWorkload) Describe() string { return f.about }
-func (f funcWorkload) Run(m *core.Machine, p Params, att Attachments) (Result, error) {
-	return f.fn(m, p, att)
-}
-
-// New wraps a function as a Workload with a one-line description for
-// listings.
-func New(name, about string, fn func(m *core.Machine, p Params, att Attachments) (Result, error)) Workload {
-	return funcWorkload{name: name, about: about, fn: fn}
+	return fn(m, p, att)
 }

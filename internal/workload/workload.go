@@ -1,6 +1,6 @@
 // Package workload defines the single entry point every kernel on the
-// simulated Cedar shares: a Workload runs against a core.Machine under
-// one serializable Params set plus runtime Attachments, and reports one
+// simulated Cedar shares: a Func runs against a core.Machine under one
+// serializable Params set plus runtime Attachments, and reports one
 // Result. The package replaces the divergent positional parameters the
 // kernel entry points had grown (`usePrefetch, probe bool` here, `mode
 // Mode` there) and carries the registry that lets drivers like
@@ -169,10 +169,6 @@ func (r Result) String() string {
 	return s
 }
 
-// Workload is a runnable kernel: a name for the registry and a Run
-// driving a machine under the shared Params, with runtime observers
-// passed separately.
-type Workload interface {
-	Name() string
-	Run(m *core.Machine, p Params, att Attachments) (Result, error)
-}
+// Func is a runnable kernel: it drives a machine under the shared
+// Params, with runtime observers passed separately.
+type Func func(m *core.Machine, p Params, att Attachments) (Result, error)

@@ -3,145 +3,28 @@
 // operating systems in the Alliant clusters into the Cedar OS and exports
 // virtual memory, scheduling, and file system services.
 //
-// Three aspects matter to the performance study:
+// Three of them run inside the simulated machine:
 //
-//   - Virtual memory with a 4 KB page size. Each cluster keeps its own
-//     translations: when a multicluster program touches a page for the
-//     first time from an additional cluster, it takes a TLB-miss fault
-//     even though a valid PTE already exists in global memory. The
-//     analysis of TRFD in Section 4.2 found the multicluster version
-//     taking almost four times the page faults of the one-cluster
-//     version and spending close to 50% of its time in virtual-memory
-//     activity — the behaviour this model reproduces.
+//   - The I/O park table (IOWait): a program issuing a blocking Fortran
+//     I/O statement parks while its transfer is outstanding and resumes
+//     at the completion cycle.
 //
-//   - Cluster (gang) scheduling: a cluster task occupies all CEs of a
-//     cluster, matching the concurrency-bus execution model.
-//
-//   - File-system services, whose cost structure (formatted conversion
+//   - File-system costs (FS), whose structure (formatted conversion
 //     versus raw transfer) explains the BDNA hand optimization: replacing
 //     formatted with unformatted I/O cut that code's time from 111 s to
 //     70 s.
+//
+//   - Gang rescheduling (Rescheduler): a cluster task occupies all CEs
+//     of a cluster, so the program of a check-stopped CE is redispatched
+//     onto an idle CE of the same cluster.
+//
+// Virtual memory is not simulated. The TRFD page-fault pathology of
+// Section 4.2 (each additional cluster faulting on pages whose PTEs
+// already exist) is an analytic term of the Perfect models, priced by
+// perfect.Rates.TLBMissSeconds.
 package xylem
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
-
-// PageWords is the 4 KB page size in 64-bit words.
-const PageWords = 512
-
-// VMConfig holds the virtual-memory cost parameters.
-type VMConfig struct {
-	// FirstTouchFault is the cost of a true page fault: allocating the
-	// page and building the PTE in global memory (default 2 ms, a
-	// Unix-era fault with zeroing).
-	FirstTouchFault sim.Cycle
-	// TLBMissFault is the cost of the fault taken when a cluster first
-	// touches a page whose PTE already exists in global memory
-	// (default 500 µs: a kernel trap plus a PTE fetch, no allocation).
-	TLBMissFault sim.Cycle
-	// ClusterTLBEntries bounds each cluster's resident translations;
-	// beyond it, old translations are evicted FIFO (default 4096).
-	ClusterTLBEntries int
-}
-
-// DefaultVMConfig returns the calibrated Xylem costs.
-func DefaultVMConfig() VMConfig {
-	return VMConfig{
-		FirstTouchFault:   sim.FromMicroseconds(2000),
-		TLBMissFault:      sim.FromMicroseconds(500),
-		ClusterTLBEntries: 4096,
-	}
-}
-
-// VM tracks page state across clusters and accumulates fault costs.
-type VM struct {
-	cfg      VMConfig
-	clusters int
-
-	pte map[uint64]bool // pages with a valid PTE in global memory
-
-	tlb     []map[uint64]bool // per-cluster resident translations
-	tlbFIFO [][]uint64
-
-	// Counters.
-	FirstTouchFaults int64
-	TLBMissFaults    int64
-	StallCycles      sim.Cycle
-}
-
-// NewVM returns a VM for the given cluster count.
-func NewVM(cfg VMConfig, clusters int) *VM {
-	if clusters <= 0 {
-		panic(fmt.Sprintf("xylem: %d clusters", clusters))
-	}
-	if cfg.ClusterTLBEntries <= 0 {
-		cfg.ClusterTLBEntries = DefaultVMConfig().ClusterTLBEntries
-	}
-	vm := &VM{cfg: cfg, clusters: clusters, pte: map[uint64]bool{}}
-	vm.tlb = make([]map[uint64]bool, clusters)
-	vm.tlbFIFO = make([][]uint64, clusters)
-	for i := range vm.tlb {
-		vm.tlb[i] = map[uint64]bool{}
-	}
-	return vm
-}
-
-// PageOf returns the page number of a word address.
-func PageOf(addr uint64) uint64 { return addr / PageWords }
-
-// Touch records cluster cl referencing word address addr and returns the
-// fault stall, if any, that the reference incurs.
-func (vm *VM) Touch(cl int, addr uint64) sim.Cycle {
-	page := PageOf(addr)
-	if vm.tlb[cl][page] {
-		return 0
-	}
-	var cost sim.Cycle
-	if !vm.pte[page] {
-		vm.pte[page] = true
-		vm.FirstTouchFaults++
-		cost = vm.cfg.FirstTouchFault
-	} else {
-		// Valid PTE exists in global memory, but this cluster has no
-		// translation yet: a TLB-miss fault.
-		vm.TLBMissFaults++
-		cost = vm.cfg.TLBMissFault
-	}
-	vm.install(cl, page)
-	vm.StallCycles += cost
-	return cost
-}
-
-func (vm *VM) install(cl int, page uint64) {
-	if len(vm.tlbFIFO[cl]) >= vm.cfg.ClusterTLBEntries {
-		old := vm.tlbFIFO[cl][0]
-		vm.tlbFIFO[cl] = vm.tlbFIFO[cl][1:]
-		delete(vm.tlb[cl], old)
-	}
-	vm.tlb[cl][page] = true
-	vm.tlbFIFO[cl] = append(vm.tlbFIFO[cl], page)
-}
-
-// Resident reports whether cluster cl holds a translation for addr's page.
-func (vm *VM) Resident(cl int, addr uint64) bool { return vm.tlb[cl][PageOf(addr)] }
-
-// TotalFaults returns first-touch plus TLB-miss fault counts.
-func (vm *VM) TotalFaults() int64 { return vm.FirstTouchFaults + vm.TLBMissFaults }
-
-// SweepCost computes, without mutating state, the fault stall a cluster
-// sweep over [base, base+words) would incur, and applies it. It is the
-// batch form of Touch used by the workload models: a loop that walks a
-// data region touches each page once.
-func (vm *VM) SweepCost(cl int, base, words uint64) sim.Cycle {
-	var total sim.Cycle
-	for p := PageOf(base); p <= PageOf(base+words-1); p++ {
-		total += vm.Touch(cl, p*PageWords)
-	}
-	return total
-}
+import "repro/internal/sim"
 
 // FSConfig holds the file-system cost model: formatted I/O pays a
 // per-word conversion cost on a CE in addition to the raw transfer.
@@ -184,62 +67,4 @@ func (f *FS) FormattedIO(n int64) sim.Cycle {
 func (f *FS) UnformattedIO(n int64) sim.Cycle {
 	f.WordsUnformatted += n
 	return sim.Cycle(n) * f.cfg.TransferPerWord
-}
-
-// Scheduler provides Xylem's cluster-task view: tasks are gang-scheduled
-// onto whole clusters. The simulation engine is single-user (the paper's
-// measurements were all collected in single-user mode to avoid the
-// non-determinism of multiprogramming), so the scheduler is an
-// accounting layer: it tracks which clusters are allocated to a task.
-type Scheduler struct {
-	clusters  int
-	allocated []bool
-	// TasksStarted counts gang dispatches.
-	TasksStarted int64
-}
-
-// NewScheduler returns a scheduler over the given cluster count.
-func NewScheduler(clusters int) *Scheduler {
-	return &Scheduler{clusters: clusters, allocated: make([]bool, clusters)}
-}
-
-// Acquire allocates n clusters to a task, returning their indices, or an
-// error if not enough are free.
-func (s *Scheduler) Acquire(n int) ([]int, error) {
-	var free []int
-	for i, a := range s.allocated {
-		if !a {
-			free = append(free, i)
-		}
-	}
-	if len(free) < n {
-		return nil, fmt.Errorf("xylem: %d clusters requested, %d free", n, len(free))
-	}
-	got := free[:n]
-	for _, i := range got {
-		s.allocated[i] = true
-	}
-	s.TasksStarted++
-	return got, nil
-}
-
-// Release returns clusters to the free pool.
-func (s *Scheduler) Release(cls []int) {
-	for _, i := range cls {
-		if !s.allocated[i] {
-			panic(fmt.Sprintf("xylem: release of unallocated cluster %d", i))
-		}
-		s.allocated[i] = false
-	}
-}
-
-// Free reports the number of unallocated clusters.
-func (s *Scheduler) Free() int {
-	n := 0
-	for _, a := range s.allocated {
-		if !a {
-			n++
-		}
-	}
-	return n
 }

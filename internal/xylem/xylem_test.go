@@ -1,103 +1,6 @@
 package xylem
 
-import (
-	"testing"
-
-	"repro/internal/sim"
-)
-
-func TestPageOf(t *testing.T) {
-	if PageOf(0) != 0 || PageOf(511) != 0 || PageOf(512) != 1 {
-		t.Fatal("PageOf wrong")
-	}
-}
-
-func TestFirstTouchThenTLBMiss(t *testing.T) {
-	vm := NewVM(DefaultVMConfig(), 4)
-	// Cluster 0 touches a page: a real fault.
-	c0 := vm.Touch(0, 100)
-	if c0 != DefaultVMConfig().FirstTouchFault {
-		t.Fatalf("first touch cost %d, want %d", c0, DefaultVMConfig().FirstTouchFault)
-	}
-	if vm.FirstTouchFaults != 1 || vm.TLBMissFaults != 0 {
-		t.Fatalf("counters %d/%d", vm.FirstTouchFaults, vm.TLBMissFaults)
-	}
-	// Same cluster again: free.
-	if c := vm.Touch(0, 200); c != 0 {
-		t.Fatalf("resident touch cost %d", c)
-	}
-	// Another cluster, same page: a TLB-miss fault (PTE exists).
-	c1 := vm.Touch(1, 100)
-	if c1 != DefaultVMConfig().TLBMissFault {
-		t.Fatalf("cross-cluster touch cost %d, want %d", c1, DefaultVMConfig().TLBMissFault)
-	}
-	if vm.TLBMissFaults != 1 {
-		t.Fatalf("TLB miss not counted")
-	}
-	if !vm.Resident(1, 100) || vm.Resident(2, 100) {
-		t.Fatal("residency tracking wrong")
-	}
-}
-
-// TestTRFDFaultPattern reproduces the Section 4.2 observation: a
-// four-cluster sweep over the same data takes ~4x the faults of a
-// one-cluster sweep, because each additional cluster faults on pages
-// that already have valid PTEs.
-func TestTRFDFaultPattern(t *testing.T) {
-	const pages = 100
-	words := uint64(pages * PageWords)
-
-	one := NewVM(DefaultVMConfig(), 4)
-	one.SweepCost(0, 0, words)
-	oneFaults := one.TotalFaults()
-
-	four := NewVM(DefaultVMConfig(), 4)
-	for cl := 0; cl < 4; cl++ {
-		four.SweepCost(cl, 0, words)
-	}
-	fourFaults := four.TotalFaults()
-
-	if oneFaults != pages {
-		t.Fatalf("one-cluster sweep took %d faults, want %d", oneFaults, pages)
-	}
-	if fourFaults != 4*pages {
-		t.Fatalf("four-cluster sweep took %d faults, want %d (the paper's ~4x)", fourFaults, 4*pages)
-	}
-	if four.StallCycles <= one.StallCycles {
-		t.Fatal("multicluster VM stall not larger")
-	}
-}
-
-func TestTLBEviction(t *testing.T) {
-	cfg := DefaultVMConfig()
-	cfg.ClusterTLBEntries = 4
-	vm := NewVM(cfg, 1)
-	for p := uint64(0); p < 6; p++ {
-		vm.Touch(0, p*PageWords)
-	}
-	// Pages 0 and 1 were evicted.
-	if vm.Resident(0, 0) || vm.Resident(0, PageWords) {
-		t.Fatal("FIFO eviction did not happen")
-	}
-	if !vm.Resident(0, 5*PageWords) {
-		t.Fatal("recent page evicted")
-	}
-	// Re-touch of an evicted page is a TLB miss, not a first touch.
-	before := vm.TLBMissFaults
-	vm.Touch(0, 0)
-	if vm.TLBMissFaults != before+1 {
-		t.Fatal("re-touch after eviction not a TLB miss")
-	}
-}
-
-func TestVMValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("0 clusters accepted")
-		}
-	}()
-	NewVM(DefaultVMConfig(), 0)
-}
+import "testing"
 
 // TestFormattedVsUnformattedIO reproduces the BDNA optimization's
 // mechanism: formatted I/O is an order of magnitude more expensive than
@@ -120,53 +23,4 @@ func TestFormattedVsUnformattedIO(t *testing.T) {
 	if diff < 20 || diff > 400 {
 		t.Fatalf("BDNA-scale formatting overhead = %.0f s, want tens of seconds", diff)
 	}
-}
-
-func TestScheduler(t *testing.T) {
-	s := NewScheduler(4)
-	got, err := s.Acquire(3)
-	if err != nil || len(got) != 3 {
-		t.Fatalf("Acquire(3): %v %v", got, err)
-	}
-	if s.Free() != 1 {
-		t.Fatalf("Free = %d", s.Free())
-	}
-	if _, err := s.Acquire(2); err == nil {
-		t.Fatal("over-acquire allowed")
-	}
-	s.Release(got)
-	if s.Free() != 4 {
-		t.Fatal("release did not free")
-	}
-	if s.TasksStarted != 1 {
-		t.Fatalf("TasksStarted = %d", s.TasksStarted)
-	}
-}
-
-func TestSchedulerDoubleReleasePanics(t *testing.T) {
-	s := NewScheduler(2)
-	got, _ := s.Acquire(1)
-	s.Release(got)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double release did not panic")
-		}
-	}()
-	s.Release(got)
-}
-
-func TestSweepCostCoversPagesOnce(t *testing.T) {
-	vm := NewVM(DefaultVMConfig(), 1)
-	cost := vm.SweepCost(0, 10, 2*PageWords) // spans pages 0..2
-	if vm.TotalFaults() != 3 {
-		t.Fatalf("sweep faulted %d pages, want 3", vm.TotalFaults())
-	}
-	if cost != 3*DefaultVMConfig().FirstTouchFault {
-		t.Fatalf("sweep cost %d", cost)
-	}
-	// Second sweep: free.
-	if c := vm.SweepCost(0, 10, 2*PageWords); c != 0 {
-		t.Fatalf("warm sweep cost %d", c)
-	}
-	_ = sim.Cycle(0)
 }
