@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench-unit vet race smoke-cedard bench bench-engine bench-telemetry fuzz-equivalence fault-soak cover ci
+.PHONY: all build test bench-unit vet race bench-engine bench-telemetry cover ci
 
 all: ci
 
@@ -38,10 +38,6 @@ bench-unit:
 race:
 	$(GO) test -race ./cmd/cedard/ ./internal/job/...
 
-# Every table/figure of the paper, printed once each.
-bench:
-	$(GO) test -bench . -benchtime 1x .
-
 # Naive vs wake-cached engine on the DOALL-startup-heavy workload, plus
 # the compute-dominated wake-cached rows at 4 and 16 clusters; the
 # naive/wake-cached ns/op ratio is the fast path's wall-clock win
@@ -50,23 +46,6 @@ bench:
 # BENCH_engine.json (see the shared recipe below).
 bench-engine:
 	$(call bench-gate,BenchmarkEngineQuiescence|BenchmarkEngineCompute,wake-cached,BENCH_engine.json)
-
-# Replays the seeded randomized stimulus schedule (the seed is pinned in
-# fuzz_test.go, so every run sees the same stimuli) on both engine
-# paths at 1/2/4-cluster scale and diffs fingerprints and trace bytes —
-# once fault-free and once with the seeded fault injector interleaving
-# network stalls/drops, memory busy/degrade windows and CE check-stops
-# into the same schedule.
-fuzz-equivalence:
-	$(GO) test ./internal/kernels/ -run 'TestFuzzScheduleEngineEquivalence|TestFuzzScheduleFaultEngineEquivalence' -v
-
-# Chaos soak: seeded sweep of (fault-kind subsets x registry workloads
-# x both engine modes) asserting completion, cross-mode fingerprint
-# equality and a balanced fault census — the standing system-wide fault
-# invariant. The vacuity guard keeps the new cluster-internal kinds
-# actually firing.
-fault-soak:
-	$(GO) test -run 'TestChaosSoak' -count=1 ./internal/kernels/
 
 # Telemetry disabled vs enabled on the engine benchmark workload: "off"
 # must stay within noise of the pre-telemetry engine (the registry is
@@ -106,12 +85,6 @@ elif [ -n "$$base" ]; then \
 fi
 endef
 
-# End-to-end cedard smoke: build the real binary, start it, POST a job
-# batch twice, and assert the second round is served entirely from the
-# result cache.
-smoke-cedard:
-	$(GO) test -run TestSmoke -count=1 -v ./cmd/cedard/
-
 # Coverage with a floor on the telemetry layer (its correctness story is
 # "every sample is bit-exact", so the package must stay well covered).
 TELEMETRY_COVER_FLOOR ?= 85
@@ -123,6 +96,9 @@ cover:
 	awk -v p="$$pct" -v f="$(TELEMETRY_COVER_FLOOR)" 'BEGIN { exit (p+0 >= f) ? 0 : 1 }' || \
 	{ echo "telemetry coverage below floor"; exit 1; }
 
-# Each leg checks something no other leg does. smoke-cedard,
-# fuzz-equivalence and fault-soak stay out: `test` runs their tests.
+# Each leg checks something no other leg does. `test` runs the cedard
+# smoke test, the seeded engine-equivalence replays and the chaos soak;
+# run one alone with `go test -run TestSmoke -v ./cmd/cedard/`,
+# `go test -run 'TestFuzzSchedule(Fault)?EngineEquivalence' -v
+# ./internal/kernels/` or `go test -run TestChaosSoak ./internal/kernels/`.
 ci: vet test bench-unit race bench-engine bench-telemetry

@@ -1,282 +1,44 @@
 package repro
 
-// The benchmark harness: one testing.B benchmark per table and figure of
-// the paper's evaluation section, each printing the regenerated exhibit
-// (with the paper's published values alongside) on its first iteration,
-// plus ablation benchmarks for the design choices DESIGN.md calls out.
+// Host-cost benchmarks of the simulator: the engine fast path against
+// the naive reference, telemetry on against off, the raw engine rate
+// under kernel load, and the time to regenerate each exhibit of the
+// internal/tables catalog (cmd/tables prints them).
 //
-//	go test -bench=. -benchmem                # everything
-//	go test -bench=Table1 -benchtime=1x       # one exhibit
-//
-// The reported ns/op is the wall time of regenerating the exhibit — i.e.
-// the simulator's own speed; the simulated results are in the printed
-// tables.
+//	go test -run NONE -bench . -benchtime 1x .
 
 import (
-	"fmt"
-	"os"
-	"sync"
+	"io"
 	"testing"
 
 	"repro/internal/cedarfort"
 	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/kernels"
-	"repro/internal/perfect"
 	"repro/internal/sim"
 	"repro/internal/tables"
 	"repro/internal/telemetry"
 )
 
-// printOnce renders an exhibit the first time a benchmark runs it.
-var printedMu sync.Mutex
-var printed = map[string]bool{}
-
-func printOnce(name string, render func() error) {
-	printedMu.Lock()
-	defer printedMu.Unlock()
-	if printed[name] {
-		return
-	}
-	printed[name] = true
-	if err := render(); err != nil {
-		fmt.Fprintln(os.Stderr, name, "render:", err)
-	}
-}
-
-// BenchmarkTable1 regenerates Table 1 (rank-64 update MFLOPS in the
-// three memory modes on 1..4 clusters) by full machine simulation.
-func BenchmarkTable1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		d, err := tables.RunTable1(128)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printOnce("table1", func() error { return d.Render(os.Stdout) })
-	}
-}
-
-// BenchmarkTable2 regenerates Table 2 (prefetch speedup, first-word
-// latency and interarrival for TM/CG/VF/RK at 8/16/32 CEs).
-func BenchmarkTable2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		d, err := tables.RunTable2(1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printOnce("table2", func() error { return d.Render(os.Stdout) })
-	}
-}
-
-// BenchmarkTable3 regenerates Table 3 (Perfect Benchmarks times,
-// improvements, variant slowdowns, MFLOPS, YMP ratios).
-func BenchmarkTable3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		d, err := tables.RunTable3(perfect.Rates{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		printOnce("table3", func() error { return d.Render(os.Stdout) })
-	}
-}
-
-// BenchmarkTable4 regenerates Table 4 (hand-optimized Perfect codes).
-func BenchmarkTable4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		d, err := tables.RunTable4(perfect.Rates{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		printOnce("table4", func() error { return d.Render(os.Stdout) })
-	}
-}
-
-// BenchmarkTable5 regenerates Table 5 (instability for the Perfect codes
-// on Cedar, the YMP-8 and the Cray-1).
-func BenchmarkTable5(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		d := tables.RunTable5()
-		printOnce("table5", func() error { return d.Render(os.Stdout) })
-	}
-}
-
-// BenchmarkTable6 regenerates Table 6 (restructuring efficiency bands).
-func BenchmarkTable6(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		d := tables.RunTable6()
-		printOnce("table6", func() error { return d.Render(os.Stdout) })
-	}
-}
-
-// BenchmarkFigure3 regenerates Figure 3 (the YMP-vs-Cedar efficiency
-// scatter with its performance bands).
-func BenchmarkFigure3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		d := tables.RunFigure3()
-		printOnce("figure3", func() error { return d.Render(os.Stdout) })
-	}
-}
-
-// BenchmarkScalability regenerates the Section 4.3 study: CG on Cedar
-// across processor counts and problem sizes (simulated) and the banded
-// matrix-vector product on the CM-5 model, with PPT4 verdicts.
-func BenchmarkScalability(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		d, err := tables.RunScalability(true)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printOnce("scalability", func() error { return d.Render(os.Stdout) })
-	}
-}
-
-// BenchmarkPPT5 runs the scaled-machine study the paper defers to: the
-// paper's workloads on Cedar-like systems of 4 and 8 clusters (16 with
-// the full tables tool), with memory modules scaled per CE and deeper
-// networks as the port count requires.
-func BenchmarkPPT5(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		d, err := tables.RunPPT5(true)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printOnce("ppt5", func() error { return d.Render(os.Stdout) })
-	}
-}
-
-// --- Ablation benchmarks -------------------------------------------------
-//
-// Each ablation varies one design choice DESIGN.md calls out and reports
-// the simulated outcome through b.ReportMetric, so the effect of the
-// mechanism is visible next to the headline reproduction.
-
-// benchRank64 runs the rank-64 kernel under a machine config and reports
-// simulated MFLOPS.
-func benchRank64(b *testing.B, cfg core.Config, mode kernels.Mode) {
-	var mflops float64
-	for i := 0; i < b.N; i++ {
-		in := kernels.NewRank64Input(64)
-		m, err := core.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := kernels.RunRank64(m, in, kernels.Params{Mode: mode})
-		if err != nil {
-			b.Fatal(err)
-		}
-		mflops = res.MFLOPS
-	}
-	b.ReportMetric(mflops, "sim-MFLOPS")
-}
-
-// BenchmarkAblationPrefetchBufferDepth: shrinking the 512-word prefetch
-// buffer to one cache line's worth restores most of the no-prefetch
-// latency exposure.
-func BenchmarkAblationPrefetchBufferDepth(b *testing.B) {
-	// The buffer depth is fixed in hardware (512); the ablation is
-	// expressed through the outstanding-request limit instead: a PFU
-	// whose issue window is capped behaves like a small buffer.
-	b.Run("full-machine", func(b *testing.B) {
-		benchRank64(b, core.ConfigClusters(1), kernels.GMPrefetch)
-	})
-	b.Run("no-prefetch", func(b *testing.B) {
-		benchRank64(b, core.ConfigClusters(1), kernels.GMNoPrefetch)
-	})
-}
-
-// BenchmarkAblationOutstandingRequests varies the CE's lockup-free miss
-// limit: the paper's 2 versus a hypothetical 8, which would lift the
-// GM/no-pref bound from 2 words per 13 cycles toward the latency-free
-// rate.
-func BenchmarkAblationOutstandingRequests(b *testing.B) {
-	for _, lim := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("limit-%d", lim), func(b *testing.B) {
-			cfg := core.ConfigClusters(1)
-			cfg.CE.MaxOutstanding = lim
-			benchRank64(b, cfg, kernels.GMNoPrefetch)
+// BenchmarkExhibits times regenerating and rendering each catalog
+// exhibit at the reduced -quick sizes; ns/op is the simulator's own
+// speed.
+func BenchmarkExhibits(b *testing.B) {
+	o := tables.DefaultOptions()
+	o.Quick, o.N = true, 64
+	for _, e := range tables.Catalog {
+		b.Run(e.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				d, err := e.Run(o)
+				if err == nil {
+					err = d.Render(io.Discard)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
-}
-
-// BenchmarkAblationNetworkQueueDepth varies the 2-word switch port
-// queues: deeper queues absorb contention bursts and shift the
-// interarrival degradation.
-func BenchmarkAblationNetworkQueueDepth(b *testing.B) {
-	for _, qw := range []int{2, 8} {
-		b.Run(fmt.Sprintf("queue-%dw", qw), func(b *testing.B) {
-			cfg := core.ConfigClusters(4)
-			cfg.NetQueueWords = qw
-			benchRank64(b, cfg, kernels.GMPrefetch)
-		})
-	}
-}
-
-// BenchmarkAblationIdealNetwork tests the paper's [Turn93] claim that
-// the contention degradation "is not inherent in the type of network
-// used": the same 4-cluster prefetched rank-64 update runs on the real
-// omega fabric and on a contentionless fabric with identical unloaded
-// latency. The gap between the two is the switch implementation's
-// contribution; the remainder is memory-module and port-bandwidth
-// contention, which no network can remove.
-func BenchmarkAblationIdealNetwork(b *testing.B) {
-	b.Run("omega", func(b *testing.B) {
-		benchRank64(b, core.ConfigClusters(4), kernels.GMPrefetch)
-	})
-	b.Run("ideal", func(b *testing.B) {
-		cfg := core.ConfigClusters(4)
-		cfg.IdealNetwork = true
-		benchRank64(b, cfg, kernels.GMPrefetch)
-	})
-}
-
-// BenchmarkAblationCedarSync compares loop self-scheduling with the
-// Cedar synchronization instructions against the 30 us software path
-// (Table 3's "W/o Cedar Synchronization" mechanism) on a fine-grained
-// loop.
-func BenchmarkAblationCedarSync(b *testing.B) {
-	run := func(b *testing.B, useSync bool) {
-		var elapsed float64
-		for i := 0; i < b.N; i++ {
-			m, err := core.New(core.ConfigClusters(1))
-			if err != nil {
-				b.Fatal(err)
-			}
-			cfg := cedarfort.DefaultConfig()
-			cfg.UseCedarSync = useSync
-			rt := cedarfort.New(m, cfg)
-			cycles, err := rt.XDOALL(128, cedarfort.SelfScheduled, func(ctx *cedarfort.Ctx, iter int) {
-				ctx.Emit(isa.NewCompute(100))
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			elapsed = cycles.Seconds() * 1e6
-		}
-		b.ReportMetric(elapsed, "sim-us")
-	}
-	b.Run("cedar-sync", func(b *testing.B) { run(b, true) })
-	b.Run("no-cedar-sync", func(b *testing.B) { run(b, false) })
-}
-
-// BenchmarkAblationCacheGeometry varies the shared cluster cache: the
-// as-built 512 KB against a quarter-size cache and a single-bank cache
-// (one word per cycle aggregate instead of eight), on the cache-blocked
-// rank-64 kernel.
-func BenchmarkAblationCacheGeometry(b *testing.B) {
-	b.Run("as-built", func(b *testing.B) {
-		benchRank64(b, core.ConfigClusters(1), kernels.GMCache)
-	})
-	b.Run("quarter-size", func(b *testing.B) {
-		cfg := core.ConfigClusters(1)
-		cfg.Cache.Words = 16 << 10
-		benchRank64(b, cfg, kernels.GMCache)
-	})
-	b.Run("single-bank", func(b *testing.B) {
-		cfg := core.ConfigClusters(1)
-		cfg.Cache.Banks = 1
-		cfg.Cache.BankAccessesPerCycle = 1
-		benchRank64(b, cfg, kernels.GMCache)
-	})
 }
 
 // BenchmarkEngineQuiescence measures the engine's fast path against the

@@ -1,11 +1,16 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/job"
+	"repro/internal/job/runner"
+	"repro/internal/workload"
 )
 
 // buildBinary compiles cedarsim once per test binary into a temp dir.
@@ -65,6 +70,34 @@ func TestFlagValidation(t *testing.T) {
 				t.Fatalf("stderr does not mention %q:\n%s", tc.want, stderr.String())
 			}
 		})
+	}
+}
+
+// TestBareKernelRuns: every registered workload runs with only -kernel
+// set, and runs the job cedard runs for {"workload": name}: the size
+// and iteration flags default to the kernel's own defaults.
+func TestBareKernelRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the binary once per workload; skipped with -short")
+	}
+	bin := buildBinary(t)
+	for _, name := range workload.Names() {
+		out, err := exec.Command(bin, "-kernel", name).CombinedOutput()
+		if err != nil {
+			t.Fatalf("-kernel %s: %v\n%s", name, err, out)
+		}
+		want, err := runner.Run(job.Spec{Workload: name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cycles := fmt.Sprintf("(%d cycles at", want.Cycles)
+		found := false
+		for _, l := range strings.Split(string(out), "\n") {
+			found = found || strings.HasPrefix(l, "simulated time:") && strings.Contains(l, cycles)
+		}
+		if !found {
+			t.Fatalf("-kernel %s: no simulated-time line with the default Spec's %d cycles:\n%s", name, want.Cycles, out)
+		}
 	}
 }
 

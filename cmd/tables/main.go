@@ -1,12 +1,11 @@
-// Command tables regenerates every table and figure of the paper's
-// evaluation section. With no flags it produces them all; individual
-// exhibits can be selected.
+// Command tables prints exhibits of the internal/tables catalog by name,
+// in catalog order; with none named, the paper's evaluation plus PPT5
+// and the data-size study. Flags come before the names.
 //
-//	tables -table 1        # Table 1 only
-//	tables -fig 3          # Figure 3
-//	tables -scal           # the Section 4.3 scalability study
-//	tables -n 512          # larger rank-64 problem for Table 1
-//	tables -quick          # reduced problem sizes everywhere
+//	tables -n 512 table1                    # larger rank-64 problem
+//	tables -code DYFESM codes               # one Perfect code in detail
+//	tables -claimslow 60e-6 table3 table4   # what-if: costlier claims
+//	tables -sources 32 -rate 1 memload      # one load-latency point
 package main
 
 import (
@@ -14,116 +13,63 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/core"
-	"repro/internal/perfect"
 	"repro/internal/tables"
 )
 
 func main() {
-	table := flag.Int("table", 0, "regenerate one table (1..6); 0 = all")
-	fig := flag.Int("fig", 0, "regenerate one figure (3); 0 = per -table selection")
-	scal := flag.Bool("scal", false, "regenerate only the scalability study")
-	ppt5 := flag.Bool("ppt5", false, "run the scaled-machine PPT5 study (extension)")
-	sizes := flag.Bool("sizes", false, "run the data-size stability study (extension)")
-	n := flag.Int("n", 256, "rank-64 matrix order for Table 1 (paper: 1024)")
-	scale := flag.Int("scale", 1, "problem-size multiplier for Table 2")
-	quick := flag.Bool("quick", false, "reduced sizes for a fast pass")
+	o := tables.DefaultOptions()
+	flag.IntVar(&o.N, "n", o.N, "rank-64 matrix order for table1 (paper: 1024)")
+	flag.IntVar(&o.Scale, "scale", o.Scale, "problem-size multiplier for table2")
+	flag.BoolVar(&o.Quick, "quick", false, "reduced sizes for a fast pass (forces -n 64; smaller scal and ppt5 grids)")
+	flag.StringVar(&o.Code, "code", "", "codes: show one Perfect code (default all)")
+	prefRate := flag.Float64("prefrate", 0, "override prefetched global vector MFLOPS/CE (Perfect-model exhibits)")
+	localRate := flag.Float64("localrate", 0, "override cluster-local vector MFLOPS/CE (Perfect-model exhibits)")
+	claimSlow := flag.Float64("claimslow", 0, "override non-Cedar-sync claim seconds (Perfect-model exhibits)")
+	flag.IntVar(&o.Sources, "sources", 0, "memload: fixed source count (0 = sweep 8/16/32)")
+	flag.Float64Var(&o.Rate, "rate", 0, "memload: fixed issue rate per source (0 = sweep)")
+	flag.Float64Var(&o.Writes, "writes", 0, "memload: fraction of requests that are writes")
+	flag.IntVar(&o.Cycles, "cycles", o.Cycles, "memload, memstride: simulated cycles per point")
+	flag.BoolVar(&o.Ideal, "ideal", false, "memload, memstride: use the contentionless fabric")
+	flag.Usage = func() {
+		w := flag.CommandLine.Output()
+		fmt.Fprintln(w, "usage: tables [flags] [exhibit ...]\n\nexhibits (* = printed when none is named):")
+		for _, e := range tables.Catalog {
+			mark := map[bool]string{true: "*", false: " "}[e.Default]
+			fmt.Fprintf(w, "  %s %-10s %s\n", mark, e.Name, e.About)
+		}
+		flag.PrintDefaults()
+	}
 	flag.Parse()
 
-	if *quick {
-		*n = 64
+	if o.Quick {
+		o.N = 64
 	}
-	w := os.Stdout
-	all := *table == 0 && *fig == 0 && !*scal && !*ppt5 && !*sizes
-	fail := func(err error) {
+	if *prefRate > 0 {
+		o.Rates.VectorGlobalPref = *prefRate
+	}
+	if *localRate > 0 {
+		o.Rates.VectorLocal = *localRate
+	}
+	if *claimSlow > 0 {
+		o.Rates.ClaimSlowSeconds = *claimSlow
+	}
+	sel, err := tables.Select(flag.Args())
+	if err == nil {
+		err = o.Check()
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "tables:", err)
-		os.Exit(1)
+		flag.Usage()
+		os.Exit(2)
 	}
-
-	if all || *table == 1 {
-		d, err := tables.RunTable1(*n)
+	for _, e := range sel {
+		d, err := e.Run(o)
+		if err == nil {
+			err = d.Render(os.Stdout)
+		}
 		if err != nil {
-			fail(err)
-		}
-		if err := d.Render(w); err != nil {
-			fail(err)
-		}
-	}
-	if all || *table == 2 {
-		d, err := tables.RunTable2(*scale)
-		if err != nil {
-			fail(err)
-		}
-		if err := d.Render(w); err != nil {
-			fail(err)
-		}
-	}
-	if all || *table == 3 {
-		d, err := tables.RunTable3(perfect.Rates{})
-		if err != nil {
-			fail(err)
-		}
-		if err := d.Render(w); err != nil {
-			fail(err)
-		}
-	}
-	if all || *table == 4 {
-		d, err := tables.RunTable4(perfect.Rates{})
-		if err != nil {
-			fail(err)
-		}
-		if err := d.Render(w); err != nil {
-			fail(err)
-		}
-	}
-	if all || *table == 5 {
-		if err := tables.RunTable5().Render(w); err != nil {
-			fail(err)
-		}
-	}
-	if all || *table == 6 {
-		if err := tables.RunTable6().Render(w); err != nil {
-			fail(err)
-		}
-	}
-	if *fig == 1 || *fig == 2 {
-		m, err := core.New(core.DefaultConfig())
-		if err != nil {
-			fail(err)
-		}
-		fmt.Fprintln(w, "Figures 1 and 2: the Cedar and cluster organization (rendered from the assembled machine)")
-		fmt.Fprintln(w, m.Topology())
-	}
-	if all || *fig == 3 {
-		if err := tables.RunFigure3().Render(w); err != nil {
-			fail(err)
-		}
-	}
-	if all || *scal {
-		d, err := tables.RunScalability(*quick)
-		if err != nil {
-			fail(err)
-		}
-		if err := d.Render(w); err != nil {
-			fail(err)
-		}
-	}
-	if all || *ppt5 {
-		d, err := tables.RunPPT5(*quick)
-		if err != nil {
-			fail(err)
-		}
-		if err := d.Render(w); err != nil {
-			fail(err)
-		}
-	}
-	if all || *sizes {
-		d, err := tables.RunSizeStability(perfect.Rates{})
-		if err != nil {
-			fail(err)
-		}
-		if err := d.Render(w); err != nil {
-			fail(err)
+			fmt.Fprintln(os.Stderr, "tables:", err)
+			os.Exit(1)
 		}
 	}
 }

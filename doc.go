@@ -8,9 +8,10 @@
 //
 // See README.md for a tour, DESIGN.md for the system inventory and the
 // hardware-to-simulation substitutions, and EXPERIMENTS.md for
-// paper-versus-measured results. The benchmark harness in bench_test.go
-// regenerates each exhibit:
+// paper-versus-measured results. cmd/tables prints each exhibit by its
+// name in the internal/tables catalog:
 //
-//	go test -bench=Table1 -benchtime=1x
-//	go run ./cmd/tables            # everything at once
+//	go run ./cmd/tables table1     # one exhibit
+//	go run ./cmd/tables            # the paper's evaluation at once
+//	go run ./cmd/tables -h         # the catalog
 package repro

@@ -115,7 +115,8 @@ func checkCensusBalance(t *testing.T, label string, m *core.Machine) {
 
 // TestChaosSoak is the harness: every (subset, workload) pair gets its
 // own seed (12 seeds at full size, each swept over both modes).
-// make fault-soak runs this by name; -short trims the workload list.
+// `go test -run TestChaosSoak ./internal/kernels/` runs it alone;
+// -short trims the workload list.
 func TestChaosSoak(t *testing.T) {
 	names := workload.Names()
 	if testing.Short() {

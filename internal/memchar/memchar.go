@@ -38,10 +38,6 @@ type Config struct {
 	Cycles sim.Cycle
 	// Ideal selects the contentionless network fabric.
 	Ideal bool
-	// Modules / ServiceCycles override the memory build (0 = Cedar's
-	// 32 modules at 2 cycles).
-	Modules       int
-	ServiceCycles int
 }
 
 // Result is one probe measurement.
@@ -72,12 +68,6 @@ func Run(cfg Config) (Result, error) {
 	if cfg.Stride == 0 {
 		cfg.Stride = 1
 	}
-	if cfg.Modules <= 0 {
-		cfg.Modules = 32
-	}
-	if cfg.ServiceCycles <= 0 {
-		cfg.ServiceCycles = 2
-	}
 	if cfg.Cycles <= 0 {
 		cfg.Cycles = 20000
 	}
@@ -100,8 +90,7 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	g, err := gmem.New(gmem.Config{
-		Words: 1 << 22, Modules: cfg.Modules,
-		ServiceCycles: cfg.ServiceCycles, QueueWords: 4,
+		Words: 1 << 22, Modules: 32, ServiceCycles: 2, QueueWords: 4,
 	}, rev)
 	if err != nil {
 		return Result{}, err

@@ -1,59 +1,37 @@
-// Command netprobe characterizes the global network and memory path in
-// isolation, in the style of the memory-system benchmarks of [GJTV91]:
-// load-latency curves, stride sweeps showing module aliasing, write-mix
-// effects, and the omega-versus-ideal fabric comparison behind the
-// paper's [Turn93] remark.
-//
-//	netprobe                      # load sweep at 8/16/32 sources
-//	netprobe -strides             # stride sweep (module aliasing)
-//	netprobe -ideal               # same loads on the contentionless fabric
-//	netprobe -sources 32 -rate 1  # one point
-package main
+package tables
 
 import (
-	"flag"
 	"fmt"
-	"os"
 
 	"repro/internal/memchar"
 	"repro/internal/report"
 	"repro/internal/sim"
 )
 
-func main() {
-	sources := flag.Int("sources", 0, "fixed source count (0 = sweep 8/16/32)")
-	rate := flag.Float64("rate", 0, "fixed issue rate per source (0 = sweep)")
-	cycles := flag.Int("cycles", 20000, "simulated cycles per point")
-	strides := flag.Bool("strides", false, "run the stride sweep instead of the load sweep")
-	ideal := flag.Bool("ideal", false, "use the contentionless fabric")
-	writes := flag.Float64("writes", 0, "fraction of requests that are writes")
-	flag.Parse()
-
-	if *strides {
-		runStrides(*cycles, *ideal)
-		return
-	}
-
+// RunMemLoad is the [GJTV91]-style load-latency probe of the global
+// network and memory path alone, at o.Sources sources and o.Rate
+// requests per source and cycle, or over their sweeps when zero.
+func RunMemLoad(o Options) (*report.Table, error) {
 	t := report.NewTable(
 		"Global network + memory load-latency (round trip; unloaded minimum 8 cycles)",
 		"sources", "rate/CE", "offered w/cyc", "delivered w/cyc", "latency (cyc)")
 	srcList := []int{8, 16, 32}
-	if *sources > 0 {
-		srcList = []int{*sources}
+	if o.Sources > 0 {
+		srcList = []int{o.Sources}
 	}
 	rateList := []float64{0.1, 0.25, 0.5, 0.75, 1.0}
-	if *rate > 0 {
-		rateList = []float64{*rate}
+	if o.Rate > 0 {
+		rateList = []float64{o.Rate}
 	}
 	var overflow int64
 	for _, s := range srcList {
 		for _, r := range rateList {
 			res, err := memchar.Run(memchar.Config{
 				Sources: s, RatePerSource: r, Stride: 1,
-				WriteFraction: *writes, Cycles: sim.Cycle(*cycles), Ideal: *ideal,
+				WriteFraction: o.Writes, Cycles: sim.Cycle(o.Cycles), Ideal: o.Ideal,
 			})
 			if err != nil {
-				fail(err)
+				return nil, err
 			}
 			t.AddRow(fmt.Sprintf("%d", s), fmt.Sprintf("%.2f", r),
 				fmt.Sprintf("%.2f", res.OfferedWordsPerCycle),
@@ -64,15 +42,15 @@ func main() {
 	}
 	t.AddNote("aggregate memory capacity: 32 modules x 0.5 requests/cycle = 16 words/cycle (768 MB/s)")
 	t.NoteOverflow("latency histogram", overflow)
-	if *ideal {
+	if o.Ideal {
 		t.AddNote("contentionless fabric: any residual loss is the memory modules' own")
 	}
-	if err := t.Render(os.Stdout); err != nil {
-		fail(err)
-	}
+	return t, nil
 }
 
-func runStrides(cycles int, ideal bool) {
+// RunMemStride sweeps the access stride of 8 full-rate sources: strides
+// sharing factors with the 32-module interleave alias onto few modules.
+func RunMemStride(o Options) (*report.Table, error) {
 	t := report.NewTable(
 		"Stride sweep: delivered bandwidth vs access stride (8 sources, full rate)",
 		"stride", "delivered w/cyc", "latency (cyc)", "note")
@@ -80,13 +58,13 @@ func runStrides(cycles int, ideal bool) {
 	for _, st := range []int{1, 2, 3, 4, 8, 16, 31, 32, 33, 64} {
 		res, err := memchar.Run(memchar.Config{
 			Sources: 8, RatePerSource: 1, Stride: st,
-			Cycles: sim.Cycle(cycles), Ideal: ideal,
+			Cycles: sim.Cycle(o.Cycles), Ideal: o.Ideal,
 		})
 		if err != nil {
-			fail(err)
+			return nil, err
 		}
 		overflow += res.LatencyHist.Overflow
-		mods := 32 / gcd(32, st)
+		mods := 32 / min(st&-st, 32) // 32 over the power of two in the stride
 		note := fmt.Sprintf("%d modules per stream", mods)
 		if mods == 1 {
 			note = "aliases every request to one module"
@@ -99,19 +77,5 @@ func runStrides(cycles int, ideal bool) {
 	}
 	t.AddNote("double-word interleave: stride patterns sharing factors with 32 concentrate on few modules")
 	t.NoteOverflow("latency histogram", overflow)
-	if err := t.Render(os.Stdout); err != nil {
-		fail(err)
-	}
-}
-
-func gcd(a, b int) int {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "netprobe:", err)
-	os.Exit(1)
+	return t, nil
 }

@@ -1,14 +1,3 @@
-// Package tables regenerates every table and figure of the paper's
-// evaluation: Table 1 (rank-64 update memory modes) and Table 2 (global
-// memory performance under prefetch) from full machine simulation;
-// Tables 3 and 4 (Perfect Benchmarks) from the calibrated workload
-// models; Tables 5 and 6 and Figure 3 (stability, restructuring bands,
-// efficiency scatter) from the methodology over the cross-machine
-// dataset; and the Section 4.3 scalability study (Cedar CG simulation
-// plus the CM-5 banded matrix-vector model).
-//
-// Each Run* function returns structured data with the paper's published
-// values alongside the reproduced ones, and renders a text exhibit.
 package tables
 
 import (

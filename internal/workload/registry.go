@@ -40,19 +40,16 @@ func Names() []string {
 	return names
 }
 
-// Run looks up name, validates the parameters, and runs the workload;
-// an unknown name errors with the available names so drivers can
-// surface the registry directly. Every registry execution passes
-// through the Params.Validate gate, so negative sizes and iteration
-// counts never reach kernel code.
+// Run looks up name and runs the workload; an unknown name errors with
+// the available names so drivers can surface the registry directly. The
+// parameters are not checked here: job.Spec.Normalized rejects negative
+// sizes and iteration counts and unknown modes before runner.Execute,
+// the one production caller, gets this far.
 func Run(name string, m *core.Machine, p Params, att Attachments) (Result, error) {
 	fn := Get(name)
 	if fn == nil {
 		return Result{}, fmt.Errorf("workload: unknown workload %q (available: %s)",
 			name, strings.Join(Names(), ", "))
-	}
-	if err := p.Validate(); err != nil {
-		return Result{}, err
 	}
 	return fn(m, p, att)
 }

@@ -11,7 +11,9 @@
 // comparable value type holding exactly the inputs that determine a
 // run's outcome (so a job cache may key on it), while Attachments
 // carries the runtime-only observers — function and interface values
-// that must never leak into a cache key.
+// that must never leak into a cache key. Params are not validated here:
+// job.Spec is the one validator of a job's parameters, and kernels see
+// only what a normalized Spec converts to.
 package workload
 
 import (
@@ -93,40 +95,6 @@ type Params struct {
 // comparability (func, slice, interface) is a field a cache cannot key
 // on, and belongs in Attachments instead.
 var _ = map[Params]struct{}{}
-
-// Validate rejects parameter values no kernel can run. Kernels divide
-// by and allocate from Size and Iterations, so negatives must die at
-// the API boundary — as a *ParamError, which drivers surface as a usage
-// error (cedarsim exit 2, cedard HTTP 400).
-func (p Params) Validate() error {
-	if p.Size < 0 {
-		return &ParamError{Field: "size", Value: p.Size, Reason: "cannot be negative (0 selects the kernel default)"}
-	}
-	if p.Iterations < 0 {
-		return &ParamError{Field: "iterations", Value: p.Iterations, Reason: "cannot be negative (0 selects the kernel default)"}
-	}
-	if p.Mode < GMNoPrefetch || p.Mode > GMCache {
-		return &ParamError{Field: "mode", Value: int(p.Mode), Reason: "unknown memory mode"}
-	}
-	return nil
-}
-
-// ParamError reports a workload parameter no kernel accepts. It is a
-// validation failure, not an execution failure: drivers map it to their
-// usage-error surface (exit status 2, HTTP 400).
-type ParamError struct {
-	// Field names the offending Params field in its serialized
-	// lower-case form.
-	Field string
-	// Value is the rejected value.
-	Value int
-	// Reason says what a legal value looks like.
-	Reason string
-}
-
-func (e *ParamError) Error() string {
-	return fmt.Sprintf("workload: %s %d: %s", e.Field, e.Value, e.Reason)
-}
 
 // Attachments carries the runtime-only observers of a workload run —
 // the non-serializable values deliberately kept out of Params so they
