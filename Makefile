@@ -33,8 +33,11 @@ bench-unit:
 # does today); a package that gains either belongs on this list.
 # Every other package runs one machine on one goroutine, where -race
 # checks nothing `test` does not. runner's TestConcurrentMachines runs
-# every registry workload on several machines at once, so state a kernel
-# keeps at package level is reported here as a data race.
+# every registry workload, and the scaled topology, on several machines
+# at once, so state a kernel keeps at package level is reported here as
+# a data race. internal/tables starts goroutines only to call
+# job.Service, which this leg races, on Specs that
+# TestConcurrentMachines covers.
 race:
 	$(GO) test -race ./cmd/cedard/ ./internal/job/...
 

@@ -1,9 +1,9 @@
 package repro
 
 // Host-cost benchmarks of the simulator: the engine fast path against
-// the naive reference, telemetry on against off, the raw engine rate
-// under kernel load, and the time to regenerate each exhibit of the
-// internal/tables catalog (cmd/tables prints them).
+// the naive reference and under compute load, telemetry on against off,
+// and the time to regenerate each exhibit of the internal/tables catalog
+// (cmd/tables prints them).
 //
 //	go test -run NONE -bench . -benchtime 1x .
 
@@ -14,7 +14,6 @@ import (
 	"repro/internal/cedarfort"
 	"repro/internal/core"
 	"repro/internal/isa"
-	"repro/internal/kernels"
 	"repro/internal/sim"
 	"repro/internal/tables"
 	"repro/internal/telemetry"
@@ -160,23 +159,4 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	}
 	b.Run("off", func(b *testing.B) { workload(b, false) })
 	b.Run("on", func(b *testing.B) { workload(b, true) })
-}
-
-// BenchmarkSimulatorSpeed measures the raw engine rate on the full
-// machine under kernel load (host cycles per simulated cycle).
-func BenchmarkSimulatorSpeed(b *testing.B) {
-	in := kernels.NewRank64Input(64)
-	var cycles int64
-	for i := 0; i < b.N; i++ {
-		m, err := core.New(core.ConfigClusters(4))
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := kernels.RunRank64(m, in, kernels.Params{Mode: kernels.GMCache})
-		if err != nil {
-			b.Fatal(err)
-		}
-		cycles += int64(res.Cycles)
-	}
-	b.ReportMetric(float64(cycles)/float64(b.N), "sim-cycles/op")
 }

@@ -19,12 +19,11 @@ import (
 func main() {
 	o := tables.DefaultOptions()
 	flag.IntVar(&o.N, "n", o.N, "rank-64 matrix order for table1 (paper: 1024)")
-	flag.IntVar(&o.Scale, "scale", o.Scale, "problem-size multiplier for table2")
 	flag.BoolVar(&o.Quick, "quick", false, "reduced sizes for a fast pass (forces -n 64; smaller scal and ppt5 grids)")
 	flag.StringVar(&o.Code, "code", "", "codes: show one Perfect code (default all)")
-	prefRate := flag.Float64("prefrate", 0, "override prefetched global vector MFLOPS/CE (Perfect-model exhibits)")
-	localRate := flag.Float64("localrate", 0, "override cluster-local vector MFLOPS/CE (Perfect-model exhibits)")
-	claimSlow := flag.Float64("claimslow", 0, "override non-Cedar-sync claim seconds (Perfect-model exhibits)")
+	flag.Float64Var(&o.Rates.VectorGlobalPref, "prefrate", o.Rates.VectorGlobalPref, "prefetched global vector MFLOPS/CE (Perfect-model exhibits)")
+	flag.Float64Var(&o.Rates.VectorLocal, "localrate", o.Rates.VectorLocal, "cluster-local vector MFLOPS/CE (Perfect-model exhibits)")
+	flag.Float64Var(&o.Rates.ClaimSlowSeconds, "claimslow", o.Rates.ClaimSlowSeconds, "non-Cedar-sync claim seconds (Perfect-model exhibits)")
 	flag.IntVar(&o.Sources, "sources", 0, "memload: fixed source count (0 = sweep 8/16/32)")
 	flag.Float64Var(&o.Rate, "rate", 0, "memload: fixed issue rate per source (0 = sweep)")
 	flag.Float64Var(&o.Writes, "writes", 0, "memload: fraction of requests that are writes")
@@ -43,15 +42,6 @@ func main() {
 
 	if o.Quick {
 		o.N = 64
-	}
-	if *prefRate > 0 {
-		o.Rates.VectorGlobalPref = *prefRate
-	}
-	if *localRate > 0 {
-		o.Rates.VectorLocal = *localRate
-	}
-	if *claimSlow > 0 {
-		o.Rates.ClaimSlowSeconds = *claimSlow
 	}
 	sel, err := tables.Select(flag.Args())
 	if err == nil {

@@ -1,7 +1,7 @@
 package runner
 
 import (
-	"fmt"
+	"encoding/json"
 	"reflect"
 	"sync"
 	"testing"
@@ -22,15 +22,20 @@ var smallSpecs = map[string]job.Spec{
 	"mg3d": {Workload: "mg3d", Clusters: 1, Iterations: 1},
 }
 
+// scaledSpec runs on the scaled topology, several machines of which the
+// ppt5 exhibit runs at once.
+var scaledSpec = job.Spec{Workload: "vl", Topology: "scaled", Clusters: 8, Size: 4096}
+
 // concurrentFaultSeed is a fault schedule that injects at least one fault
 // into every small spec at fault_rate 1; most seeds miss the shorter runs.
 const concurrentFaultSeed = 30
 
-// TestConcurrentMachines runs every registry workload on several
-// machines at once, as cedard does, and checks each result against a
-// sequential run of the same spec. A kernel that keeps state at package
-// level shares it between machines: under -race that is a reported data
-// race, and without it the results can diverge from the sequential ones.
+// TestConcurrentMachines runs every registry workload, and one spec on
+// the scaled topology, on several machines at once, as cedard and the
+// exhibits do, and checks each result against a sequential run of the
+// same spec. A kernel that keeps state at package level shares it
+// between machines: under -race that is a reported data race, and
+// without it the results can diverge from the sequential ones.
 func TestConcurrentMachines(t *testing.T) {
 	var specs []job.Spec
 	for _, name := range workload.Names() {
@@ -46,6 +51,7 @@ func TestConcurrentMachines(t *testing.T) {
 	if t.Failed() {
 		return
 	}
+	specs = append(specs, scaledSpec)
 	want := make([]job.Result, len(specs))
 	for i, spec := range specs {
 		res, err := Run(spec)
@@ -80,7 +86,8 @@ func TestConcurrentMachines(t *testing.T) {
 }
 
 func label(spec job.Spec) string {
-	return fmt.Sprintf("%s fault_rate=%g", spec.Workload, spec.FaultRate)
+	b, _ := json.Marshal(spec)
+	return string(b)
 }
 
 // injected counts the faults a run's census says landed on a target.

@@ -123,6 +123,30 @@ func DefaultRates() Rates {
 	}
 }
 
+// check rejects rates the models cannot run under: a vector rate
+// divides work, so it must be positive and finite; a cost must be
+// non-negative and finite, and zero is a valid what-if.
+func (r Rates) check() error {
+	type field struct {
+		name string
+		v    float64
+	}
+	for _, f := range []field{{"VectorLocal", r.VectorLocal}, {"VectorGlobalPref", r.VectorGlobalPref},
+		{"VectorGlobalNoPref", r.VectorGlobalNoPref}} {
+		if !(f.v > 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("perfect: %s = %g: a vector MFLOPS rate must be positive and finite", f.name, f.v)
+		}
+	}
+	for _, f := range []field{{"ClaimFastSeconds", r.ClaimFastSeconds}, {"ClaimSlowSeconds", r.ClaimSlowSeconds},
+		{"StartupSeconds", r.StartupSeconds}, {"BarrierSeconds", r.BarrierSeconds}, {"TLBMissSeconds", r.TLBMissSeconds},
+		{"FormattedIOSecPerWord", r.FormattedIOSecPerWord}, {"RawIOSecPerWord", r.RawIOSecPerWord}} {
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("perfect: %s = %g: a cost must be non-negative and finite", f.name, f.v)
+		}
+	}
+	return nil
+}
+
 // Targets holds the published measurements a profile is calibrated to
 // (Table 3; seconds). Zero AutoSeconds marks a code with no automatable
 // results (SPICE).

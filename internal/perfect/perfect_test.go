@@ -3,6 +3,7 @@ package perfect
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -244,5 +245,35 @@ func TestSuite(t *testing.T) {
 	}
 	if len(s) != 13 {
 		t.Fatal("Suite wrong size")
+	}
+}
+
+// TestNewSuiteRejectsBadRates: a vector rate that is zero, negative or
+// not finite, or a cost that is negative or not finite, fails NewSuite
+// with an error naming the field; a zero cost is a valid what-if.
+func TestNewSuiteRejectsBadRates(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		set   func(*Rates, float64)
+		bad   []float64
+	}{
+		{"VectorGlobalPref", func(r *Rates, v float64) { r.VectorGlobalPref = v }, []float64{0, -1, math.NaN(), math.Inf(1)}},
+		{"VectorGlobalNoPref", func(r *Rates, v float64) { r.VectorGlobalNoPref = v }, []float64{0}},
+		{"VectorLocal", func(r *Rates, v float64) { r.VectorLocal = v }, []float64{0}},
+		{"ClaimSlowSeconds", func(r *Rates, v float64) { r.ClaimSlowSeconds = v }, []float64{-1e-6, math.NaN(), math.Inf(1)}},
+		{"RawIOSecPerWord", func(r *Rates, v float64) { r.RawIOSecPerWord = v }, []float64{-1e-6}},
+	} {
+		for _, v := range tc.bad {
+			r := DefaultRates()
+			tc.set(&r, v)
+			if _, err := NewSuite(r); err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("%s = %g: error %v, want one naming the field", tc.field, v, err)
+			}
+		}
+	}
+	zero := DefaultRates()
+	zero.ClaimSlowSeconds, zero.BarrierSeconds, zero.TLBMissSeconds = 0, 0, 0
+	if _, err := NewSuite(zero); err != nil {
+		t.Fatalf("zero costs: %v", err)
 	}
 }

@@ -8,7 +8,12 @@ import "fmt"
 // barriers) come from the paper's per-code discussion; the published
 // times are calibration targets from which the solver derives each
 // code's serial residual, prefetch-sensitive work and claim volume.
+// Rates with a vector rate that is not positive and finite, or a cost
+// that is negative or not finite, are an error naming the field.
 func NewSuite(r Rates) ([]*Profile, error) {
+	if err := r.check(); err != nil {
+		return nil, err
+	}
 	suite := []*Profile{
 		{
 			// ADM: air-pollution model. Modest vectorization, a large

@@ -4,26 +4,32 @@
 // scalability study, PPT5, the memory probes and the ablations come from
 // machine simulation; Tables 3 and 4, the per-code view and the
 // data-size study from the calibrated Perfect models; Tables 5 and 6 and
-// Figure 3 from the methodology over the cross-machine dataset.
+// Figure 3 from the methodology over the cross-machine dataset. The
+// cells of Tables 1 and 2 and PPT5's kernel runs are job Specs, run
+// through the same runner cedarsim and cedard use.
 //
 // Each Run* function returns structured data with the paper's published
 // values alongside the reproduced ones, and renders a text exhibit.
 package tables
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
+	"runtime"
 	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/core"
+	"repro/internal/job"
+	"repro/internal/job/runner"
 	"repro/internal/perfect"
 )
 
 // Options are the knobs the exhibits read; each ignores the others.
 type Options struct {
 	N     int           // rank-64 matrix order for table1
-	Scale int           // problem-size multiplier for table2
 	Quick bool          // reduced grids for scal and ppt5
 	Rates perfect.Rates // table3, table4, sizes, codes; what-if studies change them
 	Code  string        // codes: the one Perfect code to show ("" shows all)
@@ -38,12 +44,16 @@ type Options struct {
 
 // DefaultOptions are the options a bare cmd/tables runs with.
 func DefaultOptions() Options {
-	return Options{N: 256, Scale: 1, Rates: perfect.DefaultRates(), Cycles: 20000}
+	return Options{N: 256, Rates: perfect.DefaultRates(), Cycles: 20000}
 }
 
-// Check rejects a Code that names no Perfect code.
+// Check rejects an N below 1, Rates the Perfect models cannot run
+// under, and a Code that names no Perfect code.
 func (o Options) Check() error {
-	_, err := RunCodes(perfect.DefaultRates(), o.Code)
+	if o.N < 1 {
+		return fmt.Errorf("-n %d: the rank-64 matrix order must be positive", o.N)
+	}
+	_, err := RunCodes(o.Rates, o.Code)
 	return err
 }
 
@@ -63,7 +73,7 @@ type Exhibit struct {
 // Catalog is every exhibit, in the order cmd/tables prints them.
 var Catalog = []Exhibit{
 	{"table1", "Table 1: rank-64 update, memory modes x clusters (-n)", true, func(o Options) (Renderer, error) { return RunTable1(o.N) }},
-	{"table2", "Table 2: global memory under prefetch (-scale)", true, func(o Options) (Renderer, error) { return RunTable2(o.Scale) }},
+	{"table2", "Table 2: global memory under prefetch", true, func(Options) (Renderer, error) { return RunTable2() }},
 	{"table3", "Table 3: the Perfect codes on Cedar (modeled)", true, func(o Options) (Renderer, error) { return RunTable3(o.Rates) }},
 	{"table4", "Table 4: hand-optimized Perfect codes (modeled)", true, func(o Options) (Renderer, error) { return RunTable4(o.Rates) }},
 	{"table5", "Table 5: instability, Cedar vs YMP-8 vs Cray-1", true, func(Options) (Renderer, error) { return RunTable5(), nil }},
@@ -97,6 +107,32 @@ func Select(names []string) ([]Exhibit, error) {
 		}
 	}
 	return sel, nil
+}
+
+// runSpecs runs an exhibit's cells, one goroutine per Spec, through one
+// job.Service with a worker per GOMAXPROCS, and returns their results in
+// list order. A failure names the exhibit and the first failing Spec in
+// list order.
+func runSpecs(exhibit string, specs []job.Spec) ([]job.Result, error) {
+	svc := job.NewService(runner.Run, 1, runtime.GOMAXPROCS(0))
+	res := make([]job.Result, len(specs))
+	errs := make([]error, len(specs))
+	var wg sync.WaitGroup
+	for i, spec := range specs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res[i], _, errs[i] = svc.Do(spec)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			cell, _ := json.Marshal(specs[i]) // fails only on a NaN or infinite FaultRate, which no exhibit sets
+			return nil, fmt.Errorf("%s %s: %w", exhibit, cell, err)
+		}
+	}
+	return res, nil
 }
 
 // Figure1Data is Figures 1 and 2: the organization of a machine.

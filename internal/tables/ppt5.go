@@ -4,14 +4,12 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/cedarfort"
 	"repro/internal/core"
 	"repro/internal/isa"
-	"repro/internal/kernels"
+	"repro/internal/job"
 	"repro/internal/methodology"
 	"repro/internal/report"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // PPT5Point is one scaled-machine measurement.
@@ -47,25 +45,26 @@ type PPT5Data struct {
 // measureMinLatency issues one scalar global load on an idle machine
 // and reports the effective latency minus the CE transfer component
 // (the network+memory round trip: 8 cycles on the as-built machine, 10
-// with three network stages).
-func measureMinLatency(cfg core.Config) (sim.Cycle, error) {
+// with three network stages), and the machine's network depth.
+func measureMinLatency(cfg core.Config) (latency sim.Cycle, stages int, err error) {
 	m, err := core.New(cfg)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	done := sim.Cycle(-1)
 	op := isa.NewScalarLoad(isa.Addr{Space: isa.Global, Word: 5})
 	op.OnDone = func(int64, bool) { done = m.Eng.Now() }
 	m.Dispatch(0, isa.NewSeq(op))
 	if _, err := m.RunUntilIdle(10000); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	return done - m.Config().CE.XferCycles, nil
+	return done - m.Config().CE.XferCycles, m.Fwd.Stages(), nil
 }
 
-// RunPPT5 runs the scaling study. quick reduces the problem sizes.
+// RunPPT5 runs the scaling study: at each scale, the latency probe and
+// two job Specs on the scaled topology, rank-64 in cache mode and CG.
+// quick reduces the problem sizes.
 func RunPPT5(quick bool) (*PPT5Data, error) {
-	d := &PPT5Data{}
 	scales := []int{4, 8, 16}
 	rkN := 256
 	cgN := 16384
@@ -76,43 +75,27 @@ func RunPPT5(quick bool) (*PPT5Data, error) {
 		cgN = 8192
 		iters = 3
 	}
-	var rkPer, cgPer []float64
+	var specs []job.Spec
 	for _, clusters := range scales {
-		cfg := core.ScaledConfig(clusters)
-		pt := PPT5Point{Clusters: clusters, CEs: clusters * cfg.Cluster.CEs}
-
-		lat, err := measureMinLatency(cfg)
+		specs = append(specs,
+			job.Spec{Workload: "rk", Mode: "cache", Size: rkN, Topology: "scaled", Clusters: clusters},
+			job.Spec{Workload: "cg", Size: cgN, Iterations: iters, Topology: "scaled", Clusters: clusters})
+	}
+	res, err := runSpecs("ppt5", specs)
+	if err != nil {
+		return nil, err
+	}
+	d := &PPT5Data{}
+	var rkPer, cgPer []float64
+	for i, clusters := range scales {
+		rk, cg := res[2*i], res[2*i+1]
+		pt := PPT5Point{Clusters: clusters, CEs: rk.CEs, RKMFLOPS: rk.MFLOPS, CGMFLOPS: cg.MFLOPS}
+		pt.MinLatency, pt.NetStages, err = measureMinLatency(core.ScaledConfig(clusters))
 		if err != nil {
 			return nil, err
 		}
-		pt.MinLatency = lat
-
-		mRK, err := core.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		pt.NetStages = mRK.Fwd.Stages()
-		in := kernels.NewRank64Input(rkN)
-		rk, err := kernels.RunRank64(mRK, in, workload.Params{Mode: workload.GMCache})
-		if err != nil {
-			return nil, fmt.Errorf("ppt5 rank64 %d clusters: %w", clusters, err)
-		}
-		pt.RKMFLOPS = rk.MFLOPS
 		pt.RKPerCE = rk.MFLOPS / float64(pt.CEs)
-
-		mCG, err := core.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		rt := cedarfort.New(mCG, cedarfort.DefaultConfig())
-		p := kernels.NewCGProblem(cgN, 64)
-		cg, err := kernels.RunCG(mCG, rt, p, workload.Params{Iterations: iters, Prefetch: true})
-		if err != nil {
-			return nil, fmt.Errorf("ppt5 cg %d clusters: %w", clusters, err)
-		}
-		pt.CGMFLOPS = cg.MFLOPS
 		pt.CGPerCE = cg.MFLOPS / float64(pt.CEs)
-
 		rkPer = append(rkPer, pt.RKPerCE)
 		cgPer = append(cgPer, pt.CGPerCE)
 		d.Points = append(d.Points, pt)

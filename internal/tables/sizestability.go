@@ -27,9 +27,6 @@ type SizeStabilityData struct {
 // RunSizeStability evaluates the automatable Perfect models at problem
 // scales 1/4x, 1x, 4x and 16x.
 func RunSizeStability(r perfect.Rates) (*SizeStabilityData, error) {
-	if r == (perfect.Rates{}) {
-		r = perfect.DefaultRates()
-	}
 	suite, err := perfect.NewSuite(r)
 	if err != nil {
 		return nil, err

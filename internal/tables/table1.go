@@ -4,10 +4,9 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/core"
+	"repro/internal/job"
 	"repro/internal/kernels"
 	"repro/internal/report"
-	"repro/internal/workload"
 )
 
 // Table1Published holds the paper's Table 1 (MFLOPS for the rank-64
@@ -42,30 +41,31 @@ func (d *Table1Data) Get(mode kernels.Mode, clusters int) float64 {
 	return 0
 }
 
-// RunTable1 simulates the rank-64 update in all three memory modes on
-// one through four clusters. The paper uses n = 1K; the rates are
-// steady-state, so smaller multiples of the machine width reproduce the
-// same table much faster (n = 256 is the benchmark default).
+// RunTable1 runs the rank-64 update in all three memory modes on one
+// through four clusters: twelve job Specs. The paper uses n = 1K; the
+// rates are steady-state, so smaller multiples of the machine width
+// reproduce the same table much faster (n = 256 is the benchmark
+// default).
 func RunTable1(n int) (*Table1Data, error) {
-	d := &Table1Data{N: n}
+	var specs []job.Spec
 	for clusters := 1; clusters <= 4; clusters++ {
-		for _, mode := range []kernels.Mode{kernels.GMNoPrefetch, kernels.GMPrefetch, kernels.GMCache} {
-			in := kernels.NewRank64Input(n)
-			m, err := core.New(core.ConfigClusters(clusters))
-			if err != nil {
-				return nil, err
-			}
-			res, err := kernels.RunRank64(m, in, workload.Params{Mode: mode})
-			if err != nil {
-				return nil, fmt.Errorf("table 1 %v/%d clusters: %w", mode, clusters, err)
-			}
-			d.Cells = append(d.Cells, Table1Cell{
-				Mode:     mode,
-				Clusters: clusters,
-				MFLOPS:   res.MFLOPS,
-				Paper:    Table1Published[mode][clusters-1],
-			})
+		for _, mode := range []string{"nopref", "pref", "cache"} {
+			specs = append(specs, job.Spec{Workload: "rk", Mode: mode, Size: n, Clusters: clusters})
 		}
+	}
+	res, err := runSpecs("table 1", specs)
+	if err != nil {
+		return nil, err
+	}
+	d := &Table1Data{N: n}
+	for i, s := range specs {
+		mode := s.Params().Mode
+		d.Cells = append(d.Cells, Table1Cell{
+			Mode:     mode,
+			Clusters: s.Clusters,
+			MFLOPS:   res[i].MFLOPS,
+			Paper:    Table1Published[mode][s.Clusters-1],
+		})
 	}
 	return d, nil
 }

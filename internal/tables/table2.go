@@ -4,11 +4,8 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/cedarfort"
-	"repro/internal/core"
-	"repro/internal/kernels"
+	"repro/internal/job"
 	"repro/internal/report"
-	"repro/internal/workload"
 )
 
 // Table2Published holds the paper's Table 2: prefetch speedup, first-word
@@ -48,92 +45,55 @@ func (d *Table2Data) Get(kernel string, ces int) (Table2Row, bool) {
 	return Table2Row{}, false
 }
 
-// table2Kernels runs one kernel with and without prefetch on a fresh
-// machine and returns (speedup, latency, interarrival).
-func runKernelPair(clusters int, run func(m *core.Machine, usePrefetch, probe bool) (kernels.Result, error)) (Table2Row, error) {
-	mk := func() (*core.Machine, error) { return core.New(core.ConfigClusters(clusters)) }
-	mNo, err := mk()
-	if err != nil {
-		return Table2Row{}, err
-	}
-	resNo, err := run(mNo, false, false)
-	if err != nil {
-		return Table2Row{}, err
-	}
-	mPf, err := mk()
-	if err != nil {
-		return Table2Row{}, err
-	}
-	resPf, err := run(mPf, true, true)
-	if err != nil {
-		return Table2Row{}, err
-	}
-	return Table2Row{
-		CEs:          clusters * 8,
-		Speedup:      float64(resNo.Cycles) / float64(resPf.Cycles),
-		Latency:      resPf.Latency,
-		Interarrival: resPf.Interarrival,
-	}, nil
+// table2Kernels are Table 2's four kernels, each as the Spec of its run
+// with prefetch, which carries the probe. The baseline run is the same
+// Spec with prefetch and the probe off; rk, whose prefetching is its
+// memory mode, drops to nopref as well.
+var table2Kernels = []struct {
+	name string
+	spec job.Spec
+}{
+	{"TM", job.Spec{Workload: "tm", Size: 4096}},
+	// 4 CG iterations are enough for the steady-state rates.
+	{"CG", job.Spec{Workload: "cg", Size: 4096, Iterations: 4}},
+	{"VF", job.Spec{Workload: "vl", Size: 8192}},
+	{"RK", job.Spec{Workload: "rk", Size: 128, Mode: "pref"}},
 }
 
 // RunTable2 measures the four kernels (TM, CG, VF, RK) at 8, 16 and 32
 // processors, global data only, with the hardware monitor attached to a
-// single processor's prefetch unit, as the paper does. scale multiplies
-// the problem sizes (1 = benchmark default).
-func RunTable2(scale int) (*Table2Data, error) {
-	if scale < 1 {
-		scale = 1
+// single processor's prefetch unit, as the paper does: 24 job Specs, a
+// baseline and a prefetching run per kernel and width.
+func RunTable2() (*Table2Data, error) {
+	var specs []job.Spec
+	var names []string
+	for _, clusters := range []int{1, 2, 4} {
+		for _, k := range table2Kernels {
+			on := k.spec
+			on.Clusters = clusters
+			off := on
+			off.Prefetch, off.Probe = job.Bool(false), job.Bool(false)
+			if off.Mode != "" {
+				off.Mode = "nopref"
+			}
+			specs = append(specs, off, on)
+			names = append(names, k.name)
+		}
+	}
+	res, err := runSpecs("table 2", specs)
+	if err != nil {
+		return nil, err
 	}
 	d := &Table2Data{}
-	for _, clusters := range []int{1, 2, 4} {
-		// TM: tridiagonal matrix-vector multiply.
-		row, err := runKernelPair(clusters, func(m *core.Machine, pf, probe bool) (kernels.Result, error) {
-			return kernels.RunTriMatVec(m, workload.Params{Size: 4096 * scale, Prefetch: pf, Probe: probe})
+	for i, name := range names {
+		off, on := res[2*i], res[2*i+1]
+		d.Rows = append(d.Rows, Table2Row{
+			Kernel:       name,
+			CEs:          on.CEs,
+			Speedup:      float64(off.Cycles) / float64(on.Cycles),
+			Latency:      *on.LatencyCycles,
+			Interarrival: *on.InterarrivalCycles,
 		})
-		if err != nil {
-			return nil, fmt.Errorf("table 2 TM: %w", err)
-		}
-		row.Kernel = "TM"
-		d.Rows = append(d.Rows, row)
-
-		// CG: conjugate gradient (4 iterations are enough for the
-		// steady-state rates).
-		row, err = runKernelPair(clusters, func(m *core.Machine, pf, probe bool) (kernels.Result, error) {
-			p := kernels.NewCGProblem(4096*scale, 64)
-			rt := cedarfort.New(m, cedarfort.DefaultConfig())
-			res, err := kernels.RunCG(m, rt, p, workload.Params{Iterations: 4, Prefetch: pf, Probe: probe})
-			return res.Result, err
-		})
-		if err != nil {
-			return nil, fmt.Errorf("table 2 CG: %w", err)
-		}
-		row.Kernel = "CG"
-		d.Rows = append(d.Rows, row)
-
-		// VF: vector load/scale stream.
-		row, err = runKernelPair(clusters, func(m *core.Machine, pf, probe bool) (kernels.Result, error) {
-			return kernels.RunVectorLoad(m, workload.Params{Size: 8192 * scale, Prefetch: pf, Probe: probe})
-		})
-		if err != nil {
-			return nil, fmt.Errorf("table 2 VF: %w", err)
-		}
-		row.Kernel = "VF"
-		d.Rows = append(d.Rows, row)
-
-		// RK: rank-64 update with 256-word prefetch blocks.
-		row, err = runKernelPair(clusters, func(m *core.Machine, pf, probe bool) (kernels.Result, error) {
-			in := kernels.NewRank64Input(128 * scale)
-			mode := kernels.GMNoPrefetch
-			if pf {
-				mode = kernels.GMPrefetch
-			}
-			return kernels.RunRank64(m, in, workload.Params{Mode: mode, Probe: probe})
-		})
-		if err != nil {
-			return nil, fmt.Errorf("table 2 RK: %w", err)
-		}
-		row.Kernel = "RK"
-		d.Rows = append(d.Rows, row)
 	}
 	return d, nil
 }

@@ -34,11 +34,8 @@ type Table3Data struct {
 }
 
 // RunTable3 evaluates the calibrated Perfect models under the given
-// rates (zero value selects the defaults measured from the simulator).
+// rates (perfect.DefaultRates are the ones measured from the simulator).
 func RunTable3(r perfect.Rates) (*Table3Data, error) {
-	if r == (perfect.Rates{}) {
-		r = perfect.DefaultRates()
-	}
 	suite, err := perfect.NewSuite(r)
 	if err != nil {
 		return nil, err
@@ -151,9 +148,6 @@ type Table4Data struct {
 
 // RunTable4 evaluates the hand-optimization mechanisms.
 func RunTable4(r perfect.Rates) (*Table4Data, error) {
-	if r == (perfect.Rates{}) {
-		r = perfect.DefaultRates()
-	}
 	suite, err := perfect.NewSuite(r)
 	if err != nil {
 		return nil, err

@@ -18,7 +18,7 @@ func TestTable1ShapeSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	d, err := RunTable1(64)
+	d, err := table1N64()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestTable2ShapeSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	d, err := RunTable2(1)
+	d, err := table2Full()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestTable2ShapeSmall(t *testing.T) {
 }
 
 func TestTable3MatchesPaper(t *testing.T) {
-	d, err := RunTable3(perfect.Rates{})
+	d, err := RunTable3(perfect.DefaultRates())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestTable3MatchesPaper(t *testing.T) {
 }
 
 func TestTable4RowsAndImprovements(t *testing.T) {
-	d, err := RunTable4(perfect.Rates{})
+	d, err := RunTable4(perfect.DefaultRates())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestPPT5Quick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	d, err := RunPPT5(true)
+	d, err := ppt5Quick()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestPerProcessorEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	d, err := RunScalability(true)
+	d, err := scalQuick()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestPerProcessorEquivalence(t *testing.T) {
 // raw instability improves, while two-exclusion instability stays near
 // the workstation level — the structural-dispersion finding.
 func TestSizeStability(t *testing.T) {
-	d, err := RunSizeStability(perfect.Rates{})
+	d, err := RunSizeStability(perfect.DefaultRates())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestScalabilityQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	d, err := RunScalability(true)
+	d, err := scalQuick()
 	if err != nil {
 		t.Fatal(err)
 	}
