@@ -29,17 +29,20 @@ bench-unit:
 	cd bench && $(GO) test -short ./...
 
 # Race-detect the packages that start goroutines (cedard's batch
-# fan-out, the job service) or hold state shared across machines (none
-# does today); a package that gains either belongs on this list.
-# Every other package runs one machine on one goroutine, where -race
-# checks nothing `test` does not. runner's TestConcurrentMachines runs
-# every registry workload, and the scaled topology, on several machines
-# at once, so state a kernel keeps at package level is reported here as
-# a data race. internal/tables starts goroutines only to call
-# job.Service, which this leg races, on Specs that
-# TestConcurrentMachines covers.
+# fan-out, the job service) or hold state shared across machines (the
+# telemetry registry layouts that machines of one shape share); a
+# package that gains either belongs on this list. Every other package
+# runs one machine on one goroutine, where -race checks nothing `test`
+# does not. runner's TestConcurrentMachines runs every registry
+# workload, and the scaled topology, on several machines at once, so
+# state a kernel keeps at package level is reported here as a data
+# race, and each of its machines fingerprints a registry bound to a
+# shared layout; telemetry's TestShapedConcurrent builds and
+# fingerprints registries of several shapes from eight goroutines.
+# internal/tables starts goroutines only to call job.Service, which
+# this leg races, on Specs that TestConcurrentMachines covers.
 race:
-	$(GO) test -race ./cmd/cedard/ ./internal/job/...
+	$(GO) test -race ./cmd/cedard/ ./internal/job/... ./internal/telemetry/
 
 # Naive vs wake-cached engine on the DOALL-startup-heavy workload, plus
 # the compute-dominated wake-cached rows at 4 and 16 clusters; the

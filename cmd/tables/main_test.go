@@ -8,9 +8,10 @@ import (
 )
 
 // TestUsageErrors: an unknown exhibit name or -code value, an -n below
-// 1 and a Perfect-model rate the models cannot run under exit 2 before
-// anything is printed, naming the known values or the bad flag; a size
-// the kernel cannot split exits 1 with the kernel's error, not a panic.
+// 1, a Perfect-model rate the models cannot run under and a memory-probe
+// setting memchar cannot run exit 2 before anything is printed, naming
+// the known values or the bad flag; a size the kernel cannot split
+// exits 1 with the kernel's error, not a panic.
 func TestUsageErrors(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "tables")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
@@ -28,6 +29,14 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-prefrate", "-1", "table3"}, 2, "VectorGlobalPref"},
 		{[]string{"-prefrate", "0", "table3"}, 2, "VectorGlobalPref"},
 		{[]string{"-n", "33", "table1"}, 1, "not a multiple of 32"},
+		{[]string{"-sources", "-1", "-rate", "0.5", "memload"}, 2, "-sources -1"},
+		{[]string{"-sources", "65", "memload"}, 2, "-sources 65"},
+		{[]string{"-sources", "8", "-rate", "-1", "memload"}, 2, "-rate -1"},
+		{[]string{"-sources", "8", "-rate", "1.5", "memload"}, 2, "-rate 1.5"},
+		{[]string{"-sources", "8", "-rate", "0.5", "-writes", "1", "memload"}, 2, "-writes 1"},
+		{[]string{"-writes", "-1", "memload"}, 2, "-writes -1"},
+		{[]string{"-cycles", "0", "memstride"}, 2, "-cycles 0"},
+		{[]string{"-cycles", "-5", "memload"}, 2, "-cycles -5"},
 	} {
 		cmd := exec.Command(bin, tc.args...)
 		var stdout, stderr strings.Builder

@@ -10,27 +10,36 @@ import (
 // registry reads them through closures at snapshot time, so the
 // execution path is untouched.
 func (c *CE) RegisterMetrics(reg *telemetry.Registry, prefix string) {
-	reg.Counter(prefix+"/flops", &c.Flops)
-	reg.Counter(prefix+"/ops_done", &c.OpsDone)
-	reg.Counter(prefix+"/stall_mem", &c.StallMem)
-	reg.Counter(prefix+"/stall_net", &c.StallNet)
-	reg.Counter(prefix+"/idle_cycles", &c.IdleCycles)
-	reg.Counter(prefix+"/retries", &c.Retries)
-	reg.Counter(prefix+"/late_replies", &c.LateReplies)
-	reg.Counter(prefix+"/stale_replies", &c.StaleReplies)
-	reg.Counter(prefix+"/retries_exhausted", &c.RetriesExhausted)
-	reg.Counter(prefix+"/check_stops", &c.CheckStops)
-	reg.Counter(prefix+"/surrendered", &c.Surrendered)
-	reg.Counter(prefix+"/io_requests", &c.IORequests)
-	reg.Counter(prefix+"/io_wait_cycles", &c.IOWaitCycles)
-	reg.Counter(prefix+"/io_words", &c.IOWords)
-	reg.Gauge(prefix+"/finished_at", func() int64 { return int64(c.FinishedAt) })
+	s := reg.Scope(prefix)
+	s.Counter("flops", &c.Flops)
+	s.Counter("ops_done", &c.OpsDone)
+	s.Counter("stall_mem", &c.StallMem)
+	s.Counter("stall_net", &c.StallNet)
+	s.Counter("idle_cycles", &c.IdleCycles)
+	s.Counter("retries", &c.Retries)
+	s.Counter("late_replies", &c.LateReplies)
+	s.Counter("stale_replies", &c.StaleReplies)
+	s.Counter("retries_exhausted", &c.RetriesExhausted)
+	s.Counter("check_stops", &c.CheckStops)
+	s.Counter("surrendered", &c.Surrendered)
+	s.Counter("io_requests", &c.IORequests)
+	s.Counter("io_wait_cycles", &c.IOWaitCycles)
+	s.Counter("io_words", &c.IOWords)
+	s.Gauge("finished_at", func() int64 { return int64(c.FinishedAt) })
 	// Cycle-accounting buckets (DESIGN.md §4.8). Registered as Counters
 	// so they join every fingerprint: the determinism, fuzz, and scale
 	// suites then enforce bit-identical attribution across engine modes
 	// for free. The "attr/" name prefix is what the trace exporter keys
 	// its per-CE counter tracks on.
-	for b := isa.Bucket(0); b < isa.NumBuckets; b++ {
-		reg.Counter(prefix+"/attr/"+b.String(), &c.Acct.Cycles[b])
+	for b, name := range attrNames {
+		s.Counter(name, &c.Acct.Cycles[b])
 	}
 }
+
+// attrNames are the cycle-accounting buckets' metric names.
+var attrNames = func() (names [isa.NumBuckets]string) {
+	for b := range names {
+		names[b] = "attr/" + isa.Bucket(b).String()
+	}
+	return names
+}()

@@ -5,20 +5,22 @@ import "repro/internal/telemetry"
 // RegisterMetrics publishes the IP's counters under prefix (for example
 // "cluster0/ip").
 func (ip *IP) RegisterMetrics(reg *telemetry.Registry, prefix string) {
-	reg.Counter(prefix+"/requests", &ip.Requests)
-	reg.Counter(prefix+"/busy_cycles", &ip.BusyCycles)
-	reg.Counter(prefix+"/words_moved", &ip.WordsMoved)
-	reg.Counter(prefix+"/completions", &ip.Completions)
-	reg.Counter(prefix+"/wait_cycles", &ip.WaitCycles)
-	reg.Counter(prefix+"/fault_busies", &ip.FaultBusies)
-	reg.Counter(prefix+"/fault_delays", &ip.FaultDelays)
-	reg.Gauge(prefix+"/pending", func() int64 { return int64(ip.Pending()) })
+	s := reg.Scope(prefix)
+	s.Counter("requests", &ip.Requests)
+	s.Counter("busy_cycles", &ip.BusyCycles)
+	s.Counter("words_moved", &ip.WordsMoved)
+	s.Counter("completions", &ip.Completions)
+	s.Counter("wait_cycles", &ip.WaitCycles)
+	s.Counter("fault_busies", &ip.FaultBusies)
+	s.Counter("fault_delays", &ip.FaultDelays)
+	s.Gauge("pending", func() int64 { return int64(ip.Pending()) })
 }
 
 // RegisterMetrics publishes the cluster's concurrency-bus fault counters
 // under prefix (for example "cluster0/bus").
 func (cl *Cluster) RegisterMetrics(reg *telemetry.Registry, prefix string) {
-	reg.Counter(prefix+"/fault_stalls", &cl.BusFaults)
-	reg.Counter(prefix+"/stalled_ops", &cl.BusStalledOps)
-	reg.Counter(prefix+"/stall_cycles", &cl.BusStallCycles)
+	s := reg.Scope(prefix)
+	s.Counter("fault_stalls", &cl.BusFaults)
+	s.Counter("stalled_ops", &cl.BusStalledOps)
+	s.Counter("stall_cycles", &cl.BusStallCycles)
 }

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/gmem"
 	"repro/internal/isa"
 	"repro/internal/network"
+	"repro/internal/prefetch"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // loopProgram runs its pre-built operations round-robin forever, so
@@ -189,5 +193,55 @@ func TestRecycledPacketStampedAgain(t *testing.T) {
 		if trips[0] < 8 || trips[1] != trips[0] {
 			t.Fatalf("%s: round trips %v, want two equal trips of at least 8 cycles", tc.name, trips)
 		}
+	}
+}
+
+// pfuSink keeps a measured PFU on the heap, where a machine's are.
+var pfuSink *prefetch.PFU
+
+// allocated returns the fewest bytes f allocated over three calls.
+func allocated(f func()) uint64 {
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// TestShortJobAllocations bounds what a short job allocates outside its
+// simulated cycles: a machine whose shape was built before binds its
+// registry without building paths, a fingerprint allocates its text and
+// little more, and a prefetch unit armed with one 32-word strip carries
+// 32 buffer slots, not 512.
+func TestShortJobAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes what allocations weigh")
+	}
+	MustNew(ConfigClusters(4)).Registry() // the shape's layout
+	machines := []*Machine{MustNew(ConfigClusters(4)), MustNew(ConfigClusters(4)), MustNew(ConfigClusters(4))}
+	var reg *telemetry.Registry
+	if n := allocated(func() { reg, machines = machines[0].Registry(), machines[1:] }); n > 40<<10 {
+		t.Errorf("a second 4-cluster machine's registry allocated %d bytes, want at most 40 KB", n)
+	}
+	// The runtime rounds an object over 32 KB up to whole 8 KB pages:
+	// this machine's 40,462-byte text takes 40,960.
+	var text string
+	if n := allocated(func() { text = reg.Fingerprint() }); float64(n) > 1.1*float64(len(text)) {
+		t.Errorf("a fingerprint of %d bytes allocated %d bytes, want at most 1.1x its text", len(text), n)
+	}
+	if n := testing.AllocsPerRun(3, func() { reg.Fingerprint() }); n != 1 {
+		t.Errorf("a fingerprint made %v allocations, want one: its text", n)
+	}
+	fwd, err := network.New("forward", 8, 8, network.DefaultQueueWords)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slots := (8 + 1 + 1 + 4) * prefetch.BufferWords // value, full, got, tag
+	if n := allocated(func() { pfuSink = prefetch.New(fwd, 0, 0, 0); pfuSink.Arm(32, 1) }); n > uint64(slots)/4 {
+		t.Errorf("a PFU armed with a 32-word strip allocated %d bytes; its %d-slot buffer takes %d", n, prefetch.BufferWords, slots)
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"strconv"
 
 	"repro/internal/cache"
 	"repro/internal/ce"
@@ -192,7 +193,8 @@ func New(cfg Config) (*Machine, error) {
 		cfg.CE.ReadTimeout = cfg.Fault.ReadTimeout
 		cfg.CE.MaxRetries = cfg.Fault.MaxRetries
 	}
-	m := &Machine{cfg: cfg, Eng: eng, Fwd: fwd, Rev: rev, Global: g, IOWait: xylem.NewIOWait()}
+	m := &Machine{cfg: cfg, Eng: eng, Fwd: fwd, Rev: rev, Global: g, IOWait: xylem.NewIOWait(),
+		Clusters: make([]*cluster.Cluster, 0, cfg.Clusters), ces: make([]*ce.CE, 0, nces)}
 	if cfg.Fault.Enabled() {
 		m.Resched = xylem.NewRescheduler(fault.RescheduleLatency)
 	}
@@ -292,25 +294,30 @@ func New(cfg Config) (*Machine, error) {
 	// mode — the property that keeps fault-injected runs mode-identical.
 	// The rescheduler follows it, ahead of the CEs, so a ready task can
 	// be redispatched at the start of the cycle it becomes due.
+	//
+	// The engine reserves a slot for each: the injector and the
+	// rescheduler, a CE and a PFU per CE, an IP per cluster, the park
+	// table, both networks and the memory modules.
+	m.Eng.Reserve(2 + 2*nces + cfg.Clusters + 3 + g.Modules())
 	if m.FaultInj != nil {
 		m.Eng.Register("fault", m.FaultInj)
 		m.Eng.Register("resched", m.Resched)
 	}
 	for _, c := range m.ces {
-		m.Eng.Register(fmt.Sprintf("ce%d", c.ID), c)
+		m.Eng.Register("ce"+strconv.Itoa(c.ID), c)
 	}
 	for _, c := range m.ces {
-		m.Eng.Register(fmt.Sprintf("pfu%d", c.ID), c.PFU())
+		m.Eng.Register("pfu"+strconv.Itoa(c.ID), c.PFU())
 	}
 	for _, clu := range m.Clusters {
-		m.Eng.Register(fmt.Sprintf("ip%d", clu.ID), clu.IPs)
+		m.Eng.Register("ip"+strconv.Itoa(clu.ID), clu.IPs)
 	}
 	// The park table never ticks; it is registered so a deadline hit
 	// with programs still blocked on I/O names them in the diagnostics.
 	m.Eng.Register("xylem/io", m.IOWait)
 	m.Eng.Register("fwd", fwd)
 	for mod := 0; mod < g.Modules(); mod++ {
-		m.Eng.Register(fmt.Sprintf("gmod%d", mod), g.Module(mod))
+		m.Eng.Register("gmod"+strconv.Itoa(mod), g.Module(mod))
 	}
 	m.Eng.Register("rev", rev)
 	return m, nil

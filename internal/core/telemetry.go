@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/isa"
@@ -15,29 +16,40 @@ import (
 // appear under the topology-mirroring paths documented in the telemetry
 // package. Registration is guarded — a machine that never calls
 // Registry carries no telemetry state and pays nothing on the fast
-// path.
+// path. Machines of one shape share their registry's layout (its paths,
+// kinds and fingerprint order), so a machine whose shape was built
+// before only binds its counters.
 func (m *Machine) Registry() *telemetry.Registry {
 	if m.reg == nil {
-		m.reg = telemetry.NewRegistry()
-		m.registerAll(m.reg)
+		c := m.cfg
+		key := shape{c.Clusters, c.Cluster.CEs, m.Global.Modules(), c.NetRadix, c.IdealNetwork, m.FaultInj != nil}
+		m.reg = telemetry.Shaped(key, m.registerAll)
 	}
 	return m.reg
+}
+
+// shape is what decides a machine's metric paths: the key its registry
+// layout is cached under.
+type shape struct {
+	clusters, ces, modules, radix int
+	ideal, faults                 bool
 }
 
 // registerAll walks the machine in assembly order, so metric
 // registration order (and therefore trace row order) is deterministic.
 func (m *Machine) registerAll(reg *telemetry.Registry) {
 	for cl, clu := range m.Clusters {
+		prefix := "cluster" + strconv.Itoa(cl)
 		for i, c := range clu.CEs {
-			c.RegisterMetrics(reg, fmt.Sprintf("cluster%d/ce%d", cl, i))
+			c.RegisterMetrics(reg, prefix+"/ce"+strconv.Itoa(i))
 		}
 		for i, c := range clu.CEs {
-			c.PFU().RegisterMetrics(reg, fmt.Sprintf("cluster%d/pfu%d", cl, i))
+			c.PFU().RegisterMetrics(reg, prefix+"/pfu"+strconv.Itoa(i))
 		}
-		clu.Cache.RegisterMetrics(reg, fmt.Sprintf("cluster%d/cache", cl))
-		clu.RegisterMetrics(reg, fmt.Sprintf("cluster%d/bus", cl))
+		clu.Cache.RegisterMetrics(reg, prefix+"/cache")
+		clu.RegisterMetrics(reg, prefix+"/bus")
 		if clu.IPs != nil {
-			clu.IPs.RegisterMetrics(reg, fmt.Sprintf("cluster%d/ip", cl))
+			clu.IPs.RegisterMetrics(reg, prefix+"/ip")
 		}
 	}
 	if m.IOWait != nil {
@@ -46,7 +58,7 @@ func (m *Machine) registerAll(reg *telemetry.Registry) {
 	m.Fwd.RegisterMetrics(reg, "net/fwd")
 	m.Rev.RegisterMetrics(reg, "net/rev")
 	for mod := 0; mod < m.Global.Modules(); mod++ {
-		m.Global.Module(mod).RegisterMetrics(reg, fmt.Sprintf("gmem/mod%d", mod))
+		m.Global.Module(mod).RegisterMetrics(reg, "gmem/mod"+strconv.Itoa(mod))
 	}
 	if m.FaultInj != nil {
 		m.FaultInj.RegisterMetrics(reg, "fault")
@@ -71,25 +83,24 @@ func (m *Machine) registerAll(reg *telemetry.Registry) {
 	reg.Diagnostic("engine/dormant_skips", &m.Eng.DormantSkips)
 	// The engine's self-profile: ticks per component class, the class
 	// being the registration name without its trailing index ("ce",
-	// "pfu", "gmod", ...).
-	var classes []string
-	members := map[string][]int{}
-	for i, name := range m.Eng.ComponentNames() {
-		class := strings.TrimRight(name, "0123456789")
-		if members[class] == nil {
-			classes = append(classes, class)
+	// "pfu", "gmod", ...). New registers each class's components
+	// together, so a class is one run of registration indices.
+	ticks := reg.Scope("engine/ticks")
+	class := func(i int) string { return strings.TrimRight(m.Eng.ComponentName(i), "0123456789") }
+	for lo, n := 0, m.Eng.Components(); lo < n; {
+		hi := lo + 1
+		for hi < n && class(hi) == class(lo) {
+			hi++
 		}
-		members[class] = append(members[class], i)
-	}
-	for _, class := range classes {
-		idx := members[class]
-		reg.Register("engine/ticks/"+class, telemetry.Diagnostic, func() int64 {
-			var n int64
-			for _, i := range idx {
-				n += m.Eng.Ticks(i)
+		from, to := lo, hi
+		ticks.Register(class(lo), telemetry.Diagnostic, func() int64 {
+			var t int64
+			for i := from; i < to; i++ {
+				t += m.Eng.Ticks(i)
 			}
-			return n
+			return t
 		})
+		lo = hi
 	}
 }
 

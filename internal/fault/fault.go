@@ -510,19 +510,20 @@ func (inj *Injector) injectCheckStop(now sim.Cycle) {
 // RegisterMetrics publishes the injector's counters under prefix
 // (conventionally "fault").
 func (inj *Injector) RegisterMetrics(reg *telemetry.Registry, prefix string) {
-	reg.Counter(prefix+"/injected", &inj.Injected)
-	reg.Counter(prefix+"/net_stalls", &inj.NetStalls)
-	reg.Counter(prefix+"/net_drops", &inj.NetDrops)
-	reg.Counter(prefix+"/mem_busies", &inj.MemBusies)
-	reg.Counter(prefix+"/mem_degrades", &inj.MemDegrades)
-	reg.Counter(prefix+"/check_stops", &inj.CheckStops)
-	reg.Counter(prefix+"/ip_busies", &inj.IPBusies)
-	reg.Counter(prefix+"/ip_delays", &inj.IPDelays)
-	reg.Counter(prefix+"/cache_busies", &inj.CacheBusies)
-	reg.Counter(prefix+"/bus_stalls", &inj.BusStalls)
-	reg.Counter(prefix+"/ce_drops", &inj.CEDrops)
-	reg.Counter(prefix+"/repairs", &inj.Repairs)
-	reg.Counter(prefix+"/no_target", &inj.NoTarget)
+	s := reg.Scope(prefix)
+	s.Counter("injected", &inj.Injected)
+	s.Counter("net_stalls", &inj.NetStalls)
+	s.Counter("net_drops", &inj.NetDrops)
+	s.Counter("mem_busies", &inj.MemBusies)
+	s.Counter("mem_degrades", &inj.MemDegrades)
+	s.Counter("check_stops", &inj.CheckStops)
+	s.Counter("ip_busies", &inj.IPBusies)
+	s.Counter("ip_delays", &inj.IPDelays)
+	s.Counter("cache_busies", &inj.CacheBusies)
+	s.Counter("bus_stalls", &inj.BusStalls)
+	s.Counter("ce_drops", &inj.CEDrops)
+	s.Counter("repairs", &inj.Repairs)
+	s.Counter("no_target", &inj.NoTarget)
 }
 
 // Census returns the injected-fault counts keyed by kind mnemonic,

@@ -5,13 +5,14 @@ import "repro/internal/telemetry"
 // RegisterMetrics publishes the module's counters under prefix (for
 // example "gmem/mod7").
 func (m *Module) RegisterMetrics(reg *telemetry.Registry, prefix string) {
-	reg.Counter(prefix+"/served", &m.Served)
-	reg.Counter(prefix+"/sync_ops", &m.SyncOps)
-	reg.Counter(prefix+"/reads", &m.Reads)
-	reg.Counter(prefix+"/writes", &m.Writes)
-	reg.Counter(prefix+"/busy_cycles", &m.BusyCycles)
-	reg.Counter(prefix+"/busy_faults", &m.BusyFaults)
-	reg.Counter(prefix+"/degrade_faults", &m.DegradeFaults)
-	reg.Counter(prefix+"/degraded_serves", &m.DegradedServes)
-	reg.Gauge(prefix+"/queue_len", func() int64 { return int64(m.QueueLen()) })
+	s := reg.Scope(prefix)
+	s.Counter("served", &m.Served)
+	s.Counter("sync_ops", &m.SyncOps)
+	s.Counter("reads", &m.Reads)
+	s.Counter("writes", &m.Writes)
+	s.Counter("busy_cycles", &m.BusyCycles)
+	s.Counter("busy_faults", &m.BusyFaults)
+	s.Counter("degrade_faults", &m.DegradeFaults)
+	s.Counter("degraded_serves", &m.DegradedServes)
+	s.Gauge("queue_len", func() int64 { return int64(m.QueueLen()) })
 }

@@ -8,12 +8,34 @@ import (
 	"repro/internal/workload"
 )
 
+// ledgerSpecs are the job shapes the Prepare and Execute rows measure:
+// vl at 1 and 4 clusters, the short-sweep shapes (tm, mg3d and a
+// one-cluster cg) and net-bound's 10-iteration cg.
+var ledgerSpecs = []job.Spec{
+	{Workload: "vl", Clusters: 1, Size: 256},
+	{Workload: "vl", Clusters: 4, Size: 1024},
+	{Workload: "tm", Clusters: 4, Size: 2048},
+	{Workload: "mg3d", Clusters: 4, Iterations: 2},
+	{Workload: "cg", Clusters: 1, Iterations: 5},
+	{Workload: "cg", Clusters: 4, Iterations: 10},
+}
+
+func ledgerName(s job.Spec) string {
+	name := fmt.Sprintf("%s/clusters=%d", s.Workload, s.Clusters)
+	if s.Size > 0 {
+		name += fmt.Sprintf("/n=%d", s.Size)
+	}
+	if s.Iterations > 0 {
+		name += fmt.Sprintf("/iters=%d", s.Iterations)
+	}
+	return name
+}
+
 // BenchmarkPrepare reports what building a default machine costs a job:
-// spec normalization plus core.New, at 1 and 4 clusters.
+// spec normalization plus core.New.
 func BenchmarkPrepare(b *testing.B) {
-	for _, clusters := range []int{1, 4} {
-		b.Run(fmt.Sprintf("clusters=%d", clusters), func(b *testing.B) {
-			spec := job.Spec{Workload: "vl", Clusters: clusters}
+	for _, spec := range ledgerSpecs {
+		b.Run(ledgerName(spec), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := Prepare(spec); err != nil {
@@ -24,15 +46,12 @@ func BenchmarkPrepare(b *testing.B) {
 	}
 }
 
-// BenchmarkExecute reports what running a short job costs once its
-// machine is built: the simulation, the result tables and the registry
-// build and fingerprint. Prepare runs outside the timer.
+// BenchmarkExecute reports what running a job costs once its machine is
+// built: the simulation, the result tables and the registry build and
+// fingerprint. Prepare runs outside the timer.
 func BenchmarkExecute(b *testing.B) {
-	for _, spec := range []job.Spec{
-		{Workload: "vl", Clusters: 1, Size: 256},
-		{Workload: "vl", Clusters: 4, Size: 1024},
-	} {
-		b.Run(fmt.Sprintf("%s/clusters=%d/n=%d", spec.Workload, spec.Clusters, spec.Size), func(b *testing.B) {
+	for _, spec := range ledgerSpecs {
+		b.Run(ledgerName(spec), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()

@@ -174,38 +174,35 @@ func RunCG(m *core.Machine, rt *cedarfort.Runtime, prob *CGProblem, p workload.P
 		curPhase = name
 	}
 
+	// Each CE's three phases, built once: their operations read the
+	// solver state through slices and pointers, and a CE never modifies
+	// an operation, so every iteration re-emits the same lists.
 	seg := n / nces
+	phaseNames := [3]string{"matvec", "update", "direction"}
 	for id := 0; id < nces; id++ {
 		ceID := id
 		lo, hi := ceID*seg, (ceID+1)*seg
-		iter := 0
-		phase := 0
+		sc := &scal[ceID]
+		phases := [3][]*isa.Op{
+			cgMatvecOps(prob, usePrefetch, lo, hi, pB, qB, partPQB, ceID, pv, q, partialsPQ),
+			cgUpdateOps(usePrefetch, lo, hi, nces, xB, rB, qB, pB, partPQB, partRRB, ceID,
+				x, r, q, pv, partialsPQ, partialsRR, &sc.alpha, &sc.rho, &sc.rhoNew),
+			cgDirectionOps(usePrefetch, lo, hi, nces, rB, pB, partRRB, ceID,
+				r, pv, partialsRR, &sc.beta, &sc.rho, &sc.rhoNew),
+		}
+		if testHookOps != nil {
+			testHookOps(phases[:])
+		}
+		iter, phase := 0, 0
 		g := isa.NewGen(func(g *isa.Gen) bool {
 			if iter >= iters {
 				markPhase(ceID, "")
 				return false
 			}
-			switch phase {
-			case 0:
-				markPhase(ceID, "matvec")
-				emitCGMatvecPhase(g, prob, usePrefetch, lo, hi, pB, qB, partPQB, ceID,
-					pv, q, partialsPQ)
-				bar.Emit(g)
-				phase = 1
-			case 1:
-				markPhase(ceID, "update")
-				sc := &scal[ceID]
-				emitCGUpdatePhase(g, usePrefetch, lo, hi, nces, xB, rB, qB, pB, partPQB, partRRB, ceID,
-					x, r, q, pv, partialsPQ, partialsRR, &sc.alpha, &sc.rho, &sc.rhoNew)
-				bar.Emit(g)
-				phase = 2
-			case 2:
-				markPhase(ceID, "direction")
-				sc := &scal[ceID]
-				emitCGDirectionPhase(g, usePrefetch, lo, hi, nces, rB, pB, partRRB, ceID,
-					r, pv, partialsRR, &sc.beta, &sc.rho, &sc.rhoNew)
-				bar.Emit(g)
-				phase = 0
+			markPhase(ceID, phaseNames[phase])
+			g.Emit(phases[phase]...)
+			bar.Emit(g)
+			if phase = (phase + 1) % 3; phase == 0 {
 				iter++
 			}
 			return true
@@ -235,29 +232,34 @@ func RunCG(m *core.Machine, rt *cedarfort.Runtime, prob *CGProblem, p workload.P
 	return res, nil
 }
 
+// testHookOps, when set by a test, receives the operation lists a
+// kernel re-emits, before the run that emits them starts.
+var testHookOps func(lists [][]*isa.Op)
+
 // vloadOps appends a strip load (with its prefetch when enabled).
-func vloadOps(g *isa.Gen, usePrefetch bool, base uint64, lo, flops int) {
+func vloadOps(ops []*isa.Op, usePrefetch bool, base uint64, lo, flops int) []*isa.Op {
 	addr := isa.Addr{Space: isa.Global, Word: base + uint64(lo)}
 	if usePrefetch {
-		g.Emit(isa.NewPrefetch(addr, StripLen, 1))
+		ops = append(ops, isa.NewPrefetch(addr, StripLen, 1))
 	}
-	g.Emit(isa.NewVectorLoad(addr, StripLen, 1, flops, usePrefetch))
+	return append(ops, isa.NewVectorLoad(addr, StripLen, 1, flops, usePrefetch))
 }
 
-// emitCGMatvecPhase: q = A p over [lo,hi), partial = p . q, store partial.
+// cgMatvecOps: q = A p over [lo,hi), partial = p . q, store partial.
 // Nine flops per element for the 5-diagonal product plus two for the dot
 // product, split across the streams' chained operations and one RR op.
-func emitCGMatvecPhase(g *isa.Gen, prob *CGProblem, usePrefetch bool, lo, hi int,
-	pB, qB, partB uint64, ceID int, pv, q []float64, partials []float64) {
+func cgMatvecOps(prob *CGProblem, usePrefetch bool, lo, hi int,
+	pB, qB, partB uint64, ceID int, pv, q []float64, partials []float64) []*isa.Op {
+	var ops []*isa.Op
 	for s := lo; s < hi; s += StripLen {
 		// Five shifted streams of p; chained flops 2+2+2+2 on four of
 		// them, one RR op for the remaining multiply and the dot terms.
-		vloadOps(g, usePrefetch, pB, s, 2)
-		vloadOps(g, usePrefetch, pB, max(0, s-1), 2)
-		vloadOps(g, usePrefetch, pB, min(prob.N-StripLen, s+1), 2)
-		vloadOps(g, usePrefetch, pB, max(0, s-prob.W), 2)
-		vloadOps(g, usePrefetch, pB, min(prob.N-StripLen, s+prob.W), 2)
-		g.Emit(isa.NewCompute(12 + StripLen)) // RR: remaining mul + dot accumulation
+		ops = vloadOps(ops, usePrefetch, pB, s, 2)
+		ops = vloadOps(ops, usePrefetch, pB, max(0, s-1), 2)
+		ops = vloadOps(ops, usePrefetch, pB, min(prob.N-StripLen, s+1), 2)
+		ops = vloadOps(ops, usePrefetch, pB, max(0, s-prob.W), 2)
+		ops = vloadOps(ops, usePrefetch, pB, min(prob.N-StripLen, s+prob.W), 2)
+		ops = append(ops, isa.NewCompute(12+StripLen)) // RR: remaining mul + dot accumulation
 		st := isa.NewVectorStore(isa.Addr{Space: isa.Global, Word: qB + uint64(s)}, StripLen, 1, 1)
 		first := s
 		st.Do = func() {
@@ -280,7 +282,7 @@ func emitCGMatvecPhase(g *isa.Gen, prob *CGProblem, usePrefetch bool, lo, hi int
 				q[i] = v
 			}
 		}
-		g.Emit(st)
+		ops = append(ops, st)
 	}
 	// Partial dot product p.q over the segment; posted scalar store.
 	st := isa.NewScalarStore(isa.Addr{Space: isa.Global, Word: partB + uint64(ceID)})
@@ -291,14 +293,14 @@ func emitCGMatvecPhase(g *isa.Gen, prob *CGProblem, usePrefetch bool, lo, hi int
 		}
 		partials[ceID] = sum
 	}
-	g.Emit(st)
+	return append(ops, st)
 }
 
-// emitCGUpdatePhase: read partials, alpha = rho / (p.q); x += alpha p;
+// cgUpdateOps: read partials, alpha = rho / (p.q); x += alpha p;
 // r -= alpha q; partial = r.r; store partial.
-func emitCGUpdatePhase(g *isa.Gen, usePrefetch bool, lo, hi, nces int,
+func cgUpdateOps(usePrefetch bool, lo, hi, nces int,
 	xB, rB, qB, pB, partPQB, partRRB uint64, ceID int,
-	x, r, q, pv []float64, partialsPQ, partialsRR []float64, alpha, rho, rhoNew *float64) {
+	x, r, q, pv []float64, partialsPQ, partialsRR []float64, alpha, rho, rhoNew *float64) []*isa.Op {
 	// Read every CE's partial (a short global vector load) and combine.
 	rd := isa.NewVectorLoad(isa.Addr{Space: isa.Global, Word: partPQB}, nces, 1, 1, false)
 	rd.Do = func() {
@@ -308,12 +310,12 @@ func emitCGUpdatePhase(g *isa.Gen, usePrefetch bool, lo, hi, nces int,
 		}
 		*alpha = *rho / pq
 	}
-	g.Emit(rd)
+	ops := []*isa.Op{rd}
 	for s := lo; s < hi; s += StripLen {
-		vloadOps(g, usePrefetch, pB, s, 2) // x += alpha p
-		vloadOps(g, usePrefetch, qB, s, 2) // r -= alpha q
-		vloadOps(g, usePrefetch, xB, s, 0) // x read-modify-write
-		vloadOps(g, usePrefetch, rB, s, 2) // r RMW + r.r accumulation
+		ops = vloadOps(ops, usePrefetch, pB, s, 2) // x += alpha p
+		ops = vloadOps(ops, usePrefetch, qB, s, 2) // r -= alpha q
+		ops = vloadOps(ops, usePrefetch, xB, s, 0) // x read-modify-write
+		ops = vloadOps(ops, usePrefetch, rB, s, 2) // r RMW + r.r accumulation
 		first := s
 		stx := isa.NewVectorStore(isa.Addr{Space: isa.Global, Word: xB + uint64(s)}, StripLen, 1, 0)
 		stx.Do = func() {
@@ -323,8 +325,8 @@ func emitCGUpdatePhase(g *isa.Gen, usePrefetch bool, lo, hi, nces int,
 				r[i] -= *alpha * q[i]
 			}
 		}
-		g.Emit(stx)
-		g.Emit(isa.NewVectorStore(isa.Addr{Space: isa.Global, Word: rB + uint64(s)}, StripLen, 1, 0))
+		ops = append(ops, stx,
+			isa.NewVectorStore(isa.Addr{Space: isa.Global, Word: rB + uint64(s)}, StripLen, 1, 0))
 	}
 	st := isa.NewScalarStore(isa.Addr{Space: isa.Global, Word: partRRB + uint64(ceID)})
 	st.Do = func() {
@@ -334,14 +336,14 @@ func emitCGUpdatePhase(g *isa.Gen, usePrefetch bool, lo, hi, nces int,
 		}
 		partialsRR[ceID] = sum
 	}
-	g.Emit(st)
+	return append(ops, st)
 }
 
-// emitCGDirectionPhase: read partials, beta = rho' / rho, rho = rho',
+// cgDirectionOps: read partials, beta = rho' / rho, rho = rho',
 // p = r + beta p.
-func emitCGDirectionPhase(g *isa.Gen, usePrefetch bool, lo, hi, nces int,
+func cgDirectionOps(usePrefetch bool, lo, hi, nces int,
 	rB, pB, partB uint64, ceID int,
-	r, pv []float64, partials []float64, beta, rho, rhoNew *float64) {
+	r, pv []float64, partials []float64, beta, rho, rhoNew *float64) []*isa.Op {
 	rd := isa.NewVectorLoad(isa.Addr{Space: isa.Global, Word: partB}, nces, 1, 1, false)
 	rd.Do = func() {
 		sum := 0.0
@@ -352,10 +354,10 @@ func emitCGDirectionPhase(g *isa.Gen, usePrefetch bool, lo, hi, nces int,
 		*beta = *rhoNew / *rho
 		*rho = *rhoNew // this CE's replicated recurrence state
 	}
-	g.Emit(rd)
+	ops := []*isa.Op{rd}
 	for s := lo; s < hi; s += StripLen {
-		vloadOps(g, usePrefetch, rB, s, 1)
-		vloadOps(g, usePrefetch, pB, s, 1)
+		ops = vloadOps(ops, usePrefetch, rB, s, 1)
+		ops = vloadOps(ops, usePrefetch, pB, s, 1)
 		first := s
 		st := isa.NewVectorStore(isa.Addr{Space: isa.Global, Word: pB + uint64(s)}, StripLen, 1, 0)
 		st.Do = func() {
@@ -364,8 +366,9 @@ func emitCGDirectionPhase(g *isa.Gen, usePrefetch bool, lo, hi, nces int,
 				pv[i] = r[i] + *beta*pv[i]
 			}
 		}
-		g.Emit(st)
+		ops = append(ops, st)
 	}
+	return ops
 }
 
 func max(a, b int) int {

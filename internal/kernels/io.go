@@ -224,39 +224,52 @@ func runIOKernel(m *core.Machine, spec ioKernelSpec, p workload.Params, att work
 			isLeader = ceID%cesPerCluster == 0
 		}
 		lo, hi := ceID*seg, (ceID+1)*seg
-		step := 0
-		g := isa.NewGen(func(g *isa.Gen) bool {
-			if step >= steps {
-				return false
-			}
-			s := step
-			cur, nxt := buf[s%2], buf[1-s%2]
-			curB, nxtB := base[s%2], base[1-s%2]
-			if isLeader && spec.ioFirst {
-				emitIOStatement(g, spec, s, ceID, ioWords)
-			}
+		// step is the step whose operations were emitted last, which is
+		// the step running: a CE completes each operation before it asks
+		// for the next. The strip operations depend on the step only
+		// through its buffer parity and the step their stores read here,
+		// so they are built once per parity and re-emitted.
+		step := -1
+		var strips [2][]*isa.Op
+		for parity := range min(steps, 2) {
+			cur, nxt := buf[parity], buf[1-parity]
+			curB, nxtB := base[parity], base[1-parity]
+			var ops []*isa.Op
 			for stripLo := lo; stripLo < hi; stripLo += StripLen {
-				vloadOps(g, p.Prefetch, curB, stripLo, 2)
+				ops = vloadOps(ops, p.Prefetch, curB, stripLo, 2)
 				if aux != nil {
-					vloadOps(g, p.Prefetch, auxBase, stripLo, 1)
+					ops = vloadOps(ops, p.Prefetch, auxBase, stripLo, 1)
 				}
 				if extraPerStrip > 0 {
-					g.Emit(isa.NewCompute(extraPerStrip))
+					ops = append(ops, isa.NewCompute(extraPerStrip))
 				}
 				st := isa.NewVectorStore(isa.Addr{Space: isa.Global, Word: nxtB + uint64(stripLo)}, StripLen, 1, 0)
 				base := stripLo
 				st.Do = func() {
 					for i := base; i < base+StripLen; i++ {
-						nxt[i] = spec.update(s, i, cur, aux)
+						nxt[i] = spec.update(step, i, cur, aux)
 					}
 				}
-				g.Emit(st)
+				ops = append(ops, st)
 			}
+			strips[parity] = ops
+		}
+		if testHookOps != nil {
+			testHookOps(strips[:])
+		}
+		g := isa.NewGen(func(g *isa.Gen) bool {
+			if step+1 >= steps {
+				return false
+			}
+			step++
+			if isLeader && spec.ioFirst {
+				emitIOStatement(g, spec, step, ceID, ioWords)
+			}
+			g.Emit(strips[step%2]...)
 			if isLeader && !spec.ioFirst {
-				emitIOStatement(g, spec, s, ceID, ioWords)
+				emitIOStatement(g, spec, step, ceID, ioWords)
 			}
 			bar.Emit(g)
-			step++
 			return true
 		})
 		m.CE(ceID).SetProgram(g)

@@ -32,7 +32,9 @@ type Config struct {
 	// (1 = unit stride; multiples of the module count alias to a single
 	// module).
 	Stride int
-	// WriteFraction is the share of requests that are (2-word) writes.
+	// WriteFraction is the share of requests that are (2-word) writes,
+	// in [0, 1). Writes take no reply, so they add to the offered load
+	// but not to the delivered throughput or the latency.
 	WriteFraction float64
 	// Cycles is the measurement duration.
 	Cycles sim.Cycle
@@ -64,6 +66,9 @@ func Run(cfg Config) (Result, error) {
 	}
 	if cfg.RatePerSource <= 0 || cfg.RatePerSource > 1 {
 		return Result{}, fmt.Errorf("memchar: rate %g outside (0,1]", cfg.RatePerSource)
+	}
+	if !(cfg.WriteFraction >= 0 && cfg.WriteFraction < 1) {
+		return Result{}, fmt.Errorf("memchar: write fraction %g outside [0,1)", cfg.WriteFraction)
 	}
 	if cfg.Stride == 0 {
 		cfg.Stride = 1

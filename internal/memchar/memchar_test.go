@@ -1,6 +1,9 @@
 package memchar
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestValidation(t *testing.T) {
 	if _, err := Run(Config{Sources: 0, RatePerSource: 1}); err == nil {
@@ -11,6 +14,13 @@ func TestValidation(t *testing.T) {
 	}
 	if _, err := Run(Config{Sources: 8, RatePerSource: 1.5}); err == nil {
 		t.Fatal("rate > 1 accepted")
+	}
+	// A write-only probe delivers nothing and measures no latency, so
+	// it would read as a dead network.
+	for _, w := range []float64{-0.1, 1, 2, math.NaN()} {
+		if _, err := Run(Config{Sources: 8, RatePerSource: 1, WriteFraction: w}); err == nil {
+			t.Fatalf("write fraction %g accepted", w)
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 package network
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/telemetry"
 )
@@ -39,20 +39,20 @@ func (n *Network) EntryPackets() int {
 // example "net/fwd"), including an in-flight gauge and, on a real omega
 // fabric, per-stage occupancy gauges.
 func (n *Network) RegisterMetrics(reg *telemetry.Registry, prefix string) {
-	reg.Counter(prefix+"/injected", &n.Injected)
-	reg.Counter(prefix+"/delivered", &n.Delivered)
-	reg.Counter(prefix+"/words_in", &n.WordsIn)
-	reg.Counter(prefix+"/rejected", &n.Rejected)
-	reg.Counter(prefix+"/dropped", &n.Dropped)
-	reg.Counter(prefix+"/fault_stalls", &n.FaultStalls)
-	reg.Gauge(prefix+"/in_flight", func() int64 { return int64(n.InFlight()) })
-	reg.Gauge(prefix+"/entry_pkts", func() int64 { return int64(n.EntryPackets()) })
+	s := reg.Scope(prefix)
+	s.Counter("injected", &n.Injected)
+	s.Counter("delivered", &n.Delivered)
+	s.Counter("words_in", &n.WordsIn)
+	s.Counter("rejected", &n.Rejected)
+	s.Counter("dropped", &n.Dropped)
+	s.Counter("fault_stalls", &n.FaultStalls)
+	s.Gauge("in_flight", func() int64 { return int64(n.InFlight()) })
+	s.Gauge("entry_pkts", func() int64 { return int64(n.EntryPackets()) })
 	if n.ideal {
 		return
 	}
-	for s := 0; s < n.stages; s++ {
-		stage := s
-		reg.Gauge(fmt.Sprintf("%s/stage%d_pkts", prefix, stage),
+	for stage := 0; stage < n.stages; stage++ {
+		s.Gauge("stage"+strconv.Itoa(stage)+"_pkts",
 			func() int64 { return int64(n.StagePackets(stage)) })
 	}
 }

@@ -18,6 +18,7 @@ package prefetch
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/network"
 	"repro/internal/sim"
@@ -107,9 +108,12 @@ type PFU struct {
 	pageCost  sim.Cycle
 
 	// The prefetch buffer: each slot's word and its full/empty bit, kept
-	// in separate arrays so neither pads the other.
-	value [BufferWords]uint64
-	full  [BufferWords]bool
+	// in separate slices so neither pads the other. The slot slices
+	// (these, got and curTag) hold only the slots the longest block
+	// armed so far reaches, at most BufferWords: a 32-word strip
+	// prefetch never touches slot 32, so its unit carries 32 slots.
+	value []uint64
+	full  []bool
 
 	// Request-layer recovery (enabled by SetTimeout; all dormant when
 	// timeout is zero, so the no-fault machine is bit-identical to one
@@ -126,7 +130,7 @@ type PFU struct {
 	maxRetries int
 	outq       []outReq
 	outqHead   int
-	got        [BufferWords]bool
+	got        []bool
 	lost       *lostReq
 
 	// curTag[s] is the epoch-qualified tag of slot s's current request
@@ -134,7 +138,7 @@ type PFU struct {
 	// Epochs advance at issue and deliberately survive Fire — staleness
 	// crosses prefetch boundaries. Tags are below TagSpan (2^19), so 32
 	// bits hold them.
-	curTag [BufferWords]uint32
+	curTag []uint32
 
 	// Spin-wait bookkeeping for Consume on an empty full/empty bit.
 	spinSeq   int
@@ -178,12 +182,24 @@ func New(fwd *network.Network, port, pageWords int, pageCost sim.Cycle) *PFU {
 	if pageCost < 0 {
 		pageCost = DefaultPageCrossCycles
 	}
-	u := &PFU{port: port, fwd: fwd, pageWords: pageWords, pageCost: pageCost, spinSeq: -1,
+	return &PFU{port: port, fwd: fwd, pageWords: pageWords, pageCost: pageCost, spinSeq: -1,
 		req: network.Packet{Src: port, Words: 1, Kind: network.Read}}
-	for s := range u.curTag {
-		u.curTag[s] = uint32(s) // epoch 0: reserved for "never issued"
+}
+
+// growSlots extends the buffer to the slots a block of length words
+// reaches. A new slot starts empty, at epoch 0 ("never issued").
+func (u *PFU) growSlots(length int) {
+	old, n := len(u.curTag), min(length, BufferWords)
+	if n <= old {
+		return
 	}
-	return u
+	u.value = append(u.value, make([]uint64, n-old)...)
+	u.full = append(u.full, make([]bool, n-old)...)
+	u.got = append(u.got, make([]bool, n-old)...)
+	u.curTag = slices.Grow(u.curTag, n-old)
+	for s := old; s < n; s++ {
+		u.curTag = append(u.curTag, uint32(s))
+	}
 }
 
 // SetTimeout enables request-layer recovery: a request whose reply has
@@ -237,6 +253,7 @@ func (u *PFU) ArmMasked(length, stride int, mask []bool) {
 	if stride == 0 {
 		stride = 1
 	}
+	u.growSlots(length)
 	u.length = length
 	u.stride = stride
 	u.mask = mask
@@ -246,7 +263,7 @@ func (u *PFU) ArmMasked(length, stride int, mask []bool) {
 // remaining in the buffer from a previous prefetch is invalidated, as in
 // the hardware.
 func (u *PFU) Fire(addr uint64) {
-	clear(u.full[:])
+	clear(u.full)
 	u.active = u.length > 0
 	u.nextAddr = addr
 	u.issued = 0
@@ -254,7 +271,7 @@ func (u *PFU) Fire(addr uint64) {
 	u.consumed = 0
 	u.resumeAt = 0
 	u.outq, u.outqHead = u.outq[:0], 0
-	clear(u.got[:])
+	clear(u.got)
 	u.lost = nil
 	u.spinSeq = -1
 	u.spinRun = 0
@@ -493,7 +510,7 @@ func (u *PFU) Deliver(now sim.Cycle, p *network.Packet) bool {
 	}
 	defer u.pool.Put(p)
 	seqSlot := int(p.Tag % BufferWords)
-	if p.Tag != uint64(u.curTag[seqSlot]) {
+	if seqSlot >= len(u.curTag) || p.Tag != uint64(u.curTag[seqSlot]) {
 		// A superseded instance's reply: the original answer of a
 		// reissued read outliving its slot's lap, or its whole prefetch.
 		// Swallow it — accepting would poison the slot with another

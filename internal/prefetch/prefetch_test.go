@@ -537,6 +537,12 @@ func TestStaleReplyAcrossFireIsSwallowed(t *testing.T) {
 	if r.u.StaleReplies != 1 {
 		t.Fatalf("StaleReplies = %d, want 1", r.u.StaleReplies)
 	}
+	// So is a reply for a slot beyond every block armed so far, which
+	// the one-word unit holds no state for.
+	beyond := &network.Packet{Dst: 5, Src: 0, Words: 1, Kind: network.Reply, Addr: 7, Tag: BufferWords + 7, Value: 777}
+	if !r.u.Deliver(r.eng.Now(), beyond) || r.u.StaleReplies != 2 {
+		t.Fatalf("a reply beyond the armed slots: StaleReplies = %d, want 2", r.u.StaleReplies)
+	}
 	if r.u.Ready() {
 		t.Fatal("stale reply poisoned the second prefetch's slot")
 	}

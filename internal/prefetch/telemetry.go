@@ -9,14 +9,15 @@ func (u *PFU) Outstanding() int { return u.issued - u.arrived }
 // RegisterMetrics publishes the PFU's counters under prefix (for example
 // "cluster0/pfu3").
 func (u *PFU) RegisterMetrics(reg *telemetry.Registry, prefix string) {
-	reg.Counter(prefix+"/prefetches", &u.Prefetches)
-	reg.Counter(prefix+"/issued", &u.Issued)
-	reg.Counter(prefix+"/page_crossings", &u.PageCrossings)
-	reg.Counter(prefix+"/stall_cycles", &u.StallCycles)
-	reg.Counter(prefix+"/retries", &u.Retries)
-	reg.Counter(prefix+"/retries_exhausted", &u.RetriesExhausted)
-	reg.Counter(prefix+"/duplicate_replies", &u.DuplicateReplies)
-	reg.Counter(prefix+"/stale_replies", &u.StaleReplies)
-	reg.Counter(prefix+"/spin_waits", &u.SpinWaits)
-	reg.Gauge(prefix+"/outstanding", func() int64 { return int64(u.Outstanding()) })
+	s := reg.Scope(prefix)
+	s.Counter("prefetches", &u.Prefetches)
+	s.Counter("issued", &u.Issued)
+	s.Counter("page_crossings", &u.PageCrossings)
+	s.Counter("stall_cycles", &u.StallCycles)
+	s.Counter("retries", &u.Retries)
+	s.Counter("retries_exhausted", &u.RetriesExhausted)
+	s.Counter("duplicate_replies", &u.DuplicateReplies)
+	s.Counter("stale_replies", &u.StaleReplies)
+	s.Counter("spin_waits", &u.SpinWaits)
+	s.Gauge("outstanding", func() int64 { return int64(u.Outstanding()) })
 }

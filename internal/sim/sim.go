@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"strings"
 	"time"
 )
@@ -433,6 +434,24 @@ type WakeSink interface {
 	AttachWaker(w Waker)
 }
 
+// Reserve makes room for n more components, so registering them grows
+// none of the engine's per-component state.
+func (e *Engine) Reserve(n int) {
+	e.comps = slices.Grow(e.comps, n)
+	e.names = slices.Grow(e.names, n)
+	e.idle = slices.Grow(e.idle, n)
+	e.skip = slices.Grow(e.skip, n)
+	e.lastTick = slices.Grow(e.lastTick, n)
+	e.dormant = slices.Grow(e.dormant, n)
+	e.ticks = slices.Grow(e.ticks, n)
+	e.cal.at = slices.Grow(e.cal.at, n)
+	e.cal.pos = slices.Grow(e.cal.pos, n)
+	words := (len(e.comps)+n+63)/64 - len(e.due)
+	e.always = slices.Grow(e.always, words)
+	e.due = slices.Grow(e.due, words)
+	e.next = slices.Grow(e.next, words)
+}
+
 // Register adds a component to the tick order and returns its Handle.
 // Components are ticked in registration order each cycle; registration
 // order is therefore part of the machine definition and must be
@@ -495,15 +514,12 @@ func (e *Engine) Wake(h Handle) {
 // Components reports the number of registered components.
 func (e *Engine) Components() int { return len(e.comps) }
 
-// ComponentNames returns the registered component names in tick order.
-func (e *Engine) ComponentNames() []string {
-	out := make([]string, len(e.names))
-	copy(out, e.names)
-	return out
-}
+// ComponentName returns the name of the component registered at index
+// i, in tick order.
+func (e *Engine) ComponentName(i int) string { return e.names[i] }
 
 // Ticks reports how many times the component registered at index i (the
-// ComponentNames order) has been ticked, on either engine path. It is a
+// ComponentName order) has been ticked, on either engine path. It is a
 // diagnostic like SkippedTicks, with which it conserves component slots:
 // on the wake-cached path the sum over components plus SkippedTicks is
 // Components() x (Now - FastForwarded); on the naive path the sum alone

@@ -182,9 +182,8 @@ func TestEngineTickOrderAndTime(t *testing.T) {
 	if e.Components() != 3 {
 		t.Fatalf("Components() = %d, want 3", e.Components())
 	}
-	names := e.ComponentNames()
-	if len(names) != 3 || names[0] != "a" || names[2] != "c" {
-		t.Fatalf("ComponentNames() = %v", names)
+	if a, c := e.ComponentName(0), e.ComponentName(2); a != "a" || c != "c" {
+		t.Fatalf("ComponentName(0), ComponentName(2) = %q, %q", a, c)
 	}
 }
 

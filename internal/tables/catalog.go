@@ -48,10 +48,21 @@ func DefaultOptions() Options {
 }
 
 // Check rejects an N below 1, Rates the Perfect models cannot run
-// under, and a Code that names no Perfect code.
+// under, a Code that names no Perfect code, and memory-probe settings
+// memchar cannot run: a source count outside 0..64, a rate outside
+// [0, 1], a write share outside [0, 1) and fewer than one cycle.
 func (o Options) Check() error {
-	if o.N < 1 {
+	switch {
+	case o.N < 1:
 		return fmt.Errorf("-n %d: the rank-64 matrix order must be positive", o.N)
+	case o.Sources < 0 || o.Sources > 64:
+		return fmt.Errorf("-sources %d: the memload source count must be 1..64, or 0 to sweep", o.Sources)
+	case !(o.Rate >= 0 && o.Rate <= 1):
+		return fmt.Errorf("-rate %g: the memload issue rate must be in (0, 1], or 0 to sweep", o.Rate)
+	case !(o.Writes >= 0 && o.Writes < 1):
+		return fmt.Errorf("-writes %g: the memload write share must be in [0, 1)", o.Writes)
+	case o.Cycles < 1:
+		return fmt.Errorf("-cycles %d: the memory probes must run at least one cycle", o.Cycles)
 	}
 	_, err := RunCodes(o.Rates, o.Code)
 	return err

@@ -41,6 +41,9 @@ func RunMemLoad(o Options) (*report.Table, error) {
 		}
 	}
 	t.AddNote("aggregate memory capacity: 32 modules x 0.5 requests/cycle = 16 words/cycle (768 MB/s)")
+	if o.Writes > 0 {
+		t.AddNote(fmt.Sprintf("writes are %g of offered requests and take no reply: delivered and latency count read replies", o.Writes))
+	}
 	t.NoteOverflow("latency histogram", overflow)
 	if o.Ideal {
 		t.AddNote("contentionless fabric: any residual loss is the memory modules' own")

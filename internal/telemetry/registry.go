@@ -10,10 +10,16 @@
 // &c.StallMem)`), or a closure computing a gauge, so the instrumented
 // fast path is untouched — the exported counter fields remain the
 // backing store and the registry is the uniform, path-addressable view
-// over all of them. Registration
-// happens once at machine assembly and costs nothing afterwards;
-// reading happens only when a snapshot is taken. A machine that never
-// asks for its registry pays nothing at all.
+// over all of them. Reading happens only when a snapshot is taken, and
+// a machine that never asks for its registry pays nothing at all.
+//
+// A registry's layout — its paths and kinds in registration order, and
+// their order by path — depends only on the machine's shape, so Shaped
+// builds it once per shape and shares it, read-only, with every later
+// registry of that shape. Such a registry binds only its value sources:
+// a component registers through a Scope, a path prefix plus a constant
+// name, and each registration is compared with the next cached path,
+// not built.
 //
 // Metric paths mirror the machine topology:
 //
@@ -34,6 +40,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Kind classifies a metric.
@@ -70,34 +77,175 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// metric is one registered instrument: an int64 field it reads in
-// place, or else a closure it calls.
-type metric struct {
-	path string
-	kind Kind
+// source is one metric's value: an int64 field it reads in place, or
+// else a closure it calls.
+type source struct {
 	v    *int64
 	read func() int64
 }
 
-func (m *metric) value() int64 {
-	if m.v != nil {
-		return *m.v
+func (s source) value() int64 {
+	if s.v != nil {
+		return *s.v
 	}
-	return m.read()
+	return s.read()
+}
+
+// A layout is the half of a registry that depends only on the machine's
+// shape: every metric's path and kind in registration order, and their
+// order by path. Machines of one shape register the same paths in the
+// same order, so the layout the first of them builds serves the rest,
+// which bind only their value sources. A layout is read-only once
+// registries share it.
+type layout struct {
+	paths []string
+	kinds []Kind
+	// index maps each path to its position while the layout is built,
+	// to refuse a duplicate; a shared layout drops it.
+	index map[string]int
+	// sorted holds every position ordered by path: the Fingerprint line
+	// order and the index Value and KindOf search. pathBytes is the
+	// architected paths' length plus a separator and a newline each.
+	// sorted is nil until sortPaths runs.
+	sorted    []int32
+	pathBytes int
+}
+
+func (l *layout) sortPaths() {
+	l.sorted, l.pathBytes = make([]int32, len(l.paths)), 0
+	for i := range l.sorted {
+		l.sorted[i] = int32(i)
+		if l.kinds[i] != Diagnostic {
+			l.pathBytes += len(l.paths[i]) + 2
+		}
+	}
+	slices.SortFunc(l.sorted, func(a, b int32) int { return strings.Compare(l.paths[a], l.paths[b]) })
+}
+
+// find returns the position of path.
+func (l *layout) find(path string) (int, bool) {
+	i, ok := slices.BinarySearchFunc(l.sorted, path, func(i int32, p string) int { return strings.Compare(l.paths[i], p) })
+	if !ok {
+		return 0, false
+	}
+	return int(l.sorted[i]), true
 }
 
 // Registry holds the machine's metrics. The zero value is not usable;
-// call NewRegistry. A Registry is not safe for concurrent use — like the
-// engine it observes, it belongs to one simulation goroutine.
+// call NewRegistry or Shaped. A Registry is not safe for concurrent
+// use — like the engine it observes, it belongs to one simulation
+// goroutine — but registries sharing a layout may run concurrently.
 type Registry struct {
-	metrics []metric
-	index   map[string]int
+	lay *layout
+	// shared marks lay as read-only: registration checks each metric
+	// against the next position, and a registry that departs from it
+	// copies what it matched into a layout of its own.
+	shared bool
+	src    []source // parallel to lay.paths
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{index: map[string]int{}}
+	return &Registry{lay: &layout{index: map[string]int{}}}
 }
+
+// layouts caches the layouts of the machine shapes built so far. Their
+// metric count is bounded, so a stream of distinct shapes cannot grow a
+// server's heap without limit: a 4-cluster Cedar has 1,515 metrics, a
+// 64-cluster scaled one 23,717. A layout that would pass the bound
+// empties the cache first.
+var layouts struct {
+	sync.Mutex
+	byShape map[any]*layout
+	metrics int
+}
+
+const maxCachedMetrics = 1 << 16
+
+func cachedLayout(key any) *layout {
+	layouts.Lock()
+	defer layouts.Unlock()
+	return layouts.byShape[key]
+}
+
+func cacheLayout(key any, lay *layout) {
+	layouts.Lock()
+	defer layouts.Unlock()
+	if old := layouts.byShape[key]; old != nil {
+		layouts.metrics -= len(old.paths)
+	}
+	if layouts.byShape == nil || layouts.metrics+len(lay.paths) > maxCachedMetrics {
+		layouts.byShape, layouts.metrics = map[any]*layout{}, 0
+	}
+	layouts.byShape[key] = lay
+	layouts.metrics += len(lay.paths)
+}
+
+// Shaped returns a registry that register populates, reusing the layout
+// of the last registry built under the same shape key (a comparable
+// value naming what decides the machine's metric paths). Registration
+// into a cached layout builds no paths: each metric is compared with
+// the next cached one and binds its value source there. A registry
+// that departs from the cached layout — a key that does not decide the
+// paths — builds a layout of its own, with every check a fresh
+// registry makes, and that layout replaces the cached one. The key
+// therefore decides only how much registration costs, never what the
+// registry holds.
+func Shaped(key any, register func(*Registry)) *Registry {
+	r := &Registry{}
+	if lay := cachedLayout(key); lay != nil {
+		r.lay, r.shared = lay, true
+		r.src = make([]source, 0, len(lay.paths))
+	} else {
+		r.lay = &layout{index: map[string]int{}}
+	}
+	register(r)
+	if !r.shared || len(r.src) < len(r.lay.paths) {
+		lay := r.view()
+		lay.index = nil
+		cacheLayout(key, lay)
+		r.shared = true
+	}
+	return r
+}
+
+// own gives the registry a private copy of the shared layout's
+// positions it has bound so far.
+func (r *Registry) own() {
+	n := len(r.src)
+	lay := &layout{
+		paths: slices.Clone(r.lay.paths[:n]),
+		kinds: slices.Clone(r.lay.kinds[:n]),
+		index: make(map[string]int, n),
+	}
+	for i, p := range lay.paths {
+		lay.index[p] = i
+	}
+	r.lay, r.shared = lay, false
+}
+
+// view returns the registry's complete, sorted layout for reading.
+func (r *Registry) view() *layout {
+	if r.shared && len(r.src) < len(r.lay.paths) {
+		r.own()
+	}
+	if r.lay.sorted == nil {
+		r.lay.sortPaths()
+	}
+	return r.lay
+}
+
+// Scope is a registration scope: the metrics registered through it are
+// named prefix + "/" + name (just name under an empty prefix). On a
+// registry bound to a cached layout the joined path is compared, never
+// built.
+type Scope struct {
+	r      *Registry
+	prefix string
+}
+
+// Scope returns the registration scope for paths under prefix.
+func (r *Registry) Scope(prefix string) Scope { return Scope{r: r, prefix: prefix} }
 
 // Register adds a metric under path, read through the given closure at
 // snapshot time. Paths are slash-separated, must be unique, and become
@@ -105,79 +253,115 @@ func NewRegistry() *Registry {
 // holds no byte at or below ' ', so no path sorts between another and
 // its fingerprint line (see Fingerprint).
 func (r *Registry) Register(path string, kind Kind, read func() int64) {
-	if read == nil {
-		panic(fmt.Sprintf("telemetry: Register(%q) with nil reader", path))
-	}
-	r.add(metric{path: path, kind: kind, read: read})
+	r.Scope("").Register(path, kind, read)
 }
 
-func (r *Registry) add(m metric) {
-	path := m.path
+// Counter registers a counter backed by an existing int64 field.
+func (r *Registry) Counter(path string, v *int64) { r.Scope("").Counter(path, v) }
+
+// CounterFunc registers a computed counter.
+func (r *Registry) CounterFunc(path string, f func() int64) { r.Scope("").CounterFunc(path, f) }
+
+// Gauge registers a computed instantaneous level.
+func (r *Registry) Gauge(path string, f func() int64) { r.Scope("").Gauge(path, f) }
+
+// Diagnostic registers a simulator-side statistic backed by an int64
+// field; see Kind for why these are fenced off from fingerprints.
+func (r *Registry) Diagnostic(path string, v *int64) { r.Scope("").Diagnostic(path, v) }
+
+// Register is Registry.Register for the scope's name.
+func (s Scope) Register(name string, kind Kind, read func() int64) {
+	if read == nil {
+		panic(fmt.Sprintf("telemetry: Register(%q) with nil reader", s.path(name)))
+	}
+	s.add(name, kind, source{read: read})
+}
+
+// Counter is Registry.Counter for the scope's name.
+func (s Scope) Counter(name string, v *int64) { s.add(name, Counter, source{v: v}) }
+
+// CounterFunc is Registry.CounterFunc for the scope's name.
+func (s Scope) CounterFunc(name string, f func() int64) { s.Register(name, Counter, f) }
+
+// Gauge is Registry.Gauge for the scope's name.
+func (s Scope) Gauge(name string, f func() int64) { s.Register(name, Gauge, f) }
+
+// Diagnostic is Registry.Diagnostic for the scope's name.
+func (s Scope) Diagnostic(name string, v *int64) { s.add(name, Diagnostic, source{v: v}) }
+
+func (s Scope) path(name string) string {
+	if s.prefix == "" {
+		return name
+	}
+	return s.prefix + "/" + name
+}
+
+// names reports whether path is the scope's name.
+func (s Scope) names(path, name string) bool {
+	if s.prefix == "" {
+		return path == name
+	}
+	return len(path) == len(s.prefix)+1+len(name) && path[len(s.prefix)] == '/' &&
+		strings.HasPrefix(path, s.prefix) && strings.HasSuffix(path, name)
+}
+
+func (s Scope) add(name string, kind Kind, src source) {
+	r := s.r
+	if r.shared {
+		if k := len(r.src); k < len(r.lay.paths) && r.lay.kinds[k] == kind && s.names(r.lay.paths[k], name) {
+			r.src = append(r.src, src)
+			return
+		}
+		r.own()
+	}
+	path := s.path(name)
 	if path == "" || strings.HasPrefix(path, "/") || strings.HasSuffix(path, "/") ||
 		strings.IndexFunc(path, func(c rune) bool { return c <= ' ' }) >= 0 {
 		panic(fmt.Sprintf("telemetry: malformed metric path %q", path))
 	}
-	if _, dup := r.index[path]; dup {
+	lay := r.lay
+	if _, dup := lay.index[path]; dup {
 		panic(fmt.Sprintf("telemetry: duplicate metric path %q", path))
 	}
-	r.index[path] = len(r.metrics)
-	r.metrics = append(r.metrics, m)
-}
-
-// Counter registers a counter backed by an existing int64 field.
-func (r *Registry) Counter(path string, v *int64) {
-	r.add(metric{path: path, kind: Counter, v: v})
-}
-
-// CounterFunc registers a computed counter.
-func (r *Registry) CounterFunc(path string, f func() int64) { r.Register(path, Counter, f) }
-
-// Gauge registers a computed instantaneous level.
-func (r *Registry) Gauge(path string, f func() int64) { r.Register(path, Gauge, f) }
-
-// Diagnostic registers a simulator-side statistic backed by an int64
-// field; see Kind for why these are fenced off from fingerprints.
-func (r *Registry) Diagnostic(path string, v *int64) {
-	r.add(metric{path: path, kind: Diagnostic, v: v})
+	lay.index[path] = len(lay.paths)
+	lay.paths = append(lay.paths, path)
+	lay.kinds = append(lay.kinds, kind)
+	lay.sorted = nil
+	r.src = append(r.src, src)
 }
 
 // Len reports the number of registered metrics.
-func (r *Registry) Len() int { return len(r.metrics) }
+func (r *Registry) Len() int { return len(r.src) }
 
 // Paths returns every metric path in registration order (which is the
 // machine-assembly order and therefore deterministic).
-func (r *Registry) Paths() []string {
-	out := make([]string, len(r.metrics))
-	for i, m := range r.metrics {
-		out[i] = m.path
-	}
-	return out
-}
+func (r *Registry) Paths() []string { return slices.Clone(r.view().paths) }
 
 // KindOf returns the kind of the metric at path.
 func (r *Registry) KindOf(path string) (Kind, bool) {
-	i, ok := r.index[path]
+	lay := r.view()
+	i, ok := lay.find(path)
 	if !ok {
 		return 0, false
 	}
-	return r.metrics[i].kind, true
+	return lay.kinds[i], true
 }
 
 // Value reads the current value of the metric at path.
 func (r *Registry) Value(path string) (int64, bool) {
-	i, ok := r.index[path]
+	i, ok := r.view().find(path)
 	if !ok {
 		return 0, false
 	}
-	return r.metrics[i].value(), true
+	return r.src[i].value(), true
 }
 
 // Snapshot reads every metric, in registration order (parallel to
 // Paths). The caller owns the returned slice.
 func (r *Registry) Snapshot() []int64 {
-	out := make([]int64, len(r.metrics))
-	for i, m := range r.metrics {
-		out[i] = m.value()
+	out := make([]int64, len(r.src))
+	for i, s := range r.src {
+		out[i] = s.value()
 	}
 	return out
 }
@@ -190,28 +374,30 @@ func (r *Registry) Snapshot() []int64 {
 //
 // The lines are sorted by path, which sorts them as whole lines too: a
 // path holds no byte at or below the separating space, so a path that
-// is a prefix of another sorts first either way. The text is built in
-// one buffer sized exactly up front.
+// is a prefix of another sorts first either way. The order comes with
+// the layout, and the text is built in one buffer sized exactly up
+// front, so the text is all a fingerprint allocates.
 func (r *Registry) Fingerprint() string {
-	lines := make([]*metric, 0, len(r.metrics))
-	var num [20]byte
-	size := 0
-	for i := range r.metrics {
-		if m := &r.metrics[i]; m.kind != Diagnostic {
-			lines = append(lines, m)
-			size += len(m.path) + len(strconv.AppendInt(num[:0], m.value(), 10)) + 2
-		}
-	}
-	if len(lines) == 0 {
+	lay := r.view()
+	if lay.pathBytes == 0 {
 		return "\n"
 	}
-	slices.SortFunc(lines, func(a, b *metric) int { return strings.Compare(a.path, b.path) })
+	var num [20]byte
+	size := lay.pathBytes
+	for _, i := range lay.sorted {
+		if lay.kinds[i] != Diagnostic {
+			size += len(strconv.AppendInt(num[:0], r.src[i].value(), 10))
+		}
+	}
 	var b strings.Builder
 	b.Grow(size)
-	for _, m := range lines {
-		b.WriteString(m.path)
+	for _, i := range lay.sorted {
+		if lay.kinds[i] == Diagnostic {
+			continue
+		}
+		b.WriteString(lay.paths[i])
 		b.WriteByte(' ')
-		b.Write(strconv.AppendInt(num[:0], m.value(), 10))
+		b.Write(strconv.AppendInt(num[:0], r.src[i].value(), 10))
 		b.WriteByte('\n')
 	}
 	return b.String()
@@ -220,13 +406,14 @@ func (r *Registry) Fingerprint() string {
 // Dump renders every metric (diagnostics included, flagged) as sorted
 // text lines — the -metrics-out format.
 func (r *Registry) Dump() string {
-	lines := make([]string, 0, len(r.metrics))
-	for _, m := range r.metrics {
+	lay := r.view()
+	lines := make([]string, len(r.src))
+	for i, src := range r.src {
 		suffix := ""
-		if m.kind == Diagnostic {
+		if lay.kinds[i] == Diagnostic {
 			suffix = " (diagnostic)"
 		}
-		lines = append(lines, fmt.Sprintf("%-40s %12d%s", m.path, m.value(), suffix))
+		lines[i] = fmt.Sprintf("%-40s %12d%s", lay.paths[i], src.value(), suffix)
 	}
 	sort.Strings(lines)
 	return strings.Join(lines, "\n") + "\n"

@@ -2,7 +2,9 @@ package telemetry
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -168,4 +170,177 @@ func TestFingerprintAllocations(t *testing.T) {
 	if n := testing.AllocsPerRun(10, func() { reg.Fingerprint() }); n > 10 {
 		t.Fatalf("Fingerprint of %d metrics allocated %v times, want at most 10", len(values), n)
 	}
+}
+
+// shapedMetrics registers n counters over vals under a fixed shape:
+// what a machine of one shape does.
+func shapedMetrics(vals []int64) func(*Registry) {
+	return func(r *Registry) {
+		for i := range vals {
+			s := r.Scope(fmt.Sprintf("cluster%d/ce%d", i%3, i))
+			s.Counter("flops", &vals[i])
+			s.Gauge("level", func() int64 { return -vals[i] })
+		}
+		r.Diagnostic("engine/skipped", &vals[0])
+	}
+}
+
+// TestShapedMatchesFresh: a registry bound to a cached layout holds
+// exactly what a fresh registry holds — paths, kinds, values and the
+// fingerprint — and reads its own machine's values.
+func TestShapedMatchesFresh(t *testing.T) {
+	key := struct{ name string }{t.Name()}
+	a := []int64{5, 11, 7, 3}
+	b := []int64{9, 2, 14, 8}
+	fresh := NewRegistry()
+	shapedMetrics(b)(fresh)
+	first := Shaped(key, shapedMetrics(a))
+	second := Shaped(key, shapedMetrics(b))
+	if !second.shared || second.lay != first.lay {
+		t.Fatal("the second registry of a shape did not bind to the first one's layout")
+	}
+	if got, want := second.Paths(), fresh.Paths(); !slices.Equal(got, want) {
+		t.Fatalf("Paths = %v, want %v", got, want)
+	}
+	if got, want := second.Snapshot(), fresh.Snapshot(); !slices.Equal(got, want) {
+		t.Fatalf("Snapshot = %v, want %v", got, want)
+	}
+	if second.Fingerprint() != fresh.Fingerprint() || second.Dump() != fresh.Dump() {
+		t.Fatalf("fingerprint or dump differs:\n%s\nwant\n%s", second.Fingerprint(), fresh.Fingerprint())
+	}
+	if first.Fingerprint() == second.Fingerprint() {
+		t.Fatal("two machines with different values share a fingerprint")
+	}
+	for _, p := range fresh.Paths() {
+		v, ok := second.Value(p)
+		w, _ := fresh.Value(p)
+		k, _ := second.KindOf(p)
+		fk, _ := fresh.KindOf(p)
+		if !ok || v != w || k != fk {
+			t.Fatalf("%s: value %d kind %v, want %d %v", p, v, k, w, fk)
+		}
+	}
+}
+
+// TestShapedDeparture: a registry whose registrations depart from its
+// key's cached layout — a shorter one, a longer one, one that differs
+// midway or in a kind — builds its own layout, equal to a fresh
+// registry's, and replaces the cached one; the registries already bound
+// to the old layout keep it.
+func TestShapedDeparture(t *testing.T) {
+	key := struct{ name string }{t.Name()}
+	vals := []int64{1, 2, 3, 4}
+	old := Shaped(key, shapedMetrics(vals))
+	oldFP := old.Fingerprint()
+	for name, register := range map[string]func(*Registry){
+		"shorter": shapedMetrics(vals[:2]),
+		"longer":  shapedMetrics(append(slices.Clone(vals), 5)),
+		"midway": func(r *Registry) {
+			shapedMetrics(vals[:2])(r)
+			r.Counter("other/path", &vals[2])
+		},
+		"kind": func(r *Registry) {
+			r.Scope("cluster0/ce0").Diagnostic("flops", &vals[0])
+		},
+	} {
+		fresh := NewRegistry()
+		register(fresh)
+		got := Shaped(key, register)
+		if !slices.Equal(got.Paths(), fresh.Paths()) || got.Fingerprint() != fresh.Fingerprint() || got.Dump() != fresh.Dump() {
+			t.Fatalf("%s: registry differs from a fresh one:\n%s\nwant\n%s", name, got.Dump(), fresh.Dump())
+		}
+		if again := Shaped(key, register); again.lay != got.lay {
+			t.Fatalf("%s: the departing registry's layout was not cached", name)
+		}
+		if old.Fingerprint() != oldFP {
+			t.Fatalf("%s: a departure changed a registry bound to the old layout", name)
+		}
+		Shaped(key, shapedMetrics(vals)) // restore the key's layout
+	}
+	// Registering after Shaped returns copies the shared layout first.
+	r := Shaped(key, shapedMetrics(vals))
+	var extra int64 = 42
+	r.Counter("late/metric", &extra)
+	if v, ok := r.Value("late/metric"); !ok || v != 42 || r.Len() != old.Len()+1 {
+		t.Fatalf("late registration: value %d, %v, Len %d", v, ok, r.Len())
+	}
+	if _, ok := old.Value("late/metric"); ok || old.Fingerprint() != oldFP {
+		t.Fatal("a late registration leaked into the shared layout")
+	}
+	// A duplicate that departs from the cached layout still panics.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("duplicate path under a cached layout did not panic")
+		}
+	}()
+	Shaped(key, func(r *Registry) {
+		r.Scope("cluster0/ce0").Counter("flops", &vals[0])
+		r.Scope("cluster0/ce0").Counter("flops", &vals[0])
+	})
+}
+
+// TestLayoutCacheBound: the cache never holds more than its metric
+// bound, and keeps the newest layout whatever came before.
+func TestLayoutCacheBound(t *testing.T) {
+	big := make([]int64, maxCachedMetrics/4)
+	keyOf := func(i int) any {
+		return struct {
+			name string
+			i    int
+		}{t.Name(), i}
+	}
+	for i := 0; i < 8; i++ {
+		Shaped(keyOf(i), func(r *Registry) {
+			for j := range big {
+				r.Counter(fmt.Sprintf("m%d", j), &big[j])
+			}
+		})
+		layouts.Lock()
+		total, counted := 0, layouts.metrics
+		for _, lay := range layouts.byShape {
+			total += len(lay.paths)
+		}
+		layouts.Unlock()
+		if total > maxCachedMetrics || total != counted {
+			t.Fatalf("after %d layouts the cache holds %d metrics, counts %d (bound %d)", i+1, total, counted, maxCachedMetrics)
+		}
+		if cachedLayout(keyOf(i)) == nil {
+			t.Fatalf("layout %d was not cached", i)
+		}
+	}
+	if cachedLayout(keyOf(0)) != nil {
+		t.Fatal("the first layout outlived seven more that pass the bound")
+	}
+}
+
+// TestShapedConcurrent builds and fingerprints registries of a few
+// shapes from several goroutines at once, as a job server's workers do;
+// under -race it checks that bound registries share their layout
+// without a data race.
+func TestShapedConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				n := 1 + (g+i)%4
+				vals := make([]int64, n)
+				for j := range vals {
+					vals[j] = int64(g*1000 + i*10 + j)
+				}
+				key := struct {
+					name string
+					n    int
+				}{t.Name(), n}
+				fresh := NewRegistry()
+				shapedMetrics(vals)(fresh)
+				if got := Shaped(key, shapedMetrics(vals)); got.Fingerprint() != fresh.Fingerprint() {
+					t.Errorf("shape %d: fingerprint differs from a fresh registry's", n)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -136,9 +136,10 @@ func (w *IOWait) FaultReason() string {
 // RegisterMetrics publishes the park table's counters under prefix
 // (conventionally "xylem/io").
 func (w *IOWait) RegisterMetrics(reg *telemetry.Registry, prefix string) {
-	reg.CounterFunc(prefix+"/parks", w.Parks)
-	reg.CounterFunc(prefix+"/completions", w.Completions)
-	reg.CounterFunc(prefix+"/wait_cycles", w.WaitCycles)
-	reg.CounterFunc(prefix+"/wait_cycles_formatted", w.WaitCyclesFormatted)
-	reg.Gauge(prefix+"/parked", func() int64 { return int64(w.Parked()) })
+	s := reg.Scope(prefix)
+	s.CounterFunc("parks", w.Parks)
+	s.CounterFunc("completions", w.Completions)
+	s.CounterFunc("wait_cycles", w.WaitCycles)
+	s.CounterFunc("wait_cycles_formatted", w.WaitCyclesFormatted)
+	s.Gauge("parked", func() int64 { return int64(w.Parked()) })
 }

@@ -128,6 +128,7 @@ func (r *Rescheduler) dispatch(task surrenderedTask) bool {
 
 // RegisterMetrics publishes the rescheduler's counters under prefix.
 func (r *Rescheduler) RegisterMetrics(reg *telemetry.Registry, prefix string) {
-	reg.Counter(prefix+"/redispatched", &r.Redispatched)
-	reg.Gauge(prefix+"/pending", func() int64 { return int64(r.Pending()) })
+	s := reg.Scope(prefix)
+	s.Counter("redispatched", &r.Redispatched)
+	s.Gauge("pending", func() int64 { return int64(r.Pending()) })
 }
