@@ -17,8 +17,26 @@ package cache
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/sim"
+)
+
+// The as-built cache geometry and cluster-memory timing.
+const (
+	// LineWords is the line size in words (32 bytes).
+	LineWords = 4
+	// Ways is the set associativity.
+	Ways = 2
+	// MissesPerCE is the lockup-free miss limit per CE.
+	MissesPerCE = 2
+	// FillLatency is the cluster-memory access latency for a line fill.
+	FillLatency sim.Cycle = 6
+	// MemWordsPerCycle is the cluster-memory bandwidth: 192 MB/s, half
+	// the cache bandwidth.
+	MemWordsPerCycle = 4
+	// lineTransfer is a line's cluster-memory transfer time.
+	lineTransfer = sim.Cycle((LineWords + MemWordsPerCycle - 1) / MemWordsPerCycle)
 )
 
 // Config describes a cluster cache.
@@ -26,40 +44,18 @@ type Config struct {
 	// Words is the cache capacity in 64-bit words (default 64 K words =
 	// 512 KB).
 	Words int
-	// LineWords is the line size in words (default 4 = 32 bytes).
-	LineWords int
-	// Ways is the set associativity (default 2).
-	Ways int
 	// Banks is the interleaving factor (default 4).
 	Banks int
 	// BankAccessesPerCycle is each bank's port count (default 2, giving
 	// the paper's 8 words/cycle aggregate with 4 banks).
 	BankAccessesPerCycle int
-	// MissesPerCE is the lockup-free miss limit per CE (default 2).
-	MissesPerCE int
-	// FillLatency is the cluster-memory access latency for a line fill,
-	// in cycles (default 6).
-	FillLatency sim.Cycle
-	// MemWordsPerCycle is the cluster-memory bandwidth (default 4,
-	// i.e. 192 MB/s, half the cache bandwidth).
-	MemWordsPerCycle int
 	// CEs is the number of processors sharing the cache (default 8).
 	CEs int
 }
 
 // Default returns the as-built Alliant cluster cache configuration.
 func Default() Config {
-	return Config{
-		Words:                64 << 10,
-		LineWords:            4,
-		Ways:                 2,
-		Banks:                4,
-		BankAccessesPerCycle: 2,
-		MissesPerCE:          2,
-		FillLatency:          6,
-		MemWordsPerCycle:     4,
-		CEs:                  8,
-	}
+	return Config{Words: 64 << 10, Banks: 4, BankAccessesPerCycle: 2, CEs: 8}
 }
 
 // line is one tag-store entry: the line's tag, with its valid and dirty
@@ -76,6 +72,12 @@ const (
 	// maxTag is the largest tag a line can hold below its flag bits.
 	maxTag = lineDirty - 1
 )
+
+// Every tag fits below the flag bits: a tag is a word address divided
+// by LineWords and by the set count, so it is at most
+// (2^64-1)/LineWords, which must not exceed maxTag. A line shorter than
+// four words would make this constant negative, failing the build.
+const _ uint64 = maxTag - math.MaxUint64/LineWords
 
 // Cache is one cluster's shared cache plus its cluster-memory bandwidth
 // model. It is not a sim.Component: it is driven synchronously by CE
@@ -126,32 +128,16 @@ func New(cfg Config) *Cache {
 	if cfg.Words <= 0 {
 		cfg.Words = d.Words
 	}
-	if cfg.LineWords <= 0 {
-		cfg.LineWords = d.LineWords
-	}
-	if cfg.Ways <= 0 {
-		cfg.Ways = d.Ways
-	}
 	if cfg.Banks <= 0 {
 		cfg.Banks = d.Banks
 	}
 	if cfg.BankAccessesPerCycle <= 0 {
 		cfg.BankAccessesPerCycle = d.BankAccessesPerCycle
 	}
-	if cfg.MissesPerCE <= 0 {
-		cfg.MissesPerCE = d.MissesPerCE
-	}
-	if cfg.FillLatency <= 0 {
-		cfg.FillLatency = d.FillLatency
-	}
-	if cfg.MemWordsPerCycle <= 0 {
-		cfg.MemWordsPerCycle = d.MemWordsPerCycle
-	}
 	if cfg.CEs <= 0 {
 		cfg.CEs = d.CEs
 	}
-	nlines := cfg.Words / cfg.LineWords
-	nsets := nlines / cfg.Ways
+	nsets := cfg.Words / LineWords / Ways
 	if nsets == 0 {
 		panic(fmt.Sprintf("cache: configuration too small (%d words)", cfg.Words))
 	}
@@ -170,22 +156,16 @@ func New(cfg Config) *Cache {
 // defaults applied).
 func (c *Cache) Config() Config { return c.cfg }
 
-func (c *Cache) lineAddr(addr uint64) uint64 { return addr / uint64(c.cfg.LineWords) }
+func (c *Cache) lineAddr(addr uint64) uint64 { return addr / LineWords }
 
 // set returns the ways of the set holding line address la, and la's tag,
-// allocating the tag store on the cache's first access. A tag that would
-// reach the flag bits panics rather than alias another line.
+// allocating the tag store on the cache's first access.
 func (c *Cache) set(la uint64) ([]line, uint64) {
-	tag := la / c.nset
-	if tag > maxTag {
-		panic(fmt.Sprintf("cache: line address %d beyond the tag store's reach", la))
-	}
-	w := uint64(c.cfg.Ways)
 	if c.lines == nil {
-		c.lines = make([]line, c.nset*w)
+		c.lines = make([]line, c.nset*Ways)
 	}
-	s := la % c.nset * w
-	return c.lines[s : s+w], tag
+	s := la % c.nset * Ways
+	return c.lines[s : s+Ways], la / c.nset
 }
 
 // bankFor maps a word address to its bank (word interleaving).
@@ -322,7 +302,7 @@ func (c *Cache) Access(now sim.Cycle, ce int, addr uint64, write bool) (ready si
 	}
 
 	c.pruneOutstanding(ce, now)
-	if len(c.outstanding[ce]) >= c.cfg.MissesPerCE {
+	if len(c.outstanding[ce]) >= MissesPerCE {
 		c.MSHRStalls++
 		return 0, false
 	}
@@ -336,9 +316,8 @@ func (c *Cache) Access(now sim.Cycle, ce int, addr uint64, write bool) (ready si
 	if c.memFree > start {
 		start = c.memFree
 	}
-	transfer := sim.Cycle((c.cfg.LineWords + c.cfg.MemWordsPerCycle - 1) / c.cfg.MemWordsPerCycle)
-	c.memFree = start + transfer
-	done := start + c.cfg.FillLatency + transfer
+	c.memFree = start + lineTransfer
+	done := start + FillLatency + lineTransfer
 	c.fills[la] = done
 	c.outstanding[ce] = append(c.outstanding[ce], done)
 	if write {
@@ -361,8 +340,7 @@ func (c *Cache) writeback(now sim.Cycle) {
 	if c.memFree > start {
 		start = c.memFree
 	}
-	transfer := sim.Cycle((c.cfg.LineWords + c.cfg.MemWordsPerCycle - 1) / c.cfg.MemWordsPerCycle)
-	c.memFree = start + transfer
+	c.memFree = start + lineTransfer
 	c.Writebacks++
 }
 

@@ -9,13 +9,8 @@ import (
 func small() Config {
 	return Config{
 		Words:                256, // 64 lines
-		LineWords:            4,
-		Ways:                 2,
 		Banks:                4,
 		BankAccessesPerCycle: 2,
-		MissesPerCE:          2,
-		FillLatency:          6,
-		MemWordsPerCycle:     4,
 		CEs:                  8,
 	}
 }
@@ -37,7 +32,7 @@ func access(t *testing.T, c *Cache, now *sim.Cycle, ce int, addr uint64, write b
 func TestDefaults(t *testing.T) {
 	c := New(Config{})
 	d := c.Config()
-	if d.Words != 64<<10 || d.LineWords != 4 || d.Banks != 4 || d.MissesPerCE != 2 || d.CEs != 8 {
+	if d.Words != 64<<10 || d.Banks != 4 || d.BankAccessesPerCycle != 2 || d.CEs != 8 {
 		t.Fatalf("defaults not applied: %+v", d)
 	}
 }
@@ -320,20 +315,4 @@ func TestReplacementOrder(t *testing.T) {
 	resident(16, 48)
 	touch(0) // 48 was stamped 0 by its install, 16 by a hit
 	resident(16, 0)
-}
-
-// TestTagBeyondFlagBitsPanics: a tag must fit below the line's flag
-// bits; one that would reach them panics instead of being truncated
-// into another line's tag.
-func TestTagBeyondFlagBitsPanics(t *testing.T) {
-	c := New(Config{Words: 2, LineWords: 1, Ways: 2}) // one set: tag = address
-	if _, ok := c.Access(0, 0, maxTag, true); !ok || !c.Contains(maxTag) {
-		t.Fatal("the largest tag was not installed")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("a tag reaching the flag bits did not panic")
-		}
-	}()
-	c.Access(1, 0, maxTag+1, false)
 }

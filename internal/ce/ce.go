@@ -40,24 +40,27 @@ type IOPath interface {
 	SubmitIO(now sim.Cycle, words int64, formatted bool, label string, onDone func(xylem.IOCompletion))
 }
 
-// Config holds the CE timing parameters.
-type Config struct {
+// The CE's as-built timing, from Section 2 of the paper.
+const (
 	// VectorStartup is the pipeline fill cost charged at the beginning
-	// of every vector operation (default 12 cycles: with 32-word strips
-	// this gives 32/(32+12) = 73% of absolute peak, the paper's 274 of
-	// 376 MFLOPS effective peak).
-	VectorStartup sim.Cycle
+	// of every vector operation: with 32-word strips it gives
+	// 32/(32+12) = 73% of absolute peak, the paper's 274 of 376 MFLOPS
+	// effective peak.
+	VectorStartup sim.Cycle = 12
 	// XferCycles is the CE-side transfer time between the network or
-	// prefetch buffer and the vector unit (default 5: together with the
-	// 8-cycle network+memory minimum it forms the paper's 13-cycle
-	// effective global latency).
-	XferCycles sim.Cycle
+	// prefetch buffer and the vector unit: with the 8-cycle
+	// network+memory minimum it forms the paper's 13-cycle effective
+	// global latency.
+	XferCycles sim.Cycle = 5
+	// SyncExtra is the CE-side cost of initiating a memory-mapped
+	// synchronization instruction beyond the network round trip.
+	SyncExtra sim.Cycle = 2
+)
+
+// Config holds the CE parameters a machine varies.
+type Config struct {
 	// MaxOutstanding is the lockup-free miss limit (default 2).
 	MaxOutstanding int
-	// SyncExtra is the CE-side cost of initiating a memory-mapped
-	// synchronization instruction beyond the network round trip
-	// (default 2 cycles).
-	SyncExtra sim.Cycle
 	// ReadTimeout, when positive, enables request-layer recovery for
 	// global reads — scalar accesses and direct (non-prefetched) vector
 	// stream elements alike: a reply that has not arrived after
@@ -71,16 +74,16 @@ type Config struct {
 	// read-modify-write at the module is not idempotent, so a duplicate
 	// could double-apply — sync tags live in their own namespace
 	// (SyncTagBase) precisely so the fault injector can exclude them
-	// from drops by range.
+	// from drops by range. The machine sets it, and MaxRetries, to the
+	// fault package's constants when faults are armed, and leaves both
+	// zero otherwise.
 	ReadTimeout sim.Cycle
 	// MaxRetries bounds the reissues per read when ReadTimeout is set.
 	MaxRetries int
 }
 
 // DefaultConfig returns the as-built CE parameters.
-func DefaultConfig() Config {
-	return Config{VectorStartup: 12, XferCycles: 5, MaxOutstanding: 2, SyncExtra: 2}
-}
+func DefaultConfig() Config { return Config{MaxOutstanding: 2} }
 
 // TagBase namespaces direct CE request tags above the prefetch unit's
 // epoch-qualified slot tags [0, prefetch.TagSpan). SyncTagBase opens a
@@ -530,7 +533,7 @@ func (c *CE) Deliver(now sim.Cycle, p *network.Packet) bool {
 	for i := range c.inflight {
 		if h := &c.inflight[i]; h.tag == p.Tag {
 			h.arrived = true
-			h.usableAt = now + c.cfg.XferCycles
+			h.usableAt = now + XferCycles
 			h.v, h.ok = int64(p.Value), p.OK
 			if i == 0 {
 				c.wake()
@@ -696,7 +699,7 @@ func (c *CE) start(op *isa.Op, now sim.Cycle) {
 	case isa.Vector:
 		// Buffer-to-register transfer pipelines within the startup, so
 		// prefetched and direct vector operations charge the same fill.
-		c.startupEnd = now + c.cfg.VectorStartup
+		c.startupEnd = now + VectorStartup
 	case isa.Prefetch:
 		c.pfu.ArmMasked(op.PFN, op.PFStride, op.PFMask)
 		c.pfu.Fire(op.PFBase.Word)
@@ -1059,7 +1062,7 @@ func (c *CE) tickSync(now sim.Cycle) isa.Bucket {
 		return isa.AcctSyncWait
 	case c.finishAt == -2:
 		if c.inflight[0].arrived {
-			c.finishAt = now + c.cfg.SyncExtra
+			c.finishAt = now + SyncExtra
 		} else {
 			c.StallMem++
 		}

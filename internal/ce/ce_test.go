@@ -25,7 +25,7 @@ func newRig(t *testing.T) *rig {
 	eng := sim.New()
 	fwd := network.MustNew("forward", 64, 8, 0)
 	rev := network.MustNew("reverse", 64, 8, 0)
-	g, err := gmem.New(gmem.Config{Words: 4096, Modules: 32, ServiceCycles: 2, QueueWords: 4}, rev)
+	g, err := gmem.New(gmem.Config{Words: 4096, Modules: 32}, rev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func newRig(t *testing.T) *rig {
 		fwd.SetSink(m, g.Module(m))
 	}
 	ch := cache.New(cache.Config{Words: 1024, CEs: 1})
-	u := prefetch.New(fwd, 0, 0, -1)
+	u := prefetch.New(fwd, 0)
 	u.SetRouter(g.ModuleOf)
 	c := New(DefaultConfig(), 0, 0, 0, fwd, ch, u, g.ModuleOf)
 	rev.SetSink(0, network.SinkFunc(func(p *network.Packet) bool { return c.Deliver(eng.Now(), p) }))
@@ -61,8 +61,8 @@ func (r *rig) runToIdle(t *testing.T) sim.Cycle {
 
 func TestDefaultConfigValues(t *testing.T) {
 	cfg := DefaultConfig()
-	if cfg.VectorStartup != 12 || cfg.XferCycles != 5 || cfg.MaxOutstanding != 2 {
-		t.Fatalf("defaults drifted: %+v", cfg)
+	if VectorStartup != 12 || XferCycles != 5 || cfg.MaxOutstanding != 2 {
+		t.Fatalf("defaults drifted: startup %d, transfer %d, %+v", VectorStartup, XferCycles, cfg)
 	}
 }
 
@@ -327,7 +327,7 @@ func TestStoreStreamUnderCongestion(t *testing.T) {
 	eng := sim.New()
 	fwd := network.MustNew("forward", 64, 8, 0)
 	rev := network.MustNew("reverse", 64, 8, 0)
-	g, err := gmem.New(gmem.Config{Words: 65536, Modules: 32, ServiceCycles: 2, QueueWords: 4}, rev)
+	g, err := gmem.New(gmem.Config{Words: 65536, Modules: 32}, rev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +394,7 @@ func newCfgRig(t *testing.T, cfg Config) *rig {
 	eng := sim.New()
 	fwd := network.MustNew("forward", 64, 8, 0)
 	rev := network.MustNew("reverse", 64, 8, 0)
-	g, err := gmem.New(gmem.Config{Words: 4096, Modules: 32, ServiceCycles: 2, QueueWords: 4}, rev)
+	g, err := gmem.New(gmem.Config{Words: 4096, Modules: 32}, rev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +402,7 @@ func newCfgRig(t *testing.T, cfg Config) *rig {
 		fwd.SetSink(m, g.Module(m))
 	}
 	ch := cache.New(cache.Config{Words: 1024, CEs: 1})
-	u := prefetch.New(fwd, 0, 0, -1)
+	u := prefetch.New(fwd, 0)
 	u.SetRouter(g.ModuleOf)
 	c := New(cfg, 0, 0, 0, fwd, ch, u, g.ModuleOf)
 	rev.SetSink(0, network.SinkFunc(func(p *network.Packet) bool { return c.Deliver(eng.Now(), p) }))

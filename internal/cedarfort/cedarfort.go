@@ -26,6 +26,7 @@ package cedarfort
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/ce"
 	"repro/internal/cluster"
@@ -48,47 +49,38 @@ const (
 	Static
 )
 
-// Config holds the runtime cost parameters, all of which come from
-// Section 3.2 of the paper.
-type Config struct {
-	// XDOALLStartup is the machine-wide loop startup latency
-	// (default 90 µs).
-	XDOALLStartup sim.Cycle
-	// SDOALLStartup is the startup of a cluster-scheduled loop
-	// (default 90 µs — it uses the same global-memory mechanism).
-	SDOALLStartup sim.Cycle
+// The runtime's costs, from Section 3.2 of the paper. Costs given in
+// microseconds are rounded up to whole cycles, as sim.FromDuration does.
+const (
+	// XDOALLStartup is the machine-wide loop startup latency (90 µs).
+	XDOALLStartup = sim.Cycle((90*time.Microsecond + sim.CycleTime - 1) / sim.CycleTime)
+	// SDOALLStartup is the startup of a cluster-scheduled loop: 90 µs,
+	// since it uses the same global-memory mechanism.
+	SDOALLStartup = XDOALLStartup
 	// IterFetchSlow is the per-iteration fetch cost through the runtime
-	// library without Cedar synchronization instructions
-	// (default 30 µs).
-	IterFetchSlow sim.Cycle
+	// library without Cedar synchronization instructions (30 µs).
+	IterFetchSlow = sim.Cycle((30*time.Microsecond + sim.CycleTime - 1) / sim.CycleTime)
 	// IterFetchFast is the software cost that remains when Cedar
-	// Test-And-Operate performs the claim (default 4 µs); the network
-	// round trip of the claim itself is simulated, not charged here.
-	IterFetchFast sim.Cycle
+	// Test-And-Operate performs the claim (4 µs); the network round trip
+	// of the claim itself is simulated, not charged here.
+	IterFetchFast = sim.Cycle((4*time.Microsecond + sim.CycleTime - 1) / sim.CycleTime)
+	// StaticIterCycles is the loop-control cost per statically scheduled
+	// iteration.
+	StaticIterCycles sim.Cycle = 4
+	// SpinBackoff is the delay between barrier/spin polls of a global
+	// word.
+	SpinBackoff sim.Cycle = 20
+)
+
+// Config holds the runtime's one design choice.
+type Config struct {
 	// UseCedarSync selects the fast claim path (the paper's "W/o Cedar
 	// Synchronization" column corresponds to false).
 	UseCedarSync bool
-	// StaticIterCycles is the loop-control cost per statically scheduled
-	// iteration (default 4 cycles).
-	StaticIterCycles sim.Cycle
-	// SpinBackoff is the delay between barrier/spin polls of a global
-	// word (default 20 cycles).
-	SpinBackoff sim.Cycle
 }
 
-// DefaultConfig returns the paper's runtime costs with Cedar
-// synchronization enabled.
-func DefaultConfig() Config {
-	return Config{
-		XDOALLStartup:    sim.FromMicroseconds(90),
-		SDOALLStartup:    sim.FromMicroseconds(90),
-		IterFetchSlow:    sim.FromMicroseconds(30),
-		IterFetchFast:    sim.FromMicroseconds(4),
-		UseCedarSync:     true,
-		StaticIterCycles: 4,
-		SpinBackoff:      20,
-	}
-}
+// DefaultConfig returns the runtime with Cedar synchronization enabled.
+func DefaultConfig() Config { return Config{UseCedarSync: true} }
 
 // PhaseObserver receives workload phase-boundary marks from the
 // runtime: DOALL start/end and barrier entry/exit. The telemetry
@@ -159,9 +151,9 @@ func (c *Ctx) CDOALL(n int, sched Schedule, body func(ctx *Ctx, iter int)) {
 // claimCost is the software component of one dynamic iteration fetch.
 func (r *Runtime) claimCost() sim.Cycle {
 	if r.Cfg.UseCedarSync {
-		return r.Cfg.IterFetchFast
+		return IterFetchFast
 	}
-	return r.Cfg.IterFetchSlow
+	return IterFetchSlow
 }
 
 // requireIdle panics if a construct is started while the machine runs.
@@ -190,12 +182,12 @@ func (r *Runtime) XDOALL(n int, sched Schedule, body func(ctx *Ctx, iter int)) (
 		counter := r.M.AllocGlobal(1)
 		r.M.Global.StoreInt(counter, 0)
 		for _, c := range ces {
-			r.dispatchClaimLoop(c, counter, n, r.Cfg.XDOALLStartup, body)
+			r.dispatchClaimLoop(c, counter, n, XDOALLStartup, body)
 		}
 	case Static:
 		p := len(ces)
 		for i, c := range ces {
-			r.dispatchStaticLoop(c, i, p, n, r.Cfg.XDOALLStartup, body)
+			r.dispatchStaticLoop(c, i, p, n, XDOALLStartup, body)
 		}
 	default:
 		return 0, fmt.Errorf("cedarfort: unknown schedule %d", sched)
@@ -254,7 +246,7 @@ func (r *Runtime) dispatchStaticLoop(c *ce.CE, id, p, n int, startup sim.Cycle, 
 		if iter >= n {
 			return false
 		}
-		gen.Emit(isa.NewCompute(r.Cfg.StaticIterCycles))
+		gen.Emit(isa.NewCompute(StaticIterCycles))
 		ctx := &Ctx{R: r, CE: c, Cluster: cl, G: gen}
 		body(ctx, iter)
 		if len(ctx.pendingCDOALL) > 0 {
@@ -361,7 +353,7 @@ func (r *Runtime) dispatchSDOALLLeader(leader *ce.CE, cl *cluster.Cluster, ci, n
 		g = isa.NewGen(func(gen *isa.Gen) bool {
 			if !started {
 				started = true
-				gen.Emit(isa.NewCompute(r.Cfg.SDOALLStartup))
+				gen.Emit(isa.NewCompute(SDOALLStartup))
 				return true
 			}
 			if done {
@@ -374,7 +366,7 @@ func (r *Runtime) dispatchSDOALLLeader(leader *ce.CE, cl *cluster.Cluster, ci, n
 				}
 				iter := staticNext
 				staticNext += nclusters
-				gen.Emit(isa.NewCompute(r.Cfg.StaticIterCycles))
+				gen.Emit(isa.NewCompute(StaticIterCycles))
 				runIteration(gen, iter)
 				return true
 			}
@@ -440,7 +432,7 @@ func (b *Barrier) Emit(g *isa.Gen) {
 		}
 		// The spin loop's two operations are built once per arrival and
 		// re-emitted every round: a CE only reads the operations it runs.
-		backoff := isa.NewCompute(b.r.Cfg.SpinBackoff)
+		backoff := isa.NewCompute(SpinBackoff)
 		poll := isa.NewSync(b.gen, network.SyncSpec{Test: network.TestAlways, Op: network.OpRead})
 		poll.OnDone = func(gv int64, ok bool) {
 			if gv <= myGen {

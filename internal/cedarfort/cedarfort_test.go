@@ -15,14 +15,21 @@ func testMachine(clusters int) *core.Machine {
 }
 
 func TestDefaultConfig(t *testing.T) {
-	c := DefaultConfig()
-	if c.XDOALLStartup != sim.FromMicroseconds(90) {
-		t.Fatalf("XDOALL startup = %d cycles, want 90 us", c.XDOALLStartup)
+	for _, tc := range []struct {
+		name string
+		got  sim.Cycle
+		us   float64
+	}{
+		{"XDOALL startup", XDOALLStartup, 90},
+		{"SDOALL startup", SDOALLStartup, 90},
+		{"slow iteration fetch", IterFetchSlow, 30},
+		{"fast iteration fetch", IterFetchFast, 4},
+	} {
+		if tc.got != sim.FromMicroseconds(tc.us) {
+			t.Fatalf("%s = %d cycles, want %g us", tc.name, tc.got, tc.us)
+		}
 	}
-	if c.IterFetchSlow != sim.FromMicroseconds(30) {
-		t.Fatalf("slow iteration fetch = %d cycles, want 30 us", c.IterFetchSlow)
-	}
-	if !c.UseCedarSync {
+	if c := DefaultConfig(); !c.UseCedarSync {
 		t.Fatal("default must use Cedar synchronization")
 	}
 }
@@ -49,8 +56,8 @@ func TestXDOALLSelfScheduledCoverage(t *testing.T) {
 	if len(byCE) < 8 {
 		t.Fatalf("only %d CEs participated, want most of 16", len(byCE))
 	}
-	if elapsed <= r.Cfg.XDOALLStartup {
-		t.Fatalf("elapsed %d cycles does not include the 90 us startup (%d)", elapsed, r.Cfg.XDOALLStartup)
+	if elapsed <= XDOALLStartup {
+		t.Fatalf("elapsed %d cycles does not include the 90 us startup (%d)", elapsed, XDOALLStartup)
 	}
 }
 
@@ -263,7 +270,7 @@ func TestCDOALLStartupAdvantage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner := sdoall - r2.Cfg.SDOALLStartup
+	inner := sdoall - SDOALLStartup
 	if inner >= xdoall {
 		t.Fatalf("CDOALL path (%d cycles after startup) not cheaper than XDOALL (%d)", inner, xdoall)
 	}

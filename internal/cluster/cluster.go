@@ -15,6 +15,7 @@ package cluster
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/cache"
 	"repro/internal/ce"
@@ -22,31 +23,29 @@ import (
 	"repro/internal/sim"
 )
 
+// The as-built concurrency-bus costs and cluster-memory size.
+const (
+	// SpreadCycles is the concurrent-start cost: the time from the
+	// initiating CE executing the start to all cluster CEs running the
+	// loop, the paper's "few microseconds" (3 µs, rounded up to whole
+	// cycles as sim.FromDuration does).
+	SpreadCycles = sim.Cycle((3*time.Microsecond + sim.CycleTime - 1) / sim.CycleTime)
+	// ClaimCycles is the per-iteration self-scheduling cost over the
+	// concurrency bus.
+	ClaimCycles sim.Cycle = 2
+	// MemWords is the cluster-memory address-space size in words used by
+	// the bump allocator (32 MB).
+	MemWords uint64 = 4 << 20
+)
+
 // Config holds the cluster-level parameters.
 type Config struct {
 	// CEs is the processor count per cluster (8 in Cedar).
 	CEs int
-	// SpreadCycles is the concurrent-start cost: the time from the
-	// initiating CE executing the start to all cluster CEs running the
-	// loop (default ~3 µs = 18 cycles, the paper's "few microseconds").
-	SpreadCycles sim.Cycle
-	// ClaimCycles is the per-iteration self-scheduling cost over the
-	// concurrency bus (default 2 cycles).
-	ClaimCycles sim.Cycle
-	// MemWords is the cluster-memory address-space size in words used by
-	// the bump allocator (32 MB = 4 Mwords in Cedar).
-	MemWords uint64
 }
 
 // DefaultConfig returns the as-built cluster parameters.
-func DefaultConfig() Config {
-	return Config{
-		CEs:          8,
-		SpreadCycles: sim.FromMicroseconds(3),
-		ClaimCycles:  2,
-		MemWords:     4 << 20,
-	}
-}
+func DefaultConfig() Config { return Config{CEs: 8} }
 
 // Cluster is one Alliant FX/8.
 type Cluster struct {
@@ -89,8 +88,8 @@ func (cl *Cluster) Config() Config { return cl.cfg }
 // base word address. Cluster memory is private to the cluster: addresses
 // are meaningful only to this cluster's cache.
 func (cl *Cluster) Alloc(n uint64) uint64 {
-	if cl.allocNext+n > cl.cfg.MemWords {
-		panic(fmt.Sprintf("cluster %d: out of cluster memory (%d of %d words)", cl.ID, cl.allocNext, cl.cfg.MemWords))
+	if cl.allocNext+n > MemWords {
+		panic(fmt.Sprintf("cluster %d: out of cluster memory (%d of %d words)", cl.ID, cl.allocNext, MemWords))
 	}
 	base := cl.allocNext
 	cl.allocNext += n
@@ -147,7 +146,7 @@ func (cl *Cluster) SpreadOp(progs []isa.Program) *isa.Op {
 	if len(progs) != len(cl.CEs) {
 		panic(fmt.Sprintf("cluster %d: %d programs for %d CEs", cl.ID, len(progs), len(cl.CEs)))
 	}
-	op := isa.NewCompute(cl.cfg.SpreadCycles)
+	op := isa.NewCompute(SpreadCycles)
 	op.ExtraCost = cl.busExtraCost
 	op.Do = func() {
 		for i, p := range progs {
@@ -177,7 +176,7 @@ func (cl *Cluster) SelfSchedule(n int, body func(iter int, g *isa.Gen)) []isa.Pr
 			}
 			iter := next
 			next++
-			claim := isa.NewCompute(cl.cfg.ClaimCycles)
+			claim := isa.NewCompute(ClaimCycles)
 			claim.ExtraCost = cl.busExtraCost
 			g.Emit(claim)
 			body(iter, g)

@@ -31,11 +31,11 @@ func TestDefaultConfig(t *testing.T) {
 	if cfg.CEs != 8 {
 		t.Fatalf("CEs = %d, want 8", cfg.CEs)
 	}
-	if cfg.SpreadCycles != sim.FromMicroseconds(3) {
-		t.Fatalf("spread cost = %d cycles, want ~3 us", cfg.SpreadCycles)
+	if SpreadCycles != sim.FromMicroseconds(3) {
+		t.Fatalf("spread cost = %d cycles, want ~3 us", SpreadCycles)
 	}
-	if cfg.MemWords != 4<<20 {
-		t.Fatalf("cluster memory = %d words, want 4M (32 MB)", cfg.MemWords)
+	if MemWords != 4<<20 {
+		t.Fatalf("cluster memory = %d words, want 4M (32 MB)", MemWords)
 	}
 }
 
@@ -52,7 +52,7 @@ func TestNewValidatesCECount(t *testing.T) {
 
 func TestAllocExhaustion(t *testing.T) {
 	_, cl := newCluster(t, 2)
-	cl.Alloc(cl.Config().MemWords)
+	cl.Alloc(MemWords)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("over-allocation accepted")
@@ -92,8 +92,8 @@ func TestSpreadTiming(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, at := range startedAt {
-		if at < cl.Config().SpreadCycles {
-			t.Fatalf("CE %d ran at %d, before the %d-cycle spread completed", i, at, cl.Config().SpreadCycles)
+		if at < SpreadCycles {
+			t.Fatalf("CE %d ran at %d, before the %d-cycle spread completed", i, at, SpreadCycles)
 		}
 	}
 }
@@ -174,7 +174,7 @@ func TestSelfScheduleClaimCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Spread + n iterations x (claim + op transitions + body).
-	minimum := cl.Config().SpreadCycles + sim.Cycle(n)*(cl.Config().ClaimCycles+1)
+	minimum := SpreadCycles + sim.Cycle(n)*(ClaimCycles+1)
 	if at < minimum {
 		t.Fatalf("loop finished at %d, below the bus cost floor %d", at, minimum)
 	}
@@ -182,7 +182,7 @@ func TestSelfScheduleClaimCost(t *testing.T) {
 
 func TestIPServesSequentially(t *testing.T) {
 	eng := sim.New()
-	ip := NewIP(nil)
+	ip := NewIP()
 	eng.Register("ip", ip)
 	var done []sim.Cycle
 	// Two unformatted transfers of 1000 words each (~0.6 us/word).
@@ -211,7 +211,7 @@ func TestIPServesSequentially(t *testing.T) {
 func TestIPFormattedIsSlower(t *testing.T) {
 	run := func(formatted bool) sim.Cycle {
 		eng := sim.New()
-		ip := NewIP(nil)
+		ip := NewIP()
 		eng.Register("ip", ip)
 		var at sim.Cycle
 		ip.Submit(eng.Now(), 500, formatted, func(xylem.IOCompletion) { at = eng.Now() })
@@ -226,7 +226,7 @@ func TestIPFormattedIsSlower(t *testing.T) {
 }
 
 func TestIPNegativeSizePanics(t *testing.T) {
-	ip := NewIP(nil)
+	ip := NewIP()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("negative I/O accepted")

@@ -19,7 +19,7 @@ import (
 // cycle and every completion returns a xylem.IOCompletion handle, so
 // callers attribute wait time from the handle alone.
 type IP struct {
-	fs    *xylem.FS
+	fs    xylem.FS
 	waker sim.Waker
 
 	queue       []ioReq
@@ -54,14 +54,8 @@ type ioReq struct {
 	onDone    func(xylem.IOCompletion)
 }
 
-// NewIP returns an IP using the given file-system cost model (nil
-// selects the default).
-func NewIP(fs *xylem.FS) *IP {
-	if fs == nil {
-		fs = xylem.NewFS(xylem.DefaultFSConfig())
-	}
-	return &IP{fs: fs}
-}
+// NewIP returns an IP with its own file-system cost model.
+func NewIP() *IP { return &IP{} }
 
 // AttachWaker implements sim.WakeSink: the engine hands the IP its own
 // Handle at registration. An IP with no queue and no pending completion

@@ -241,7 +241,7 @@ func TestShortJobAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	slots := (8 + 1 + 1 + 4) * prefetch.BufferWords // value, full, got, tag
-	if n := allocated(func() { pfuSink = prefetch.New(fwd, 0, 0, 0); pfuSink.Arm(32, 1) }); n > uint64(slots)/4 {
+	if n := allocated(func() { pfuSink = prefetch.New(fwd, 0); pfuSink.Arm(32, 1) }); n > uint64(slots)/4 {
 		t.Errorf("a PFU armed with a 32-word strip allocated %d bytes; its %d-slot buffer takes %d", n, prefetch.BufferWords, slots)
 	}
 }

@@ -13,8 +13,15 @@
 //	CE <-> shared cluster cache <-> cluster memory   (within a cluster)
 //
 // Configurations of one to four clusters (8 to 32 CEs) reproduce the
-// paper's measurement points; the parameters default to the as-built
-// machine and every one of them can be varied for ablation studies.
+// paper's measurement points. The paper's published parameters are
+// constants of the packages that use them (ce.VectorStartup,
+// cache.LineWords, cluster.SpreadCycles, prefetch.PageWords, NetRadix
+// and the rest); Config carries only the design choices a study varies:
+// the cluster count and CEs per cluster (the scalability study), the
+// outstanding-request limit, switch queue depth, contentionless fabric
+// and cluster-cache size and banking (the ablations), the global-memory
+// size and module count (the scaled topology and the memory probes),
+// the engine path, and the fault schedule.
 package core
 
 import (
@@ -36,29 +43,27 @@ import (
 	"repro/internal/xylem"
 )
 
+// NetRadix is the crossbar radix of both networks: Cedar's 8x8
+// switches.
+const NetRadix = 8
+
 // Config describes a Cedar machine.
 type Config struct {
 	// Clusters is the cluster count (Cedar: 4; the paper also measures 1,
 	// 2 and 3 cluster configurations).
 	Clusters int
-	// Cluster holds the per-cluster parameters (CEs per cluster, bus
-	// costs, cluster-memory size).
+	// Cluster holds the per-cluster parameters (CEs per cluster).
 	Cluster cluster.Config
-	// CE holds the processor timing parameters.
+	// CE holds the processor's outstanding-request limit.
 	CE ce.Config
-	// Cache holds the shared-cache parameters.
+	// Cache holds the shared-cache size and banking.
 	Cache cache.Config
-	// Global holds the global-memory parameters.
+	// Global holds the global-memory size and module count.
 	Global gmem.Config
-	// NetRadix and NetQueueWords configure both networks (8x8 crossbars
-	// with 2-word port queues in Cedar). Port count is derived: the
-	// smallest power of NetRadix covering max(CEs, memory modules).
-	NetRadix      int
+	// NetQueueWords is the port queue depth of both networks (2 words in
+	// Cedar). Their port count is derived: the smallest power of
+	// NetRadix covering max(CEs, memory modules).
 	NetQueueWords int
-	// PageWords is the virtual-memory page size in words (4 KB = 512);
-	// PageCrossCycles the prefetch-unit page-crossing assist cost.
-	PageWords       int
-	PageCrossCycles sim.Cycle
 	// IdealNetwork replaces both omega networks with contentionless
 	// fabrics of the same unloaded latency — the ablation that tests the
 	// paper's claim that the measured degradation "is not inherent in
@@ -81,15 +86,12 @@ type Config struct {
 // DefaultConfig returns the as-built, full four-cluster Cedar.
 func DefaultConfig() Config {
 	return Config{
-		Clusters:        4,
-		Cluster:         cluster.DefaultConfig(),
-		CE:              ce.DefaultConfig(),
-		Cache:           cache.Default(),
-		Global:          gmem.Default(),
-		NetRadix:        8,
-		NetQueueWords:   network.DefaultQueueWords,
-		PageWords:       prefetch.DefaultPageWords,
-		PageCrossCycles: prefetch.DefaultPageCrossCycles,
+		Clusters:      4,
+		Cluster:       cluster.DefaultConfig(),
+		CE:            ce.DefaultConfig(),
+		Cache:         cache.Default(),
+		Global:        gmem.Default(),
+		NetQueueWords: network.DefaultQueueWords,
 	}
 }
 
@@ -153,25 +155,18 @@ func New(cfg Config) (*Machine, error) {
 		return nil, fmt.Errorf("core: %d CEs per cluster", cfg.Cluster.CEs)
 	}
 	nces := cfg.Clusters * cfg.Cluster.CEs
-	if cfg.NetRadix < 2 {
-		return nil, fmt.Errorf("core: network radix %d", cfg.NetRadix)
-	}
-	need := nces
-	if cfg.Global.Modules > need {
-		need = cfg.Global.Modules
-	}
-	ports := cfg.NetRadix
-	for ports < need {
-		ports *= cfg.NetRadix
+	ports := NetRadix
+	for ports < max(nces, cfg.Global.Modules) {
+		ports *= NetRadix
 	}
 
 	eng := sim.New()
 	eng.SetMode(cfg.EngineMode)
 	mkNet := func(name string) (*network.Network, error) {
 		if cfg.IdealNetwork {
-			return network.NewIdeal(name, ports, cfg.NetRadix)
+			return network.NewIdeal(name, ports, NetRadix)
 		}
-		return network.New(name, ports, cfg.NetRadix, cfg.NetQueueWords)
+		return network.New(name, ports, NetRadix, cfg.NetQueueWords)
 	}
 	fwd, err := mkNet("forward")
 	if err != nil {
@@ -190,8 +185,8 @@ func New(cfg Config) (*Machine, error) {
 		// request-layer recovery knobs into every CE (and, below, every
 		// PFU), and build the Xylem rescheduler that catches programs
 		// surrendered by check-stopped CEs.
-		cfg.CE.ReadTimeout = cfg.Fault.ReadTimeout
-		cfg.CE.MaxRetries = cfg.Fault.MaxRetries
+		cfg.CE.ReadTimeout = fault.ReadTimeout
+		cfg.CE.MaxRetries = fault.MaxRetries
 	}
 	m := &Machine{cfg: cfg, Eng: eng, Fwd: fwd, Rev: rev, Global: g, IOWait: xylem.NewIOWait(),
 		Clusters: make([]*cluster.Cluster, 0, cfg.Clusters), ces: make([]*ce.CE, 0, nces)}
@@ -222,14 +217,14 @@ func New(cfg Config) (*Machine, error) {
 		ch := cache.New(cacheCfg)
 		// The cluster's interactive processor is built before its CEs so
 		// each CE's I/O path can park requests in front of it.
-		ip := cluster.NewIP(nil)
+		ip := cluster.NewIP()
 		ces := make([]*ce.CE, cfg.Cluster.CEs)
 		for i := 0; i < cfg.Cluster.CEs; i++ {
 			id := cl*cfg.Cluster.CEs + i
-			u := prefetch.New(fwd, id, cfg.PageWords, cfg.PageCrossCycles)
+			u := prefetch.New(fwd, id)
 			u.SetRouter(route)
 			if cfg.Fault.Enabled() {
-				u.SetTimeout(cfg.Fault.ReadTimeout, cfg.Fault.MaxRetries)
+				u.SetTimeout(fault.ReadTimeout, fault.MaxRetries)
 			}
 			c := ce.New(cfg.CE, id, id, i, fwd, ch, u, route)
 			c.SetIOPath(ceIOPath{w: m.IOWait, ip: ip})

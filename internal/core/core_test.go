@@ -60,11 +60,6 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(bad); err == nil {
 		t.Fatal("accepted 0 CEs")
 	}
-	bad = testConfig(1)
-	bad.NetRadix = 1
-	if _, err := New(bad); err == nil {
-		t.Fatal("accepted radix 1")
-	}
 }
 
 func TestComputeOpTiming(t *testing.T) {

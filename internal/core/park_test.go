@@ -127,7 +127,7 @@ func TestReplyWaitsPark(t *testing.T) {
 			if r.value != 42 {
 				t.Errorf("%s: returned %d, want 42", tc.name, r.value)
 			}
-			if tc.name == "scalar" && r.retired != r.delivered[0]+r.m.Config().CE.XferCycles {
+			if tc.name == "scalar" && r.retired != r.delivered[0]+ce.XferCycles {
 				t.Errorf("%s: delivered at %d, retired at %d, want delivery + XferCycles", tc.name, r.delivered[0], r.retired)
 			}
 		}
@@ -155,7 +155,7 @@ func TestReplyWaitsPark(t *testing.T) {
 func TestVectorWaitsPark(t *testing.T) {
 	cfg := testConfig(1)
 	// Four words before a page boundary, then four after it.
-	pb := isa.Addr{Space: isa.Global, Word: 2*prefetch.DefaultPageWords - 4}
+	pb := isa.Addr{Space: isa.Global, Word: 2*prefetch.PageWords - 4}
 	prefetched := func(uint64) []*isa.Op {
 		return []*isa.Op{isa.NewPrefetch(pb, 8, 1), isa.NewVectorLoad(pb, 8, 1, 2, true)}
 	}
@@ -194,7 +194,7 @@ func TestVectorWaitsPark(t *testing.T) {
 		case "direct":
 			// Both requests issue as the startup fill ends; the CE then
 			// waits for the head reply.
-			from := cfg.CE.VectorStartup + sim.Cycle(cfg.CE.MaxOutstanding)
+			from := ce.VectorStartup + sim.Cycle(cfg.CE.MaxOutstanding)
 			d := fast.delivered[0]
 			if len(p) == 0 || p[0] != from || p[len(p)-1] != d || len(p) != int(d-from+1) {
 				t.Errorf("%s: CE 0 answered Never at cycles %v, want %d..%d", tc.name, p, from, d)

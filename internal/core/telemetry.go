@@ -22,7 +22,7 @@ import (
 func (m *Machine) Registry() *telemetry.Registry {
 	if m.reg == nil {
 		c := m.cfg
-		key := shape{c.Clusters, c.Cluster.CEs, m.Global.Modules(), c.NetRadix, c.IdealNetwork, m.FaultInj != nil}
+		key := shape{c.Clusters, c.Cluster.CEs, m.Global.Modules(), c.IdealNetwork, m.FaultInj != nil}
 		m.reg = telemetry.Shaped(key, m.registerAll)
 	}
 	return m.reg
@@ -31,8 +31,8 @@ func (m *Machine) Registry() *telemetry.Registry {
 // shape is what decides a machine's metric paths: the key its registry
 // layout is cached under.
 type shape struct {
-	clusters, ces, modules, radix int
-	ideal, faults                 bool
+	clusters, ces, modules int
+	ideal, faults          bool
 }
 
 // registerAll walks the machine in assembly order, so metric

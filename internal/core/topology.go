@@ -3,6 +3,11 @@ package core
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/cache"
+	"repro/internal/ce"
+	"repro/internal/cluster"
+	"repro/internal/prefetch"
 )
 
 // Topology renders the machine's architecture from its assembled
@@ -31,15 +36,15 @@ func (m *Machine) Topology() string {
 	for _, cl := range m.Clusters {
 		cc := cl.Cache.Config()
 		fmt.Fprintf(&b, "\n  cluster %d (Alliant FX/8):\n", cl.ID)
-		fmt.Fprintf(&b, "    CEs %d..%d: vector unit, %d outstanding misses, PFU (512-word buffer)\n",
-			cl.CEs[0].ID, cl.CEs[len(cl.CEs)-1].ID, cfg.CE.MaxOutstanding)
+		fmt.Fprintf(&b, "    CEs %d..%d: vector unit, %d outstanding misses, PFU (%d-word buffer)\n",
+			cl.CEs[0].ID, cl.CEs[len(cl.CEs)-1].ID, cfg.CE.MaxOutstanding, prefetch.BufferWords)
 		fmt.Fprintf(&b, "    shared cache: %d KB, %d-word lines, %d-way, %d banks, lockup-free\n",
-			cc.Words*8/1024, cc.LineWords, cc.Ways, cc.Banks)
+			cc.Words*8/1024, cache.LineWords, cache.Ways, cc.Banks)
 		fmt.Fprintf(&b, "    cluster memory: %d MB; concurrency control bus (spread %d cycles, claim %d)\n",
-			cl.Config().MemWords*8/(1<<20), cl.Config().SpreadCycles, cl.Config().ClaimCycles)
+			cluster.MemWords*8/(1<<20), cluster.SpreadCycles, cluster.ClaimCycles)
 	}
 	fmt.Fprintf(&b, "\n  latencies: global round trip %d+%d cycles (network+memory, CE transfer); page %d words\n",
-		8, cfg.CE.XferCycles, cfg.PageWords)
+		8, ce.XferCycles, prefetch.PageWords)
 	fmt.Fprintf(&b, "  engine: %d components in deterministic tick order\n", m.Eng.Components())
 	return b.String()
 }

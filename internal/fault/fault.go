@@ -128,12 +128,21 @@ const (
 	busStallWindow  sim.Cycle = 40  // concurrency-bus stall
 )
 
-// RescheduleLatency is the Xylem kernel cost, in cycles, of
-// redispatching a cluster task surrendered by a check-stopped CE.
-const RescheduleLatency sim.Cycle = 500
+// Recovery costs and budgets, in cycles.
+const (
+	// RescheduleLatency is the Xylem kernel cost of redispatching a
+	// cluster task surrendered by a check-stopped CE.
+	RescheduleLatency sim.Cycle = 500
+	// RepairWindow is how long a check-stopped CE stays down before the
+	// injector repairs it.
+	RepairWindow sim.Cycle = 2000
+	// ReadTimeout and MaxRetries are the request-layer recovery knobs the
+	// machine builder pushes into every CE and PFU when faults are armed.
+	ReadTimeout sim.Cycle = 200
+	MaxRetries            = 6
+)
 
-// Config parameterizes the fault schedule and the recovery knobs the
-// machine builder pushes into the affected layers.
+// Config parameterizes the fault schedule.
 type Config struct {
 	// Seed selects the deterministic fault schedule.
 	Seed uint64
@@ -146,30 +155,16 @@ type Config struct {
 	// into the list, so its order is part of the seed's schedule.
 	// DefaultConfig lists every kind; EnableOnly selects by name.
 	Kinds []Kind
-	// RepairWindow is how long a check-stopped CE stays down before the
-	// injector repairs it.
-	RepairWindow sim.Cycle
-	// ReadTimeout and MaxRetries are the request-layer recovery knobs the
-	// builder pushes into every CE and PFU when the subsystem is enabled.
-	ReadTimeout sim.Cycle
-	MaxRetries  int
 }
 
-// DefaultConfig returns the calibrated fault parameters with all kinds
-// enabled and the schedule disabled (MeanInterval zero) until a rate is
-// chosen.
+// DefaultConfig returns seed's schedule with every kind enabled, off
+// (MeanInterval zero) until a rate is chosen.
 func DefaultConfig(seed uint64) Config {
 	kinds := make([]Kind, numKinds)
 	for i := range kinds {
 		kinds[i] = Kind(i)
 	}
-	return Config{
-		Seed:         seed,
-		Kinds:        kinds,
-		RepairWindow: 2000,
-		ReadTimeout:  200,
-		MaxRetries:   6,
-	}
+	return Config{Seed: seed, Kinds: kinds}
 }
 
 // EnableOnly restricts the schedule to the named kinds (mnemonics from
@@ -502,7 +497,7 @@ func (inj *Injector) injectCheckStop(now sim.Cycle) {
 		return
 	}
 	inj.ces[c].CheckStop(now)
-	inj.repairs = append(inj.repairs, repairTimer{ce: c, at: now + inj.cfg.RepairWindow})
+	inj.repairs = append(inj.repairs, repairTimer{ce: c, at: now + RepairWindow})
 	inj.CheckStops++
 	inj.Injected++
 }

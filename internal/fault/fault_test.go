@@ -14,7 +14,13 @@ type stopCE struct {
 	stopped  bool
 	stops    int
 	repairs  int
-	eventLog []string
+	eventLog []stopEvent
+}
+
+// stopEvent is one check-stop or repair of a stopCE.
+type stopEvent struct {
+	what string
+	at   sim.Cycle
 }
 
 func (s *stopCE) CheckStop(now sim.Cycle) {
@@ -23,7 +29,7 @@ func (s *stopCE) CheckStop(now sim.Cycle) {
 	}
 	s.stopped = true
 	s.stops++
-	s.eventLog = append(s.eventLog, "stop")
+	s.eventLog = append(s.eventLog, stopEvent{"stop", now})
 }
 func (s *stopCE) Repair(now sim.Cycle) {
 	if !s.stopped {
@@ -31,7 +37,7 @@ func (s *stopCE) Repair(now sim.Cycle) {
 	}
 	s.stopped = false
 	s.repairs++
-	s.eventLog = append(s.eventLog, "repair")
+	s.eventLog = append(s.eventLog, stopEvent{"repair", now})
 }
 func (s *stopCE) CheckStopped() bool { return s.stopped }
 
@@ -81,7 +87,7 @@ func newFaultRig(t *testing.T, cfg Config) *faultRig {
 	eng := sim.New()
 	fwd := network.MustNew("forward", 8, 8, 0)
 	rev := network.MustNew("reverse", 8, 8, 0)
-	g, err := gmem.New(gmem.Config{Words: 512, Modules: 8, ServiceCycles: 2, QueueWords: 4}, rev)
+	g, err := gmem.New(gmem.Config{Words: 512, Modules: 8}, rev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,12 +220,12 @@ func TestAllEnabledKindsEventuallyFire(t *testing.T) {
 
 // TestCheckStopsAreRepairedAfterWindow: with check-stops among the
 // kinds (here beside the I/O and cluster-internal kinds, leaving out the
-// network and memory ones), every stopped CE is repaired a RepairWindow
-// later, stops and repairs alternate per CE, and the census balances.
+// network and memory ones), every stopped CE is repaired exactly
+// RepairWindow later, stops and repairs alternate per CE, and the census
+// balances.
 func TestCheckStopsAreRepairedAfterWindow(t *testing.T) {
 	cfg := DefaultConfig(3)
 	cfg.MeanInterval = 100
-	cfg.RepairWindow = 500
 	cfg.Kinds = []Kind{CheckStop, IPBusy, IPDelay, CacheBankBusy, BusStall, CEDrop}
 	r := newFaultRig(t, cfg)
 	r.eng.Run(30000)
@@ -235,8 +241,11 @@ func TestCheckStopsAreRepairedAfterWindow(t *testing.T) {
 			if i%2 == 1 {
 				want = "repair"
 			}
-			if ev != want {
+			if ev.what != want {
 				t.Fatalf("CE event log not alternating stop/repair: %v", c.eventLog)
+			}
+			if i%2 == 1 && ev.at != c.eventLog[i-1].at+RepairWindow {
+				t.Fatalf("CE stopped at %d repaired at %d, want %d cycles later", c.eventLog[i-1].at, ev.at, RepairWindow)
 			}
 		}
 	}
@@ -245,7 +254,7 @@ func TestCheckStopsAreRepairedAfterWindow(t *testing.T) {
 	}
 	// Every stop whose window elapsed was repaired; at most the tail stop
 	// can still be down.
-	if int64(repairs) != r.inj.Repairs || stops-repairs > len(r.ces) {
+	if repairs == 0 || int64(repairs) != r.inj.Repairs || stops-repairs > len(r.ces) {
 		t.Fatalf("stops=%d repairs=%d (injector Repairs=%d)", stops, repairs, r.inj.Repairs)
 	}
 }

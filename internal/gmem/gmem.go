@@ -23,6 +23,15 @@ import (
 	"repro/internal/sim"
 )
 
+// The module timing of the as-built memory.
+const (
+	// ServiceCycles is the time a module is occupied by one request,
+	// yielding the paper's aggregate bandwidth.
+	ServiceCycles sim.Cycle = 2
+	// QueueWords is the request queue capacity at each module, in words.
+	QueueWords = 4
+)
+
 // Config describes a global memory system.
 type Config struct {
 	// Words is the total capacity in 64-bit words. The Cedar default is
@@ -32,23 +41,10 @@ type Config struct {
 	// Addresses are interleaved across modules by double word: word a
 	// lives in module a mod Modules.
 	Modules int
-	// ServiceCycles is the time a module is occupied by one request
-	// (default 2, yielding the paper's aggregate bandwidth).
-	ServiceCycles int
-	// QueueWords is the request queue capacity at each module, in words
-	// (default 4).
-	QueueWords int
 }
 
 // Default returns the as-built Cedar global memory configuration.
-func Default() Config {
-	return Config{
-		Words:         64 << 20 / 8,
-		Modules:       32,
-		ServiceCycles: 2,
-		QueueWords:    4,
-	}
-}
+func Default() Config { return Config{Words: 64 << 20 / 8, Modules: 32} }
 
 // Global is the shared memory system: the backing store plus the modules.
 type Global struct {
@@ -72,23 +68,10 @@ func New(cfg Config, rev *network.Network) (*Global, error) {
 	if cfg.Modules <= 0 || cfg.Words <= 0 {
 		return nil, fmt.Errorf("gmem: non-positive size (%d words, %d modules)", cfg.Words, cfg.Modules)
 	}
-	if cfg.ServiceCycles <= 0 {
-		cfg.ServiceCycles = 2
-	}
-	if cfg.QueueWords <= 0 {
-		cfg.QueueWords = 4
-	}
 	g := &Global{cfg: cfg, pages: make([]*[pageWords]uint64, (cfg.Words+pageWords-1)/pageWords)}
 	g.mods = make([]*Module, cfg.Modules)
 	for m := range g.mods {
-		g.mods[m] = &Module{
-			g:          g,
-			index:      m,
-			rev:        rev,
-			queueCap:   cfg.QueueWords,
-			service:    sim.Cycle(cfg.ServiceCycles),
-			nextFreeAt: 0,
-		}
+		g.mods[m] = &Module{g: g, index: m, rev: rev}
 	}
 	return g, nil
 }
@@ -162,9 +145,6 @@ type Module struct {
 
 	queue      []*network.Packet
 	queueWords int
-	queueCap   int
-
-	service    sim.Cycle
 	nextFreeAt sim.Cycle
 
 	// Fault windows. busyUntil models an ECC-retry/busy glitch: no new
@@ -220,7 +200,7 @@ func (m *Module) FaultDegrade(now, window, penalty sim.Cycle) {
 
 // Offer implements network.Sink: the forward network delivers a request.
 func (m *Module) Offer(p *network.Packet) bool {
-	if len(m.queue) > 0 && m.queueWords+p.Words > m.queueCap {
+	if len(m.queue) > 0 && m.queueWords+p.Words > QueueWords {
 		return false
 	}
 	if m.g.ModuleOf(p.Addr) != m.index {
@@ -312,7 +292,7 @@ func (m *Module) Tick(now sim.Cycle) {
 	m.queue = m.queue[:len(m.queue)-1]
 	m.queueWords -= p.Words
 
-	svc := m.service
+	svc := ServiceCycles
 	if now < m.degradedUntil {
 		svc += m.degradePenalty
 		m.DegradedServes++

@@ -55,7 +55,7 @@ func newRig(t *testing.T, cfg Config) *rig {
 }
 
 func smallCfg() Config {
-	return Config{Words: 4096, Modules: 32, ServiceCycles: 2, QueueWords: 4}
+	return Config{Words: 4096, Modules: 32}
 }
 
 func TestDefaultConfig(t *testing.T) {
@@ -63,8 +63,8 @@ func TestDefaultConfig(t *testing.T) {
 	if d.Words != 8<<20 {
 		t.Fatalf("default Words = %d, want 8M (64 MB)", d.Words)
 	}
-	if d.Modules != 32 || d.ServiceCycles != 2 {
-		t.Fatalf("default modules/service = %d/%d", d.Modules, d.ServiceCycles)
+	if d.Modules != 32 || ServiceCycles != 2 {
+		t.Fatalf("default modules/service = %d/%d", d.Modules, ServiceCycles)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/ce"
 	"repro/internal/cedarfort"
 	"repro/internal/core"
 	"repro/internal/isa"
@@ -259,7 +260,7 @@ func cgMatvecOps(prob *CGProblem, usePrefetch bool, lo, hi int,
 		ops = vloadOps(ops, usePrefetch, pB, min(prob.N-StripLen, s+1), 2)
 		ops = vloadOps(ops, usePrefetch, pB, max(0, s-prob.W), 2)
 		ops = vloadOps(ops, usePrefetch, pB, min(prob.N-StripLen, s+prob.W), 2)
-		ops = append(ops, isa.NewCompute(12+StripLen)) // RR: remaining mul + dot accumulation
+		ops = append(ops, isa.NewCompute(ce.VectorStartup+StripLen)) // RR: remaining mul + dot accumulation
 		st := isa.NewVectorStore(isa.Addr{Space: isa.Global, Word: qB + uint64(s)}, StripLen, 1, 1)
 		first := s
 		st.Do = func() {

@@ -192,10 +192,9 @@ func runIOKernel(m *core.Machine, spec ioKernelSpec, p workload.Params, att work
 	if spec.perCluster {
 		ioWords = n / nclusters
 	}
-	fsCfg := xylem.DefaultFSConfig()
-	wordCycles := fsCfg.TransferPerWord
+	wordCycles := xylem.TransferPerWord
 	if spec.formatted {
-		wordCycles += fsCfg.FormatPerWord
+		wordCycles += xylem.FormatPerWord
 	}
 	ioWall := float64(ioWords) * float64(wordCycles)
 
@@ -207,9 +206,7 @@ func runIOKernel(m *core.Machine, spec ioKernelSpec, p workload.Params, att work
 	extraPerStrip := sim.Cycle(spec.ratio*ioWall/float64(stripsPerCE) + 0.5)
 
 	rt := cedarfort.New(m, cedarfort.DefaultConfig())
-	if att.Phases != nil {
-		rt.Phases = att.Phases
-	}
+	rt.Phases = att.Phases
 	bar := rt.NewBarrier(nces)
 
 	var pr *perfmon.PrefetchProbe

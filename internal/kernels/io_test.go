@@ -18,10 +18,9 @@ import (
 // system, formatted or raw — the constant the exact-accounting checks
 // below are written against (57 and 4 cycles at the paper's rates).
 func ioWordCycles(formatted bool) int64 {
-	cfg := xylem.DefaultFSConfig()
-	c := cfg.TransferPerWord
+	c := xylem.TransferPerWord
 	if formatted {
-		c += cfg.FormatPerWord
+		c += xylem.FormatPerWord
 	}
 	return int64(c)
 }

@@ -3,6 +3,7 @@ package kernels
 import (
 	"fmt"
 
+	"repro/internal/ce"
 	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/perfmon"
@@ -133,7 +134,7 @@ func RunTriMatVec(m *core.Machine, p workload.Params) (Result, error) {
 
 	// rrCost is the register-register vector operation cost for one
 	// strip: startup plus one element per cycle.
-	rrCost := sim.Cycle(12 + StripLen)
+	rrCost := ce.VectorStartup + StripLen
 
 	seg := n / nces
 	for id := 0; id < nces; id++ {

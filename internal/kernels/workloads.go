@@ -57,9 +57,7 @@ func init() {
 			w = 5
 		}
 		rt := cedarfort.New(m, cedarfort.DefaultConfig())
-		if att.Phases != nil {
-			rt.Phases = att.Phases
-		}
+		rt.Phases = att.Phases
 		res, err := RunCG(m, rt, NewCGProblem(n, w), p)
 		if err != nil {
 			return workload.Result{}, err

@@ -15,6 +15,7 @@ package memchar
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/gmem"
 	"repro/internal/network"
 	"repro/internal/perfmon"
@@ -59,10 +60,14 @@ type Result struct {
 	Rejected int64
 }
 
-// Run executes one probe.
+// ports is the probe fabric's port count, one per source: two stages of
+// the as-built machine's crossbars.
+const ports = core.NetRadix * core.NetRadix
+
+// Run executes one probe on the as-built network and global memory.
 func Run(cfg Config) (Result, error) {
-	if cfg.Sources <= 0 || cfg.Sources > 64 {
-		return Result{}, fmt.Errorf("memchar: %d sources (1..64)", cfg.Sources)
+	if cfg.Sources <= 0 || cfg.Sources > ports {
+		return Result{}, fmt.Errorf("memchar: %d sources (1..%d)", cfg.Sources, ports)
 	}
 	if cfg.RatePerSource <= 0 || cfg.RatePerSource > 1 {
 		return Result{}, fmt.Errorf("memchar: rate %g outside (0,1]", cfg.RatePerSource)
@@ -81,29 +86,27 @@ func Run(cfg Config) (Result, error) {
 	var fwd, rev *network.Network
 	var err error
 	if cfg.Ideal {
-		fwd, err = network.NewIdeal("forward", 64, 8)
+		fwd, err = network.NewIdeal("forward", ports, core.NetRadix)
 		if err == nil {
-			rev, err = network.NewIdeal("reverse", 64, 8)
+			rev, err = network.NewIdeal("reverse", ports, core.NetRadix)
 		}
 	} else {
-		fwd, err = network.New("forward", 64, 8, 0)
+		fwd, err = network.New("forward", ports, core.NetRadix, 0)
 		if err == nil {
-			rev, err = network.New("reverse", 64, 8, 0)
+			rev, err = network.New("reverse", ports, core.NetRadix, 0)
 		}
 	}
 	if err != nil {
 		return Result{}, err
 	}
-	g, err := gmem.New(gmem.Config{
-		Words: 1 << 22, Modules: 32, ServiceCycles: 2, QueueWords: 4,
-	}, rev)
+	g, err := gmem.New(gmem.Default(), rev)
 	if err != nil {
 		return Result{}, err
 	}
 	for m := 0; m < g.Modules(); m++ {
 		fwd.SetSink(m, g.Module(m))
 	}
-	for p := g.Modules(); p < 64; p++ {
+	for p := g.Modules(); p < ports; p++ {
 		fwd.SetSink(p, network.SinkFunc(func(*network.Packet) bool { return true }))
 	}
 
@@ -112,7 +115,7 @@ func Run(cfg Config) (Result, error) {
 	// one bin per cycle covers any latency a finite-queue run produces.
 	latHist := perfmon.NewHistogram(0, 4095, 4096)
 	var delivered, latSum int64
-	for p := 0; p < 64; p++ {
+	for p := 0; p < ports; p++ {
 		rev.SetSink(p, network.SinkFunc(func(pk *network.Packet) bool {
 			delivered++
 			lat := int64(eng.Now() - pk.Born)

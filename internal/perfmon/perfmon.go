@@ -16,7 +16,6 @@ package perfmon
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/prefetch"
 	"repro/internal/sim"
@@ -116,12 +115,17 @@ type blockStat struct {
 // keyed per block; an arrival is attributed through its request tag (the
 // buffer slot it fills), which stays correct even when replies from
 // different memory modules interleave out of block order across
-// pipelined prefetches.
+// pipelined prefetches. The probe keeps running sums, not samples.
 type PrefetchProbe struct {
-	blocks    []blockStat
-	pending   map[int][]int // buffer slot -> FIFO of block indices awaiting that slot
-	latencies []sim.Cycle   // first-word latency per block
-	gaps      []sim.Cycle   // interarrival within blocks
+	blocks []blockStat
+	// pending holds, per buffer slot, one plus the index of the block
+	// whose request on that slot awaits its reply (0: none). A correctly
+	// wired machine never has two requests for one slot in flight: Fire
+	// invalidates the buffer, and a reissue is not a new issue.
+	pending []int
+
+	latSum, gapSum sim.Cycle // first-word latencies and interarrival gaps
+	latN, gapN     int
 
 	// Spurious counts arrivals on a slot with no request outstanding (a
 	// reply that reached a PFU whose prefetch was retired — never
@@ -129,101 +133,67 @@ type PrefetchProbe struct {
 	Spurious int64
 }
 
-// AttachPrefetch instruments u. Existing OnFire/OnIssue/OnArrive hooks
-// are chained, not replaced: the probe records its measurement and then
-// invokes whatever handler was installed before it, so multiple
-// observers can share one PFU.
+// AttachPrefetch instruments u, installing its OnFire, OnIssue and
+// OnArrive hooks.
 func AttachPrefetch(u *prefetch.PFU) *PrefetchProbe {
-	p := &PrefetchProbe{pending: make(map[int][]int)}
-	prevFire, prevIssue, prevArrive := u.OnFire, u.OnIssue, u.OnArrive
-	u.OnFire = func(addr uint64) {
-		p.blocks = append(p.blocks, blockStat{})
-		if prevFire != nil {
-			prevFire(addr)
-		}
-	}
-	u.OnIssue = func(now sim.Cycle, seq int, addr uint64) {
+	p := &PrefetchProbe{}
+	u.OnFire = func(uint64) { p.blocks = append(p.blocks, blockStat{}) }
+	u.OnIssue = func(now sim.Cycle, seq int, _ uint64) {
 		if len(p.blocks) == 0 {
 			// Attached after the block fired: open it at first issue.
 			p.blocks = append(p.blocks, blockStat{})
 		}
-		bi := len(p.blocks) - 1
-		b := &p.blocks[bi]
+		b := &p.blocks[len(p.blocks)-1]
 		if b.issues == 0 {
 			b.firstIssue = now
 		}
 		b.issues++
 		// The request travels tagged with its buffer slot; remember which
-		// block issued on that slot so the reply attributes to it. The
-		// per-slot list is a FIFO for form's sake — a correctly wired
-		// machine never has two requests for one slot in flight (Fire
-		// invalidates the buffer).
+		// block issued on that slot so the reply attributes to it.
 		slot := seq % prefetch.BufferWords
-		p.pending[slot] = append(p.pending[slot], bi)
-		if prevIssue != nil {
-			prevIssue(now, seq, addr)
+		if slot >= len(p.pending) {
+			p.pending = append(p.pending, make([]int, slot+1-len(p.pending))...)
 		}
+		p.pending[slot] = len(p.blocks)
 	}
 	u.OnArrive = func(now sim.Cycle, slot int) {
-		if q := p.pending[slot]; len(q) > 0 {
-			bi := q[0]
-			if len(q) == 1 {
-				delete(p.pending, slot)
-			} else {
-				p.pending[slot] = q[1:]
-			}
-			b := &p.blocks[bi]
-			if b.arrivals == 0 {
-				// First datum of the block: latency from the block's
-				// first issue.
-				p.latencies = append(p.latencies, now-b.firstIssue)
-			} else {
-				p.gaps = append(p.gaps, now-b.lastArrive)
-			}
-			b.lastArrive = now
-			b.arrivals++
-		} else {
+		if slot >= len(p.pending) || p.pending[slot] == 0 {
 			p.Spurious++
+			return
 		}
-		if prevArrive != nil {
-			prevArrive(now, slot)
+		b := &p.blocks[p.pending[slot]-1]
+		p.pending[slot] = 0
+		if b.arrivals == 0 {
+			// First datum of the block: latency from the block's first
+			// issue.
+			p.latSum += now - b.firstIssue
+			p.latN++
+		} else {
+			p.gapSum += now - b.lastArrive
+			p.gapN++
 		}
+		b.lastArrive = now
+		b.arrivals++
 	}
 	return p
 }
 
 // MeanLatency is the mean first-word latency over all blocks, in cycles.
-func (p *PrefetchProbe) MeanLatency() float64 { return meanCycles(p.latencies) }
+func (p *PrefetchProbe) MeanLatency() float64 { return mean(p.latSum, p.latN) }
 
 // MeanInterarrival is the mean gap between the remaining words of each
 // block, in cycles.
-func (p *PrefetchProbe) MeanInterarrival() float64 { return meanCycles(p.gaps) }
+func (p *PrefetchProbe) MeanInterarrival() float64 { return mean(p.gapSum, p.gapN) }
 
 // Blocks reports the number of completed first-word measurements.
-func (p *PrefetchProbe) Blocks() int { return len(p.latencies) }
+func (p *PrefetchProbe) Blocks() int { return p.latN }
 
 // Samples reports the number of interarrival gaps measured.
-func (p *PrefetchProbe) Samples() int { return len(p.gaps) }
+func (p *PrefetchProbe) Samples() int { return p.gapN }
 
-func meanCycles(cs []sim.Cycle) float64 {
-	if len(cs) == 0 {
+func mean(sum sim.Cycle, n int) float64 {
+	if n == 0 {
 		return math.NaN()
 	}
-	var sum sim.Cycle
-	for _, c := range cs {
-		sum += c
-	}
-	return float64(sum) / float64(len(cs))
-}
-
-// MedianCycles returns the median of a cycle series (helper for repeated
-// experiments, which the paper reports as consistent within 10%).
-func MedianCycles(cs []sim.Cycle) sim.Cycle {
-	if len(cs) == 0 {
-		return 0
-	}
-	s := make([]sim.Cycle, len(cs))
-	copy(s, cs)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return s[len(s)/2]
+	return float64(sum) / float64(n)
 }

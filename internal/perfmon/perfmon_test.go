@@ -57,15 +57,6 @@ func TestHistogramBadRangePanics(t *testing.T) {
 	NewHistogram(5, 5, 4)
 }
 
-func TestMedianCycles(t *testing.T) {
-	if MedianCycles(nil) != 0 {
-		t.Fatal("empty median not 0")
-	}
-	if m := MedianCycles([]sim.Cycle{5, 1, 9}); m != 5 {
-		t.Fatalf("median = %d, want 5", m)
-	}
-}
-
 // TestPrefetchProbeOnRealPath measures an actual prefetch through the
 // memory path and checks the paper's minimums: 8-cycle first-word
 // latency, ~1-cycle interarrival when uncontended.
@@ -73,14 +64,14 @@ func TestPrefetchProbeOnRealPath(t *testing.T) {
 	eng := sim.New()
 	fwd := network.MustNew("forward", 64, 8, 0)
 	rev := network.MustNew("reverse", 64, 8, 0)
-	g, err := gmem.New(gmem.Config{Words: 8192, Modules: 32, ServiceCycles: 2, QueueWords: 4}, rev)
+	g, err := gmem.New(gmem.Config{Words: 8192, Modules: 32}, rev)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for m := 0; m < g.Modules(); m++ {
 		fwd.SetSink(m, g.Module(m))
 	}
-	u := prefetch.New(fwd, 0, 0, -1)
+	u := prefetch.New(fwd, 0)
 	u.SetRouter(g.ModuleOf)
 	rev.SetSink(0, network.SinkFunc(func(p *network.Packet) bool { return u.Deliver(eng.Now(), p) }))
 	for p := 1; p < 64; p++ {

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/network"
 	"repro/internal/prefetch"
-	"repro/internal/sim"
 )
 
 // TestHistogramSaturates is the regression test for the silent uint32
@@ -38,7 +37,7 @@ func TestHistogramSaturates(t *testing.T) {
 // hookedPFU returns a PFU suitable for driving the probe hooks by hand
 // (the network is never ticked, so it only needs to exist).
 func hookedPFU() *prefetch.PFU {
-	return prefetch.New(network.MustNew("f", 8, 8, 0), 0, 0, -1)
+	return prefetch.New(network.MustNew("f", 8, 8, 0), 0)
 }
 
 // TestPrefetchProbeOverlappingBlocks is the regression test for the
@@ -121,39 +120,5 @@ func TestPrefetchProbeInterleavedReplies(t *testing.T) {
 	}
 	if p.Spurious != 0 {
 		t.Fatalf("Spurious = %d, want 0", p.Spurious)
-	}
-}
-
-// TestAttachPrefetchChainsHooks is the regression test for
-// AttachPrefetch silently overwriting hooks another observer installed.
-func TestAttachPrefetchChainsHooks(t *testing.T) {
-	u := hookedPFU()
-	var fires, issues, arrives int
-	u.OnFire = func(uint64) { fires++ }
-	u.OnIssue = func(sim.Cycle, int, uint64) { issues++ }
-	u.OnArrive = func(sim.Cycle, int) { arrives++ }
-
-	p := AttachPrefetch(u)
-	u.OnFire(0)
-	u.OnIssue(0, 0, 0)
-	u.OnArrive(5, 0)
-
-	if fires != 1 || issues != 1 || arrives != 1 {
-		t.Fatalf("pre-installed hooks saw fire/issue/arrive = %d/%d/%d, want 1/1/1 (probe overwrote them?)", fires, issues, arrives)
-	}
-	if p.Blocks() != 1 || p.MeanLatency() != 5 {
-		t.Fatalf("probe did not record through the chain: blocks=%d lat=%g", p.Blocks(), p.MeanLatency())
-	}
-
-	// Stacking a second probe keeps the first one measuring too.
-	q := AttachPrefetch(u)
-	u.OnFire(64)
-	u.OnIssue(10, 0, 64)
-	u.OnArrive(18, 0)
-	if q.Blocks() != 1 || p.Blocks() != 2 {
-		t.Fatalf("stacked probes: q.Blocks()=%d p.Blocks()=%d, want 1/2", q.Blocks(), p.Blocks())
-	}
-	if fires != 2 {
-		t.Fatalf("original hook saw %d fires, want 2", fires)
 	}
 }

@@ -45,13 +45,13 @@ const tagEpochBits = 10
 // from CE direct-tag replies, so it must stay below ce.TagBase.
 const TagSpan = BufferWords << tagEpochBits
 
-// DefaultPageWords is the Xylem page size (4 KB) in 64-bit words.
-const DefaultPageWords = 512
+// PageWords is the Xylem page size (4 KB) in 64-bit words.
+const PageWords = 512
 
-// DefaultPageCrossCycles is the modeled cost of the processor supplying
-// the first physical address of a new page when a prefetch suspends at a
+// PageCrossCycles is the modeled cost of the processor supplying the
+// first physical address of a new page when a prefetch suspends at a
 // page boundary.
-const DefaultPageCrossCycles = 10
+const PageCrossCycles sim.Cycle = 10
 
 // SpinBound is the consecutive-cycle bound on a consumer spin-wait
 // against an empty full/empty bit. A legitimate stall — a reply held up
@@ -98,14 +98,12 @@ type PFU struct {
 	mask   []bool // nil = fetch every element
 
 	// Firing state.
-	active    bool
-	nextAddr  uint64
-	issued    int // requests issued this prefetch
-	arrived   int // replies received this prefetch
-	consumed  int // words consumed by the CE this prefetch
-	resumeAt  sim.Cycle
-	pageWords int
-	pageCost  sim.Cycle
+	active   bool
+	nextAddr uint64
+	issued   int // requests issued this prefetch
+	arrived  int // replies received this prefetch
+	consumed int // words consumed by the CE this prefetch
+	resumeAt sim.Cycle
 
 	// The prefetch buffer: each slot's word and its full/empty bit, kept
 	// in separate slices so neither pads the other. The slot slices
@@ -173,16 +171,8 @@ type PFU struct {
 }
 
 // New returns a PFU issuing into fwd at the given shared port.
-// pageWords <= 0 selects DefaultPageWords; pageCost < 0 selects
-// DefaultPageCrossCycles.
-func New(fwd *network.Network, port, pageWords int, pageCost sim.Cycle) *PFU {
-	if pageWords <= 0 {
-		pageWords = DefaultPageWords
-	}
-	if pageCost < 0 {
-		pageCost = DefaultPageCrossCycles
-	}
-	return &PFU{port: port, fwd: fwd, pageWords: pageWords, pageCost: pageCost, spinSeq: -1,
+func New(fwd *network.Network, port int) *PFU {
+	return &PFU{port: port, fwd: fwd, spinSeq: -1,
 		req: network.Packet{Src: port, Words: 1, Kind: network.Read}}
 }
 
@@ -455,11 +445,11 @@ func (u *PFU) Tick(now sim.Cycle) {
 	u.issued++
 	prev := u.nextAddr
 	u.nextAddr += uint64(u.stride)
-	if u.issued < u.length && prev/uint64(u.pageWords) != u.nextAddr/uint64(u.pageWords) {
+	if u.issued < u.length && prev/PageWords != u.nextAddr/PageWords {
 		// Page crossing: suspend until the processor supplies the first
 		// address in the new page.
 		u.PageCrossings++
-		u.resumeAt = now + u.pageCost
+		u.resumeAt = now + PageCrossCycles
 	}
 }
 
@@ -632,9 +622,6 @@ func (u *PFU) FaultReason() string {
 	}
 	return ""
 }
-
-// Consumed reports how many words the CE has taken from this prefetch.
-func (u *PFU) Consumed() int { return u.consumed }
 
 // Complete reports whether every armed word has been issued, arrived and
 // been consumed.

@@ -19,12 +19,12 @@ type rig struct {
 	u   *PFU
 }
 
-func newRig(t *testing.T, pageWords int, pageCost sim.Cycle) *rig {
+func newRig(t *testing.T) *rig {
 	t.Helper()
 	eng := sim.New()
 	fwd := network.MustNew("forward", 64, 8, 0)
 	rev := network.MustNew("reverse", 64, 8, 0)
-	g, err := gmem.New(gmem.Config{Words: 65536, Modules: 32, ServiceCycles: 2, QueueWords: 4}, rev)
+	g, err := gmem.New(gmem.Config{Words: 65536, Modules: 32}, rev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func newRig(t *testing.T, pageWords int, pageCost sim.Cycle) *rig {
 		fwd.SetSink(m, g.Module(m))
 	}
 	const port = 5
-	u := New(fwd, port, pageWords, pageCost)
+	u := New(fwd, port)
 	u.SetRouter(g.ModuleOf)
 	rev.SetSink(port, network.SinkFunc(func(p *network.Packet) bool {
 		return u.Deliver(eng.Now(), p)
@@ -57,7 +57,7 @@ func newRig(t *testing.T, pageWords int, pageCost sim.Cycle) *rig {
 }
 
 func TestPrefetchDeliversInRequestOrder(t *testing.T) {
-	r := newRig(t, 0, -1)
+	r := newRig(t)
 	for i := 0; i < 64; i++ {
 		r.g.StoreWord(uint64(i), uint64(1000+i))
 	}
@@ -90,7 +90,7 @@ func TestPrefetchDeliversInRequestOrder(t *testing.T) {
 }
 
 func TestStridedPrefetch(t *testing.T) {
-	r := newRig(t, 0, -1)
+	r := newRig(t)
 	for i := 0; i < 32; i++ {
 		r.g.StoreWord(uint64(i*33), uint64(i))
 	}
@@ -116,7 +116,7 @@ func TestStridedPrefetch(t *testing.T) {
 // TestIssueRate: an unimpeded PFU issues one request per cycle — the
 // property that lets prefetch mask the 13-cycle latency.
 func TestIssueRate(t *testing.T) {
-	r := newRig(t, 0, -1)
+	r := newRig(t)
 	var issues []sim.Cycle
 	r.u.OnIssue = func(now sim.Cycle, seq int, addr uint64) { issues = append(issues, now) }
 	r.u.Arm(16, 1)
@@ -135,7 +135,7 @@ func TestIssueRate(t *testing.T) {
 // TestFirstWordLatency: the first datum reaches the buffer 8 cycles after
 // issue, matching the paper's minimal latency.
 func TestFirstWordLatency(t *testing.T) {
-	r := newRig(t, 0, -1)
+	r := newRig(t)
 	var issue0, arrive0 sim.Cycle = -1, -1
 	r.u.OnIssue = func(now sim.Cycle, seq int, addr uint64) {
 		if seq == 0 {
@@ -162,7 +162,7 @@ func TestFirstWordLatency(t *testing.T) {
 // no contention and words arrive about one per cycle (Table 2's minimal
 // interarrival).
 func TestInterarrivalNearOne(t *testing.T) {
-	r := newRig(t, 0, -1)
+	r := newRig(t)
 	var arrivals []sim.Cycle
 	r.u.OnArrive = func(now sim.Cycle, seq int) { arrivals = append(arrivals, now) }
 	r.u.Arm(128, 1)
@@ -181,20 +181,20 @@ func TestInterarrivalNearOne(t *testing.T) {
 }
 
 func TestPageCrossingSuspends(t *testing.T) {
-	// 16-word pages, 10-cycle crossing cost: a 32-word prefetch crosses
-	// once and must take ~10 cycles longer than within a single page.
-	r := newRig(t, 16, 10)
+	// A 32-word prefetch fired 16 words below a page boundary crosses
+	// once and must take PageCrossCycles longer than within one page.
+	r := newRig(t)
 	var issues []sim.Cycle
 	r.u.OnIssue = func(now sim.Cycle, seq int, addr uint64) { issues = append(issues, now) }
 	r.u.Arm(32, 1)
-	r.u.Fire(0)
+	r.u.Fire(PageWords - 16)
 	r.eng.Run(100)
 	if len(issues) != 32 {
 		t.Fatalf("issued %d, want 32", len(issues))
 	}
 	gap := issues[16] - issues[15]
-	if gap < 10 {
-		t.Fatalf("page-crossing gap = %d cycles, want >= 10", gap)
+	if gap < PageCrossCycles {
+		t.Fatalf("page-crossing gap = %d cycles, want >= %d", gap, PageCrossCycles)
 	}
 	if r.u.PageCrossings != 1 {
 		t.Fatalf("PageCrossings = %d, want 1", r.u.PageCrossings)
@@ -209,7 +209,7 @@ func TestPageCrossingSuspends(t *testing.T) {
 }
 
 func TestFireInvalidatesBuffer(t *testing.T) {
-	r := newRig(t, 0, -1)
+	r := newRig(t)
 	r.g.StoreWord(0, 111)
 	r.g.StoreWord(100, 222)
 	r.u.Arm(1, 1)
@@ -235,7 +235,7 @@ func TestConsumeBeforeArrivalSpinWaits(t *testing.T) {
 	// A Consume against a clear full/empty bit is the paper's memory-based
 	// synchronization: the consumer spins (ok false, SpinWaits accrues)
 	// instead of crashing, and resumes as soon as the datum lands.
-	r := newRig(t, 0, -1)
+	r := newRig(t)
 	r.g.StoreWord(0, 77)
 	r.u.Arm(4, 1)
 	r.u.Fire(0)
@@ -254,7 +254,7 @@ func TestConsumeBeforeArrivalSpinWaits(t *testing.T) {
 }
 
 func TestArmValidation(t *testing.T) {
-	r := newRig(t, 0, -1)
+	r := newRig(t)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Arm(-1) did not panic")
@@ -264,7 +264,7 @@ func TestArmValidation(t *testing.T) {
 }
 
 func TestZeroLengthPrefetch(t *testing.T) {
-	r := newRig(t, 0, -1)
+	r := newRig(t)
 	r.u.Arm(0, 1)
 	r.u.Fire(0)
 	if r.u.Active() {
@@ -276,7 +276,7 @@ func TestZeroLengthPrefetch(t *testing.T) {
 }
 
 func TestZeroStrideBecomesOne(t *testing.T) {
-	r := newRig(t, 0, -1)
+	r := newRig(t)
 	r.u.Arm(4, 0)
 	r.u.Fire(0)
 	if _, err := r.eng.RunUntil(func() bool { return !r.u.Active() }, 1000); err != nil {
@@ -287,7 +287,7 @@ func TestZeroStrideBecomesOne(t *testing.T) {
 // TestLongPrefetchBufferBound: a prefetch longer than the buffer cannot
 // have more than BufferWords outstanding unconsumed words.
 func TestLongPrefetchBufferBound(t *testing.T) {
-	r := newRig(t, 0, -1)
+	r := newRig(t)
 	for i := 0; i < 600; i++ {
 		r.g.StoreWord(uint64(i), uint64(i))
 	}
@@ -320,7 +320,7 @@ func TestLongPrefetchBufferBound(t *testing.T) {
 }
 
 func TestMaskedPrefetch(t *testing.T) {
-	r := newRig(t, 0, -1)
+	r := newRig(t)
 	for i := 0; i < 16; i++ {
 		r.g.StoreWord(uint64(i), uint64(100+i))
 	}
@@ -360,7 +360,7 @@ func TestMaskedPrefetch(t *testing.T) {
 }
 
 func TestMaskLengthMismatchPanics(t *testing.T) {
-	r := newRig(t, 0, -1)
+	r := newRig(t)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("mismatched mask accepted")
@@ -370,7 +370,7 @@ func TestMaskLengthMismatchPanics(t *testing.T) {
 }
 
 func TestAllMaskedPrefetchCompletes(t *testing.T) {
-	r := newRig(t, 0, -1)
+	r := newRig(t)
 	r.u.ArmMasked(8, 1, make([]bool, 8)) // everything suppressed
 	r.u.Fire(0)
 	var n int
@@ -402,7 +402,7 @@ func dropSeq0(t *testing.T, r *rig) *network.Packet {
 }
 
 func TestRetryRecoversDroppedRequest(t *testing.T) {
-	r := newRig(t, 0, -1)
+	r := newRig(t)
 	r.u.SetTimeout(40, 4)
 	for i := 0; i < 8; i++ {
 		r.g.StoreWord(uint64(i), uint64(500+i))
@@ -441,7 +441,7 @@ func TestRetriesExhaustedSurfacesErrDeadline(t *testing.T) {
 	// Every request and reissue is dropped: the PFU must give up after
 	// maxRetries and the run must end in a diagnosable ErrDeadline naming
 	// the component and the pending request — no hang, no panic.
-	r := newRig(t, 0, -1)
+	r := newRig(t)
 	r.u.SetTimeout(20, 2)
 	r.u.Arm(1, 1)
 	r.u.Fire(0)
@@ -467,7 +467,7 @@ func TestDuplicateReplySwallowed(t *testing.T) {
 	// Stall the entry register past the timeout instead of dropping: the
 	// original request survives, so the retry produces a duplicate reply
 	// that must be swallowed, not fed to the next wrap's slot.
-	r := newRig(t, 0, -1)
+	r := newRig(t)
 	r.u.SetTimeout(30, 4)
 	r.g.StoreWord(0, 999)
 	r.fwd.StallEntry(0, 5, 60)
@@ -498,7 +498,7 @@ func TestStaleReplyAcrossFireIsSwallowed(t *testing.T) {
 	// epochs it was either accepted into the new prefetch's slot (data
 	// poison) or refused, which wedged the reverse network's delivery
 	// retry loop and deadlocked the whole machine under congestion.
-	r := newRig(t, 0, -1)
+	r := newRig(t)
 	r.u.SetTimeout(40, 4)
 	r.g.StoreWord(0, 111)
 	r.g.StoreWord(1, 222)
@@ -557,7 +557,7 @@ func TestStaleReplyAcrossFireIsSwallowed(t *testing.T) {
 func TestSpinBoundDiagnosis(t *testing.T) {
 	// Without retry machinery a lost request leaves the consumer spinning
 	// on the full/empty bit forever; past SpinBound the PFU reports it.
-	r := newRig(t, 0, -1)
+	r := newRig(t)
 	r.u.Arm(1, 1)
 	r.u.Fire(0)
 	dropSeq0(t, r)
@@ -579,7 +579,7 @@ func TestTimeoutDisabledKeepsLegacyBehavior(t *testing.T) {
 	// With SetTimeout unset, a drop leaves the PFU permanently incomplete
 	// (no retries, no outstanding-queue bookkeeping) — the pre-fault
 	// contract, which the no-fault machine must preserve bit for bit.
-	r := newRig(t, 0, -1)
+	r := newRig(t)
 	r.u.Arm(4, 1)
 	r.u.Fire(0)
 	dropSeq0(t, r)

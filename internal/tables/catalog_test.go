@@ -30,10 +30,13 @@ var (
 // exhibit says. The analytic files were recorded from the standalone
 // table and Perfect-model tools these exhibits moved out of: codes.txt
 // is the thirteen single-code views joined by blank lines, and
-// claimslow.txt is Tables 3 and 4 with non-Cedar claims at 60 us. The
-// simulated files (Table 1 at n=64, Table 2, and the -quick grids of
-// scal and ppt5) were recorded when those exhibits still built their
-// own machines and called the kernels directly; they skip under -short.
+// claimslow.txt is Tables 3 and 4 with non-Cedar claims at 60 us, and
+// fig1.txt prints the as-built machine's parameters. The simulated files
+// (Table 1 at n=64, Table 2, and the -quick grids of scal and ppt5) were
+// recorded when those exhibits still built their own machines and
+// called the kernels directly, and ablations, memload and memstride
+// (at the default options) when the paper's parameters were still
+// config fields; they skip under -short.
 func TestExhibitGolden(t *testing.T) {
 	claimSlow := DefaultOptions()
 	claimSlow.Rates.ClaimSlowSeconds = 60e-6
@@ -44,14 +47,17 @@ func TestExhibitGolden(t *testing.T) {
 		sim   func() (Renderer, error) // a simulated exhibit, in place of names
 	}
 	cases := []goldenCase{{file: "claimslow", o: claimSlow, names: []string{"table3", "table4"}}}
-	for _, name := range []string{"table3", "table4", "table5", "table6", "fig3", "sizes", "codes"} {
+	for _, name := range []string{"table3", "table4", "table5", "table6", "fig1", "fig3", "sizes", "codes"} {
 		cases = append(cases, goldenCase{file: name, o: DefaultOptions(), names: []string{name}})
 	}
 	cases = append(cases,
 		goldenCase{file: "table1-n64", sim: func() (Renderer, error) { return table1N64() }},
 		goldenCase{file: "table2", sim: func() (Renderer, error) { return table2Full() }},
 		goldenCase{file: "scal-quick", sim: func() (Renderer, error) { return scalQuick() }},
-		goldenCase{file: "ppt5-quick", sim: func() (Renderer, error) { return ppt5Quick() }})
+		goldenCase{file: "ppt5-quick", sim: func() (Renderer, error) { return ppt5Quick() }},
+		goldenCase{file: "ablations", sim: func() (Renderer, error) { return RunAblations() }},
+		goldenCase{file: "memload", sim: func() (Renderer, error) { return RunMemLoad(DefaultOptions()) }},
+		goldenCase{file: "memstride", sim: func() (Renderer, error) { return RunMemStride(DefaultOptions()) }})
 	for _, c := range cases {
 		t.Run(c.file, func(t *testing.T) {
 			var runs []func() (Renderer, error)

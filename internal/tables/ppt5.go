@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/ce"
 	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/job"
@@ -58,7 +59,7 @@ func measureMinLatency(cfg core.Config) (latency sim.Cycle, stages int, err erro
 	if _, err := m.RunUntilIdle(10000); err != nil {
 		return 0, 0, err
 	}
-	return done - m.Config().CE.XferCycles, m.Fwd.Stages(), nil
+	return done - ce.XferCycles, m.Fwd.Stages(), nil
 }
 
 // RunPPT5 runs the scaling study: at each scale, the latency probe and

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/cedarfort"
 	"repro/internal/core"
 	"repro/internal/sim"
 )
@@ -53,15 +54,6 @@ func (m Mode) String() string {
 		return "GM/cache"
 	}
 	return "unknown"
-}
-
-// PhaseObserver receives workload phase boundaries; it is structurally
-// identical to cedarfort.PhaseObserver (and telemetry.Sampler satisfies
-// it), so adapters can hand Attachments.Phases straight to the runtime
-// without this package importing either.
-type PhaseObserver interface {
-	PhaseStart(name string)
-	PhaseEnd(name string)
 }
 
 // Params is the serializable parameter set of a workload run. The zero
@@ -101,8 +93,9 @@ var _ = map[Params]struct{}{}
 // can never join a cache key. The zero value attaches nothing.
 type Attachments struct {
 	// Phases, when non-nil, observes workload phase boundaries (hand a
-	// telemetry.Sampler here to mark phase intervals).
-	Phases PhaseObserver
+	// telemetry.Sampler here to mark phase intervals); kernels hand it to
+	// their runtime.
+	Phases cedarfort.PhaseObserver
 }
 
 // Result reports one kernel execution.

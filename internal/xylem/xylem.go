@@ -24,47 +24,40 @@
 // perfect.Rates.TLBMissSeconds.
 package xylem
 
-import "repro/internal/sim"
+import (
+	"time"
 
-// FSConfig holds the file-system cost model: formatted I/O pays a
-// per-word conversion cost on a CE in addition to the raw transfer.
-type FSConfig struct {
-	// TransferPerWord is the raw I/O cost per 64-bit word
-	// (default ~0.6 µs/word ≈ 12 MB/s through the IPs).
-	TransferPerWord sim.Cycle
-	// FormatPerWord is the additional formatted-conversion cost per word
-	// (default ~9 µs/word: text conversion on a 170 ns scalar CE).
-	FormatPerWord sim.Cycle
-}
+	"repro/internal/sim"
+)
 
-// DefaultFSConfig returns the calibrated I/O costs.
-func DefaultFSConfig() FSConfig {
-	return FSConfig{
-		TransferPerWord: sim.FromMicroseconds(0.6),
-		FormatPerWord:   sim.FromMicroseconds(9),
-	}
-}
+// The file-system cost model: formatted I/O pays a per-word conversion
+// cost on a CE in addition to the raw transfer. Costs are rounded up to
+// whole cycles, as sim.FromDuration does.
+const (
+	// TransferPerWord is the raw I/O cost per 64-bit word: 0.6 µs, about
+	// 12 MB/s through the IPs.
+	TransferPerWord = sim.Cycle((600*time.Nanosecond + sim.CycleTime - 1) / sim.CycleTime)
+	// FormatPerWord is the additional formatted-conversion cost per
+	// word: 9 µs of text conversion on a 170 ns scalar CE.
+	FormatPerWord = sim.Cycle((9*time.Microsecond + sim.CycleTime - 1) / sim.CycleTime)
+)
 
-// FS is the file-system cost model.
+// FS is the file-system cost model; the zero value is ready to use.
 type FS struct {
-	cfg FSConfig
 	// Counters.
 	WordsFormatted   int64
 	WordsUnformatted int64
 }
 
-// NewFS returns a file-system model.
-func NewFS(cfg FSConfig) *FS { return &FS{cfg: cfg} }
-
 // FormattedIO returns the cost of reading or writing n words with format
 // conversion.
 func (f *FS) FormattedIO(n int64) sim.Cycle {
 	f.WordsFormatted += n
-	return sim.Cycle(n) * (f.cfg.TransferPerWord + f.cfg.FormatPerWord)
+	return sim.Cycle(n) * (TransferPerWord + FormatPerWord)
 }
 
 // UnformattedIO returns the cost of raw binary transfer of n words.
 func (f *FS) UnformattedIO(n int64) sim.Cycle {
 	f.WordsUnformatted += n
-	return sim.Cycle(n) * f.cfg.TransferPerWord
+	return sim.Cycle(n) * TransferPerWord
 }

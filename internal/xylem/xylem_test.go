@@ -6,7 +6,7 @@ import "testing"
 // mechanism: formatted I/O is an order of magnitude more expensive than
 // raw transfer.
 func TestFormattedVsUnformattedIO(t *testing.T) {
-	fs := NewFS(DefaultFSConfig())
+	var fs FS
 	const n = 1_000_000
 	f := fs.FormattedIO(n)
 	u := fs.UnformattedIO(n)
