@@ -8,11 +8,10 @@
 //	cedarsim -kernel bdna -clusters 4 -iters 3
 //	cedarsim -kernel rk -trace-out trace.json -sample-every 500
 //
-// Kernels are looked up in the workload registry by name — rk (rank-64
-// update), vl (vector load), tm (tridiagonal matrix-vector multiply),
-// cg (conjugate gradient), bdna (formatted-I/O molecular dynamics),
-// mg3d (raw-I/O seismic migration) — list any unknown name to see what
-// is registered. Modes apply to rk: nopref, pref, cache (Table 1's
+// Kernels are run by name — rk (rank-64 update), vl (vector load), tm
+// (tridiagonal matrix-vector multiply), cg (conjugate gradient), bdna
+// (formatted-I/O molecular dynamics), mg3d (raw-I/O seismic migration)
+// — and an unknown name lists them. Modes apply to rk: nopref, pref, cache (Table 1's
 // three versions).
 //
 // The flags assemble a job.Spec — the same serializable job
@@ -55,7 +54,7 @@ import (
 )
 
 func main() {
-	kernel := flag.String("kernel", "rk", "workload name (see the registry listing on an unknown name)")
+	kernel := flag.String("kernel", "rk", "workload name (an unknown name lists them)")
 	mode := flag.String("mode", "pref", "rk memory mode: nopref, pref, cache")
 	clusters := flag.Int("clusters", 4, "clusters (cedar topology: 1..4, 8 CEs each; scaled: up to 64)")
 	topology := flag.String("topology", "cedar", "machine configuration: cedar (as built) or scaled (PPT5 scaled-up)")

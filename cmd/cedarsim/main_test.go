@@ -10,7 +10,7 @@ import (
 
 	"repro/internal/job"
 	"repro/internal/job/runner"
-	"repro/internal/workload"
+	"repro/internal/kernels"
 )
 
 // buildBinary compiles cedarsim once per test binary into a temp dir.
@@ -73,7 +73,7 @@ func TestFlagValidation(t *testing.T) {
 	}
 }
 
-// TestBareKernelRuns: every registered workload runs with only -kernel
+// TestBareKernelRuns: every named workload runs with only -kernel
 // set, and runs the job cedard runs for {"workload": name}: the size
 // and iteration flags default to the kernel's own defaults.
 func TestBareKernelRuns(t *testing.T) {
@@ -81,7 +81,7 @@ func TestBareKernelRuns(t *testing.T) {
 		t.Skip("runs the binary once per workload; skipped with -short")
 	}
 	bin := buildBinary(t)
-	for _, name := range workload.Names() {
+	for _, name := range kernels.Names() {
 		out, err := exec.Command(bin, "-kernel", name).CombinedOutput()
 		if err != nil {
 			t.Fatalf("-kernel %s: %v\n%s", name, err, out)

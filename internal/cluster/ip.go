@@ -19,7 +19,6 @@ import (
 // cycle and every completion returns a xylem.IOCompletion handle, so
 // callers attribute wait time from the handle alone.
 type IP struct {
-	fs    xylem.FS
 	waker sim.Waker
 
 	queue       []ioReq
@@ -138,13 +137,7 @@ func (ip *IP) Tick(now sim.Cycle) {
 	req := ip.queue[0]
 	copy(ip.queue, ip.queue[1:])
 	ip.queue = ip.queue[:len(ip.queue)-1]
-	var cost sim.Cycle
-	if req.formatted {
-		cost = ip.fs.FormattedIO(req.words)
-	} else {
-		cost = ip.fs.UnformattedIO(req.words)
-	}
-	cost += ip.delayNext
+	cost := xylem.IOCost(req.words, req.formatted) + ip.delayNext
 	ip.delayNext = 0
 	ip.busyTil = now + cost
 	ip.BusyCycles += int64(cost)

@@ -2,10 +2,13 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"regexp"
 	"strings"
 	"testing"
 
+	"repro/internal/ce"
 	"repro/internal/gmem"
 	"repro/internal/isa"
 	"repro/internal/network"
@@ -457,6 +460,38 @@ func TestTopologyRendering(t *testing.T) {
 	mi := MustNew(cfg)
 	if !strings.Contains(mi.Topology(), "ideal/contentionless") {
 		t.Fatal("ideal fabric not labeled")
+	}
+}
+
+// TestTopologyRoundTripMatchesLoad: the round trip the topology prints
+// is what one scalar global load on the idle machine takes, on the
+// as-built two-stage networks (8+5) and on the scaled topology's three
+// stages (10+5).
+func TestTopologyRoundTripMatchesLoad(t *testing.T) {
+	roundTrip := regexp.MustCompile(`global round trip (\d+)\+(\d+) cycles`)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"cedar 4 clusters", ConfigClusters(4)},
+		{"scaled 16 clusters", ScaledConfig(16)},
+	} {
+		m := MustNew(tc.cfg)
+		got := roundTrip.FindStringSubmatch(m.Topology())
+		if got == nil {
+			t.Fatalf("%s: no round trip in the topology:\n%s", tc.name, m.Topology())
+		}
+		printed := got[1] + "+" + got[2]
+		var doneAt sim.Cycle = -1
+		op := isa.NewScalarLoad(isa.Addr{Space: isa.Global, Word: 5})
+		op.OnDone = func(int64, bool) { doneAt = m.Eng.Now() }
+		m.Dispatch(0, isa.NewSeq(op))
+		if _, err := m.RunUntilIdle(1000); err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("%d+%d", doneAt-ce.XferCycles, ce.XferCycles); printed != want {
+			t.Fatalf("%s: topology prints round trip %s, a scalar load measures %s", tc.name, printed, want)
+		}
 	}
 }
 

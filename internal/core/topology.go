@@ -7,7 +7,9 @@ import (
 	"repro/internal/cache"
 	"repro/internal/ce"
 	"repro/internal/cluster"
+	"repro/internal/gmem"
 	"repro/internal/prefetch"
+	"repro/internal/sim"
 )
 
 // Topology renders the machine's architecture from its assembled
@@ -43,8 +45,11 @@ func (m *Machine) Topology() string {
 		fmt.Fprintf(&b, "    cluster memory: %d MB; concurrency control bus (spread %d cycles, claim %d)\n",
 			cluster.MemWords*8/(1<<20), cluster.SpreadCycles, cluster.ClaimCycles)
 	}
+	// Each network's unloaded transit is one cycle per stage plus the
+	// entry register; a module serves in between.
+	netMem := sim.Cycle(m.Fwd.Stages()+1) + gmem.ServiceCycles + sim.Cycle(m.Rev.Stages()+1)
 	fmt.Fprintf(&b, "\n  latencies: global round trip %d+%d cycles (network+memory, CE transfer); page %d words\n",
-		8, ce.XferCycles, prefetch.PageWords)
+		netMem, ce.XferCycles, prefetch.PageWords)
 	fmt.Fprintf(&b, "  engine: %d components in deterministic tick order\n", m.Eng.Components())
 	return b.String()
 }

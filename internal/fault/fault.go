@@ -502,60 +502,60 @@ func (inj *Injector) injectCheckStop(now sim.Cycle) {
 	inj.Injected++
 }
 
+// censusRow is one line of the injected-fault census: its census key
+// and table label, its metric name, and its counter.
+type censusRow struct {
+	label, metric string
+	n             *int64
+}
+
+// census lists the per-kind counters in declaration order, then repairs
+// and skipped faults: the one list RegisterMetrics, Census and
+// SummaryTable serve.
+func (inj *Injector) census() []censusRow {
+	return []censusRow{
+		{NetStall.String(), "net_stalls", &inj.NetStalls},
+		{NetDrop.String(), "net_drops", &inj.NetDrops},
+		{MemBusy.String(), "mem_busies", &inj.MemBusies},
+		{MemDegrade.String(), "mem_degrades", &inj.MemDegrades},
+		{CheckStop.String(), "check_stops", &inj.CheckStops},
+		{IPBusy.String(), "ip_busies", &inj.IPBusies},
+		{IPDelay.String(), "ip_delays", &inj.IPDelays},
+		{CacheBankBusy.String(), "cache_busies", &inj.CacheBusies},
+		{BusStall.String(), "bus_stalls", &inj.BusStalls},
+		{CEDrop.String(), "ce_drops", &inj.CEDrops},
+		{"repairs", "repairs", &inj.Repairs},
+		{"no-target", "no_target", &inj.NoTarget},
+	}
+}
+
 // RegisterMetrics publishes the injector's counters under prefix
 // (conventionally "fault").
 func (inj *Injector) RegisterMetrics(reg *telemetry.Registry, prefix string) {
 	s := reg.Scope(prefix)
 	s.Counter("injected", &inj.Injected)
-	s.Counter("net_stalls", &inj.NetStalls)
-	s.Counter("net_drops", &inj.NetDrops)
-	s.Counter("mem_busies", &inj.MemBusies)
-	s.Counter("mem_degrades", &inj.MemDegrades)
-	s.Counter("check_stops", &inj.CheckStops)
-	s.Counter("ip_busies", &inj.IPBusies)
-	s.Counter("ip_delays", &inj.IPDelays)
-	s.Counter("cache_busies", &inj.CacheBusies)
-	s.Counter("bus_stalls", &inj.BusStalls)
-	s.Counter("ce_drops", &inj.CEDrops)
-	s.Counter("repairs", &inj.Repairs)
-	s.Counter("no_target", &inj.NoTarget)
+	for _, r := range inj.census() {
+		s.Counter(r.metric, r.n)
+	}
 }
 
 // Census returns the injected-fault counts keyed by kind mnemonic,
 // plus "repairs" and "no-target" — the serializable form of
 // SummaryTable, carried in job results.
 func (inj *Injector) Census() map[string]int64 {
-	return map[string]int64{
-		NetStall.String():      inj.NetStalls,
-		NetDrop.String():       inj.NetDrops,
-		MemBusy.String():       inj.MemBusies,
-		MemDegrade.String():    inj.MemDegrades,
-		CheckStop.String():     inj.CheckStops,
-		IPBusy.String():        inj.IPBusies,
-		IPDelay.String():       inj.IPDelays,
-		CacheBankBusy.String(): inj.CacheBusies,
-		BusStall.String():      inj.BusStalls,
-		CEDrop.String():        inj.CEDrops,
-		"repairs":              inj.Repairs,
-		"no-target":            inj.NoTarget,
+	out := make(map[string]int64, int(numKinds)+2)
+	for _, r := range inj.census() {
+		out[r.label] = *r.n
 	}
+	return out
 }
 
 // SummaryTable renders the injected-fault census for the CLI report.
 func (inj *Injector) SummaryTable() *report.Table {
 	t := report.NewTable("Injected faults", "kind", "count")
-	t.AddRow(NetStall.String(), fmt.Sprint(inj.NetStalls))
-	t.AddRow(NetDrop.String(), fmt.Sprint(inj.NetDrops))
-	t.AddRow(MemBusy.String(), fmt.Sprint(inj.MemBusies))
-	t.AddRow(MemDegrade.String(), fmt.Sprint(inj.MemDegrades))
-	t.AddRow(CheckStop.String(), fmt.Sprint(inj.CheckStops))
-	t.AddRow(IPBusy.String(), fmt.Sprint(inj.IPBusies))
-	t.AddRow(IPDelay.String(), fmt.Sprint(inj.IPDelays))
-	t.AddRow(CacheBankBusy.String(), fmt.Sprint(inj.CacheBusies))
-	t.AddRow(BusStall.String(), fmt.Sprint(inj.BusStalls))
-	t.AddRow(CEDrop.String(), fmt.Sprint(inj.CEDrops))
-	t.AddRow("repairs", fmt.Sprint(inj.Repairs))
-	t.AddRow("no-target", fmt.Sprint(inj.NoTarget))
+	for _, r := range inj.census() {
+		t.AddRow(r.label, fmt.Sprint(*r.n))
+	}
 	t.AddNote(fmt.Sprintf("seed %#x, mean interval %d cycles", inj.cfg.Seed, inj.cfg.MeanInterval))
 	return t
 }

@@ -38,8 +38,8 @@ type Result struct {
 	FaultCensus map[string]int64 `json:"fault_census,omitempty"`
 }
 
-// String renders the paper's one-line result summary, identical to the
-// workload result line cedarsim has always printed.
+// String renders the paper's one-line result summary, the line cedarsim
+// prints after a run.
 func (r Result) String() string {
 	s := fmt.Sprintf("%-14s P=%-3d %8d cycles  %7.1f MFLOPS", r.Workload, r.CEs, r.Cycles, r.MFLOPS)
 	if r.LatencyCycles != nil && r.InterarrivalCycles != nil {

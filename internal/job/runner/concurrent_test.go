@@ -7,10 +7,10 @@ import (
 	"testing"
 
 	"repro/internal/job"
-	"repro/internal/workload"
+	"repro/internal/kernels"
 )
 
-// smallSpecs holds one spec per registry workload, sized so that dozens
+// smallSpecs holds one spec per named workload, sized so that dozens
 // of runs finish in seconds under the race detector. rk at size 64
 // alone takes seconds there, so it runs at 32.
 var smallSpecs = map[string]job.Spec{
@@ -30,7 +30,7 @@ var scaledSpec = job.Spec{Workload: "vl", Topology: "scaled", Clusters: 8, Size:
 // into every small spec at fault_rate 1; most seeds miss the shorter runs.
 const concurrentFaultSeed = 30
 
-// TestConcurrentMachines runs every registry workload, and one spec on
+// TestConcurrentMachines runs every named workload, and one spec on
 // the scaled topology, on several machines at once, as cedard and the
 // exhibits do, and checks each result against a sequential run of the
 // same spec. A kernel that keeps state at package level shares it
@@ -38,7 +38,7 @@ const concurrentFaultSeed = 30
 // without it the results can diverge from the sequential ones.
 func TestConcurrentMachines(t *testing.T) {
 	var specs []job.Spec
-	for _, name := range workload.Names() {
+	for _, name := range kernels.Names() {
 		spec, ok := smallSpecs[name]
 		if !ok {
 			t.Errorf("workload %q has no small spec, so no test runs it on concurrent machines", name)

@@ -11,13 +11,13 @@ package runner
 
 import (
 	"fmt"
-	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/job"
-	_ "repro/internal/kernels" // populates the workload registry
+	"repro/internal/kernels"
 	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -44,16 +44,16 @@ type Job struct {
 }
 
 // normalize is Spec.Normalized plus the one check only the runner can
-// make: that the workload name is actually registered.
+// make: that the workload names a kernel.
 func normalize(spec job.Spec) (job.Spec, error) {
 	n, err := spec.Normalized()
 	if err != nil {
 		return job.Spec{}, err
 	}
-	if workload.Get(n.Workload) == nil {
+	if names := kernels.Names(); !slices.Contains(names, n.Workload) {
 		return job.Spec{}, &job.ValidationError{
 			Field:  "workload",
-			Reason: fmt.Sprintf("unknown workload %q (available: %s)", n.Workload, strings.Join(workload.Names(), ", ")),
+			Reason: fmt.Sprintf("unknown workload %q (available: %s)", n.Workload, strings.Join(names, ", ")),
 		}
 	}
 	return n, nil
@@ -67,8 +67,8 @@ func Validate(spec job.Spec) error {
 	return err
 }
 
-// Prepare validates and normalizes spec, resolves its workload in the
-// registry, and assembles the machine: topology and cluster count pick
+// Prepare validates and normalizes spec, checks its workload names a
+// kernel, and assembles the machine: topology and cluster count pick
 // the configuration, the engine name picks the engine path, and a
 // non-zero fault rate arms the deterministic injector. Spec-level
 // failures (including an unknown workload name) are *ValidationError.
@@ -99,30 +99,17 @@ func Prepare(spec job.Spec) (*Job, error) {
 }
 
 // Execute runs the prepared workload with the given runtime attachments
-// and packages the outcome as a serializable job.Result: the kernel's
-// metrics, the rendered report tables, the registry fingerprint (the
+// and completes the kernel's job.Result with what only the machine
+// knows: the rendered report tables, the registry fingerprint (the
 // determinism witness identical Specs reproduce bit-for-bit) and, on
 // faulted runs, the injection census. Execute is one-shot: the machine
 // is consumed by the run (its counters and registry stay readable).
 func (j *Job) Execute(att workload.Attachments) (job.Result, error) {
-	res, err := workload.Run(j.Spec.Workload, j.Machine, j.Spec.Params(), att)
+	out, err := kernels.Run(j.Spec.Workload, j.Machine, j.Spec.Params(), att)
 	if err != nil {
 		return job.Result{}, err
 	}
 	m := j.Machine
-	out := job.Result{
-		Workload: res.Name,
-		CEs:      res.CEs,
-		Cycles:   int64(res.Cycles),
-		Flops:    res.Flops,
-		MFLOPS:   res.MFLOPS,
-		Check:    res.Check,
-		Notes:    res.Notes,
-	}
-	if !math.IsNaN(res.Latency) {
-		lat, ia := res.Latency, res.Interarrival
-		out.LatencyCycles, out.InterarrivalCycles = &lat, &ia
-	}
 	out.Tables = append(out.Tables, m.Utilization().String())
 	if t := IPTable(m); t != nil {
 		out.Tables = append(out.Tables, renderTable(t))

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/job"
+	"repro/internal/kernels"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -128,13 +129,13 @@ func TestRunRejectsBadRankSize(t *testing.T) {
 	}
 }
 
-// TestSmallSizesNeverPanic: every registry workload at sizes 1 to 8
+// TestSmallSizesNeverPanic: every named workload at sizes 1 to 8
 // either runs or returns an error naming the size, never a panic the job
 // service has to catch (cg used to panic building a system too small
 // for its outer diagonals).
 func TestSmallSizesNeverPanic(t *testing.T) {
 	svc := job.NewService(Run, 1, 1)
-	for _, name := range workload.Names() {
+	for _, name := range kernels.Names() {
 		for size := 1; size <= 8; size++ {
 			_, _, err := svc.Do(job.Spec{Workload: name, Clusters: 1, Size: size})
 			var perr *job.PanicError
@@ -147,7 +148,7 @@ func TestSmallSizesNeverPanic(t *testing.T) {
 	}
 }
 
-// oversizedSpecs holds, for every registry workload, a problem whose
+// oversizedSpecs holds, for every named workload, a problem whose
 // global-memory footprint is far beyond the 8 Mword default: rk's n² +
 // 128n words at n = 65536 are 32 GiB, and the others' few words per
 // element at n = 2^40 are terabytes.
@@ -167,7 +168,7 @@ var oversizedSpecs = map[string]job.Spec{
 // process; it is not a panic the job service can catch).
 func TestOversizedProblemsRefused(t *testing.T) {
 	svc := job.NewService(Run, 1, 1)
-	for _, name := range workload.Names() {
+	for _, name := range kernels.Names() {
 		spec, ok := oversizedSpecs[name]
 		if !ok {
 			t.Errorf("workload %q has no oversized spec, so nothing checks that it bounds its problem", name)
@@ -204,11 +205,11 @@ func referenceFingerprint(reg *telemetry.Registry) string {
 	return strings.Join(lines, "\n") + "\n"
 }
 
-// TestFingerprintMatchesReference runs every registry workload on 1 and
+// TestFingerprintMatchesReference runs every named workload on 1 and
 // 4 clusters, fault-free and at fault_rate 1, and requires the result's
 // registry fingerprint to equal the reference rendering byte for byte.
 func TestFingerprintMatchesReference(t *testing.T) {
-	for _, name := range workload.Names() {
+	for _, name := range kernels.Names() {
 		spec, ok := smallSpecs[name]
 		if !ok {
 			t.Errorf("workload %q has no small spec", name)

@@ -70,18 +70,18 @@ func diffAttr(t *testing.T, label string, got, ref [][]int64) {
 }
 
 // TestAttrConservationAllWorkloads is the tentpole invariant: for every
-// registry workload, in both engine modes, every CE's bucket totals
+// named workload, in both engine modes, every CE's bucket totals
 // sum exactly to the elapsed cycle count, and the full per-CE bucket
 // vectors are bit-identical across modes.
 func TestAttrConservationAllWorkloads(t *testing.T) {
-	for _, name := range workload.Names() {
+	for _, name := range Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			var ref [][]int64
 			for i := len(engineModes) - 1; i >= 0; i-- { // naive first: reference
 				mode := engineModes[i]
 				m := machineAt(2, mode)
-				if _, err := workload.Run(name, m, attrOptions(name, m), workload.Attachments{}); err != nil {
+				if _, err := Run(name, m, attrOptions(name, m), workload.Attachments{}); err != nil {
 					t.Fatal(err)
 				}
 				label := fmt.Sprintf("%s [%v]", name, mode)
@@ -97,14 +97,14 @@ func TestAttrConservationAllWorkloads(t *testing.T) {
 }
 
 // TestAttrBucketsExercised guards the sweep above against vacuity: across
-// the registry, the workloads must actually charge cycles to the busy,
+// the name table, the workloads must actually charge cycles to the busy,
 // dispatch, stall, park, and idle buckets (fault buckets are covered by
 // the sweep below).
 func TestAttrBucketsExercised(t *testing.T) {
 	var total isa.Acct
-	for _, name := range workload.Names() {
+	for _, name := range Names() {
 		m := machineAt(2, sim.ModeWakeCached)
-		if _, err := workload.Run(name, m, attrOptions(name, m), workload.Attachments{}); err != nil {
+		if _, err := Run(name, m, attrOptions(name, m), workload.Attachments{}); err != nil {
 			t.Fatal(err)
 		}
 		for _, c := range m.CEs() {
@@ -118,7 +118,7 @@ func TestAttrBucketsExercised(t *testing.T) {
 			continue // fault buckets: exercised by TestAttrFaultSweep
 		}
 		if total.Cycles[b] == 0 {
-			t.Errorf("no registry workload ever charged bucket %s", b)
+			t.Errorf("no workload ever charged bucket %s", b)
 		}
 	}
 }
@@ -142,7 +142,7 @@ func TestAttrFaultSweep(t *testing.T) {
 				cfg.Fault = fault.DefaultConfig(0xA77C0DE)
 				cfg.Fault.MeanInterval = 400
 				m := core.MustNew(cfg)
-				if _, err := workload.Run(name, m, attrOptions(name, m), workload.Attachments{}); err != nil {
+				if _, err := Run(name, m, attrOptions(name, m), workload.Attachments{}); err != nil {
 					t.Fatal(err)
 				}
 				label := fmt.Sprintf("%s faulted [%v]", name, mode)

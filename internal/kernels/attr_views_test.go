@@ -17,7 +17,7 @@ import (
 
 func TestCPIStackShape(t *testing.T) {
 	m := machineAt(1, sim.ModeWakeCached)
-	if _, err := workload.Run("vl", m, attrOptions("vl", m), workload.Attachments{}); err != nil {
+	if _, err := Run("vl", m, attrOptions("vl", m), workload.Attachments{}); err != nil {
 		t.Fatal(err)
 	}
 	st := m.CPIStack()
@@ -44,7 +44,7 @@ func TestPhaseCPIStackCG(t *testing.T) {
 	m := machineAt(1, sim.ModeWakeCached)
 	s := m.NewSampler(500)
 	o := attrOptions("cg", m)
-	if _, err := workload.Run("cg", m, o, workload.Attachments{Phases: s}); err != nil {
+	if _, err := Run("cg", m, o, workload.Attachments{Phases: s}); err != nil {
 		t.Fatal(err)
 	}
 	s.Final()
@@ -69,7 +69,7 @@ func TestWriteAttrCSV(t *testing.T) {
 	m := machineAt(1, sim.ModeWakeCached)
 	s := m.NewSampler(500)
 	o := attrOptions("cg", m)
-	if _, err := workload.Run("cg", m, o, workload.Attachments{Phases: s}); err != nil {
+	if _, err := Run("cg", m, o, workload.Attachments{Phases: s}); err != nil {
 		t.Fatal(err)
 	}
 	s.Final()
@@ -120,7 +120,7 @@ func TestWriteAttrCSV(t *testing.T) {
 func TestMachineFlameCodedCells(t *testing.T) {
 	m := machineAt(1, sim.ModeWakeCached)
 	s := m.NewSampler(500)
-	if _, err := workload.Run("vl", m, attrOptions("vl", m), workload.Attachments{}); err != nil {
+	if _, err := Run("vl", m, attrOptions("vl", m), workload.Attachments{}); err != nil {
 		t.Fatal(err)
 	}
 	s.Final()

@@ -8,29 +8,30 @@ import (
 	"repro/internal/cedarfort"
 	"repro/internal/core"
 	"repro/internal/isa"
+	"repro/internal/job"
 	"repro/internal/perfmon"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
-// CGProblem is a symmetric positive-definite 5-diagonal system A x = rhs,
+// cgProblem is a symmetric positive-definite 5-diagonal system A x = rhs,
 // the matrix shape of the paper's Section 4.3 scalability study. The
 // diagonals sit at offsets {-w, -1, 0, +1, +w}, with constant
 // coefficients (main diagonal 4, off-diagonals -0.5), so the matrix is
 // strictly diagonally dominant and symmetric.
-type CGProblem struct {
+type cgProblem struct {
 	N   int
 	W   int // outer-diagonal offset
 	RHS []float64
 }
 
-// NewCGProblem builds a deterministic problem of size n with outer
+// newCGProblem builds a deterministic problem of size n with outer
 // diagonal offset w.
-func NewCGProblem(n, w int) *CGProblem {
+func newCGProblem(n, w int) *cgProblem {
 	if w < 2 || w >= n {
 		panic(fmt.Sprintf("kernels: CG offset %d out of range for n=%d", w, n))
 	}
-	p := &CGProblem{N: n, W: w, RHS: make([]float64, n)}
+	p := &cgProblem{N: n, W: w, RHS: make([]float64, n)}
 	r := sim.NewRand(4)
 	for i := range p.RHS {
 		p.RHS[i] = r.Float64()
@@ -44,7 +45,7 @@ const (
 )
 
 // Apply computes y = A x serially.
-func (p *CGProblem) Apply(x, y []float64) {
+func (p *cgProblem) Apply(x, y []float64) {
 	n, w := p.N, p.W
 	for i := 0; i < n; i++ {
 		v := cgDiag * x[i]
@@ -65,7 +66,7 @@ func (p *CGProblem) Apply(x, y []float64) {
 }
 
 // Residual returns ||rhs - A x||_2.
-func (p *CGProblem) Residual(x []float64) float64 {
+func (p *cgProblem) Residual(x []float64) float64 {
 	y := make([]float64, p.N)
 	p.Apply(x, y)
 	s := 0.0
@@ -76,9 +77,9 @@ func (p *CGProblem) Residual(x []float64) float64 {
 	return math.Sqrt(s)
 }
 
-// CGResult extends Result with solver-level outcomes.
-type CGResult struct {
-	Result
+// cgResult extends job.Result with solver-level outcomes.
+type cgResult struct {
+	job.Result
 	// Iterations actually run.
 	Iterations int
 	// FinalResidual is ||rhs - A x|| after the run.
@@ -98,13 +99,13 @@ func checkCGSize(n, nces int) error {
 	return nil
 }
 
-// RunCG runs Params.Iterations iterations (default 5) of the
+// runCG runs Params.Iterations iterations (default 5) of the
 // conjugate-gradient method on m, with all vectors in global memory,
 // compiler-style 32-word prefetches (when Params.Prefetch), vector
 // segments statically partitioned over the CEs, and multiprocessor
 // barriers between the phases of each iteration. It is the computation
 // behind Table 2's CG row and the Section 4.3 scalability study.
-func RunCG(m *core.Machine, rt *cedarfort.Runtime, prob *CGProblem, p workload.Params) (CGResult, error) {
+func runCG(m *core.Machine, rt *cedarfort.Runtime, prob *cgProblem, p workload.Params) (cgResult, error) {
 	iters := p.Iterations
 	if iters == 0 {
 		iters = 5
@@ -113,7 +114,7 @@ func RunCG(m *core.Machine, rt *cedarfort.Runtime, prob *CGProblem, p workload.P
 	n := prob.N
 	nces := m.NumCEs()
 	if err := checkCGSize(n, nces); err != nil {
-		return CGResult{}, err
+		return cgResult{}, err
 	}
 
 	// Functional state.
@@ -214,7 +215,7 @@ func RunCG(m *core.Machine, rt *cedarfort.Runtime, prob *CGProblem, p workload.P
 	start := m.Eng.Now()
 	end, err := m.RunUntilIdle(sim.Cycle(int64(iters)*int64(n)*500/int64(nces)) + 10_000_000)
 	if err != nil {
-		return CGResult{}, err
+		return cgResult{}, err
 	}
 	check := 0.0
 	for _, v := range x {
@@ -224,7 +225,7 @@ func RunCG(m *core.Machine, rt *cedarfort.Runtime, prob *CGProblem, p workload.P
 	if usePrefetch {
 		name = "CG GM/pref"
 	}
-	res := CGResult{
+	res := cgResult{
 		Result:        finish(name, m, start, end, check, pr),
 		Iterations:    iters,
 		FinalResidual: prob.Residual(x),
@@ -249,7 +250,7 @@ func vloadOps(ops []*isa.Op, usePrefetch bool, base uint64, lo, flops int) []*is
 // cgMatvecOps: q = A p over [lo,hi), partial = p . q, store partial.
 // Nine flops per element for the 5-diagonal product plus two for the dot
 // product, split across the streams' chained operations and one RR op.
-func cgMatvecOps(prob *CGProblem, usePrefetch bool, lo, hi int,
+func cgMatvecOps(prob *cgProblem, usePrefetch bool, lo, hi int,
 	pB, qB, partB uint64, ceID int, pv, q []float64, partials []float64) []*isa.Op {
 	var ops []*isa.Op
 	for s := lo; s < hi; s += StripLen {
@@ -370,18 +371,4 @@ func cgDirectionOps(usePrefetch bool, lo, hi, nces int,
 		ops = append(ops, st)
 	}
 	return ops
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -14,7 +14,7 @@ import (
 )
 
 // Chaos soak: the standing system-wide fault invariant. A seeded sweep
-// over (fault-kind subsets x registry workloads x both engine modes)
+// over (fault-kind subsets x named workloads x both engine modes)
 // asserts that every faulted run completes (no ErrDeadline), that the
 // modes produce bit-identical fingerprints — architected
 // counters, attribution, and the fault census itself — and that the
@@ -118,7 +118,7 @@ func checkCensusBalance(t *testing.T, label string, m *core.Machine) {
 // `go test -run TestChaosSoak ./internal/kernels/` runs it alone;
 // -short trims the workload list.
 func TestChaosSoak(t *testing.T) {
-	names := workload.Names()
+	names := Names()
 	if testing.Short() {
 		names = names[:2]
 	}
@@ -137,7 +137,7 @@ func TestChaosSoak(t *testing.T) {
 				for i := len(engineModes) - 1; i >= 0; i-- { // naive first: reference
 					mode := engineModes[i]
 					m := chaosMachine(2, mode, seed, kinds)
-					if _, err := workload.Run(name, m, attrOptions(name, m), workload.Attachments{}); err != nil {
+					if _, err := Run(name, m, attrOptions(name, m), workload.Attachments{}); err != nil {
 						t.Fatalf("[%v] hung or wedged: %v", mode, err)
 					}
 					label := fmt.Sprintf("%s seed %#x [%v]", name, seed, mode)
@@ -164,7 +164,7 @@ func TestChaosSoak(t *testing.T) {
 func TestChaosSoakExercisesNewKinds(t *testing.T) {
 	var busies, stalls, drops, refused, retries int64
 	// vl and tm run direct global streams (CE-tagged reads to drop); rk
-	// in GMCache mode stages its blocks through the cluster cache, where
+	// in GM/cache mode stages its blocks through the cluster cache, where
 	// a bank-busy window can refuse it service.
 	for _, name := range []string{"vl", "tm", "rk"} {
 		m := chaosMachine(2, sim.ModeWakeCached, 0xD1CE, chaosSubsets[1])
@@ -173,7 +173,7 @@ func TestChaosSoakExercisesNewKinds(t *testing.T) {
 		if name == "rk" {
 			opts.Mode = workload.GMCache
 		}
-		if _, err := workload.Run(name, m, opts, workload.Attachments{}); err != nil {
+		if _, err := Run(name, m, opts, workload.Attachments{}); err != nil {
 			t.Fatal(err)
 		}
 		busies += m.FaultInj.CacheBusies
@@ -197,7 +197,7 @@ func TestChaosSoakExercisesNewKinds(t *testing.T) {
 		t.Fatalf("%d CE drops never provoked a reissue", drops)
 	}
 
-	// The registry kernels partition work statically and XDOALL claims
+	// The named kernels partition work statically and XDOALL claims
 	// through global FetchAndAdd syncs — only a CDOALL nested in an
 	// SDOALL puts claim and spread traffic on the cluster concurrency
 	// bus. Run one under bus-stall injection to prove the stretch path

@@ -8,7 +8,9 @@ import (
 	"repro/internal/cedarfort"
 	"repro/internal/core"
 	"repro/internal/isa"
+	"repro/internal/job"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // The fast engine path's contract is bit-identical results: every kernel
@@ -85,7 +87,7 @@ func diffFingerprints(t *testing.T, what, fast, naive string) {
 	t.Fatalf("%s: fingerprints differ in length (%d vs %d lines)", what, len(fl), len(nl))
 }
 
-func checkResults(t *testing.T, what string, fast, naive Result) {
+func checkResults(t *testing.T, what string, fast, naive job.Result) {
 	t.Helper()
 	if fast.Cycles != naive.Cycles {
 		t.Fatalf("%s: cycles %d (fast) != %d (naive)", what, fast.Cycles, naive.Cycles)
@@ -101,7 +103,7 @@ func checkResults(t *testing.T, what string, fast, naive Result) {
 // reference. The audit fails the test at the cycle a component misses
 // its Wake, naming it, where the plain leg would only show a
 // fingerprint diff or a hang.
-func runAllModes(t *testing.T, what string, clusters int, run func(m *core.Machine) Result) {
+func runAllModes(t *testing.T, what string, clusters int, run func(m *core.Machine) job.Result) {
 	t.Helper()
 	naive := machineAt(clusters, sim.ModeNaive)
 	ref := run(naive)
@@ -137,8 +139,8 @@ func (a *dormancyAudit) SampleNow(sim.Cycle) {
 
 func TestDeterminismVectorLoad(t *testing.T) {
 	for _, pf := range []bool{false, true} {
-		runAllModes(t, fmt.Sprintf("VL prefetch=%v", pf), 1, func(m *core.Machine) Result {
-			r, err := RunVectorLoad(m, Params{Size: m.NumCEs() * StripLen * 4, Prefetch: pf})
+		runAllModes(t, fmt.Sprintf("VL prefetch=%v", pf), 1, func(m *core.Machine) job.Result {
+			r, err := runVectorLoad(m, workload.Params{Size: m.NumCEs() * StripLen * 4, Prefetch: pf})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,8 +151,8 @@ func TestDeterminismVectorLoad(t *testing.T) {
 
 func TestDeterminismTriMatVec(t *testing.T) {
 	for _, pf := range []bool{false, true} {
-		runAllModes(t, fmt.Sprintf("TM prefetch=%v", pf), 2, func(m *core.Machine) Result {
-			r, err := RunTriMatVec(m, Params{Size: m.NumCEs() * StripLen * 2, Prefetch: pf})
+		runAllModes(t, fmt.Sprintf("TM prefetch=%v", pf), 2, func(m *core.Machine) job.Result {
+			r, err := runTriMatVec(m, workload.Params{Size: m.NumCEs() * StripLen * 2, Prefetch: pf})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -160,9 +162,9 @@ func TestDeterminismTriMatVec(t *testing.T) {
 }
 
 func TestDeterminismRank64(t *testing.T) {
-	for _, mode := range []Mode{GMNoPrefetch, GMPrefetch, GMCache} {
-		runAllModes(t, mode.String(), 1, func(m *core.Machine) Result {
-			r, err := RunRank64(m, NewRank64Input(64), Params{Mode: mode})
+	for _, mode := range []workload.Mode{workload.GMNoPrefetch, workload.GMPrefetch, workload.GMCache} {
+		runAllModes(t, mode.String(), 1, func(m *core.Machine) job.Result {
+			r, err := runRank64(m, newRank64Input(64), workload.Params{Mode: mode})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,9 +175,9 @@ func TestDeterminismRank64(t *testing.T) {
 
 func TestDeterminismCG(t *testing.T) {
 	var refResidual float64
-	runAllModes(t, "CG", 2, func(m *core.Machine) Result {
+	runAllModes(t, "CG", 2, func(m *core.Machine) job.Result {
 		rt := cedarfort.New(m, cedarfort.DefaultConfig())
-		res, err := RunCG(m, rt, NewCGProblem(m.NumCEs()*StripLen*2, 5), Params{Iterations: 3, Prefetch: true})
+		res, err := runCG(m, rt, newCGProblem(m.NumCEs()*StripLen*2, 5), workload.Params{Iterations: 3, Prefetch: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +195,7 @@ func TestDeterminismCG(t *testing.T) {
 // workloads.
 func TestQuiescencePathExercised(t *testing.T) {
 	fast := machineAt(1, sim.ModeWakeCached)
-	if _, err := RunRank64(fast, NewRank64Input(64), Params{Mode: GMCache}); err != nil {
+	if _, err := runRank64(fast, newRank64Input(64), workload.Params{Mode: workload.GMCache}); err != nil {
 		t.Fatal(err)
 	}
 	if fast.Eng.SkippedTicks == 0 {

@@ -6,6 +6,7 @@ import (
 	"repro/internal/cedarfort"
 	"repro/internal/core"
 	"repro/internal/isa"
+	"repro/internal/job"
 	"repro/internal/perfect"
 	"repro/internal/perfmon"
 	"repro/internal/sim"
@@ -107,29 +108,29 @@ func mg3dSpec(aux []float64) (ioKernelSpec, error) {
 	}, nil
 }
 
-// RunBDNA runs the BDNA-style workload: Params.Iterations timesteps
+// runBDNA runs the BDNA-style workload: Params.Iterations timesteps
 // (default 3) over a Params.Size-word coordinate array (default 2
 // strips per CE), each ending with the leader's formatted whole-array
 // trajectory write and a machine barrier.
-func RunBDNA(m *core.Machine, p workload.Params, att workload.Attachments) (Result, error) {
+func runBDNA(m *core.Machine, p workload.Params, att workload.Attachments) (job.Result, error) {
 	spec, err := bdnaSpec()
 	if err != nil {
-		return Result{}, err
+		return job.Result{}, err
 	}
 	return runIOKernel(m, spec, p, att)
 }
 
-// RunMG3D runs the MG3D-style workload: Params.Iterations migration
+// runMG3D runs the MG3D-style workload: Params.Iterations migration
 // steps (default 3) over a Params.Size-word image (default 2 strips
 // per CE), each beginning with every cluster leader's raw read of its
 // trace partition.
-func RunMG3D(m *core.Machine, p workload.Params, att workload.Attachments) (Result, error) {
+func runMG3D(m *core.Machine, p workload.Params, att workload.Attachments) (job.Result, error) {
 	// The trace array is sized in runIOKernel once the problem size is
 	// known; hand the spec a slice header it can fill there.
 	aux := []float64{}
 	spec, err := mg3dSpec(aux)
 	if err != nil {
-		return Result{}, err
+		return job.Result{}, err
 	}
 	return runIOKernel(m, spec, p, att)
 }
@@ -138,7 +139,7 @@ func RunMG3D(m *core.Machine, p workload.Params, att workload.Attachments) (Resu
 // (optional leader read) -> strip-mined compute -> (optional leader
 // write) -> machine barrier, with per-strip compute padding sized so the
 // kernel's compute-to-I/O wall-clock ratio matches the profile's.
-func runIOKernel(m *core.Machine, spec ioKernelSpec, p workload.Params, att workload.Attachments) (Result, error) {
+func runIOKernel(m *core.Machine, spec ioKernelSpec, p workload.Params, att workload.Attachments) (job.Result, error) {
 	nces := m.NumCEs()
 	nclusters := len(m.Clusters)
 	cesPerCluster := m.Config().Cluster.CEs
@@ -151,14 +152,14 @@ func runIOKernel(m *core.Machine, spec ioKernelSpec, p workload.Params, att work
 		steps = 3
 	}
 	if n%(nces*StripLen) != 0 {
-		return Result{}, fmt.Errorf("kernels: %s n=%d not a multiple of %d", spec.name, n, nces*StripLen)
+		return job.Result{}, fmt.Errorf("kernels: %s n=%d not a multiple of %d", spec.name, n, nces*StripLen)
 	}
 	arrays := uint64(2) // the double buffer, and MG3D's traces
 	if spec.aux != nil {
 		arrays++
 	}
 	if err := m.FitGlobal("kernels: "+spec.name, uint64(n), arrays, 0); err != nil {
-		return Result{}, err
+		return job.Result{}, err
 	}
 
 	// Functional state: a double-buffered array stepped in place, plus
@@ -192,11 +193,7 @@ func runIOKernel(m *core.Machine, spec ioKernelSpec, p workload.Params, att work
 	if spec.perCluster {
 		ioWords = n / nclusters
 	}
-	wordCycles := xylem.TransferPerWord
-	if spec.formatted {
-		wordCycles += xylem.FormatPerWord
-	}
-	ioWall := float64(ioWords) * float64(wordCycles)
+	ioWall := float64(xylem.IOCost(int64(ioWords), spec.formatted))
 
 	// Per-strip compute padding: all CEs compute in parallel, so each
 	// CE's per-step compute wall must be ratio * ioWall, spread over its
@@ -276,7 +273,7 @@ func runIOKernel(m *core.Machine, spec ioKernelSpec, p workload.Params, att work
 	budget := sim.Cycle((spec.ratio+1)*ioWall*float64(steps)*3) + 10_000_000
 	end, err := m.RunUntilIdle(budget)
 	if err != nil {
-		return Result{}, err
+		return job.Result{}, err
 	}
 	check := 0.0
 	for _, v := range buf[steps%2] {

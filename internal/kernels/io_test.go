@@ -3,27 +3,18 @@ package kernels
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/isa"
+	"repro/internal/job"
 	"repro/internal/sim"
 	"repro/internal/workload"
 	"repro/internal/xylem"
 )
-
-// ioWordCycles returns the per-word IP service cost of the default file
-// system, formatted or raw — the constant the exact-accounting checks
-// below are written against (57 and 4 cycles at the paper's rates).
-func ioWordCycles(formatted bool) int64 {
-	c := xylem.TransferPerWord
-	if formatted {
-		c += xylem.FormatPerWord
-	}
-	return int64(c)
-}
 
 // TestIOBDNAEquivalence runs the BDNA workload on every runAllModes leg
 // and, on each, checks the exact serial-I/O accounting: every
@@ -31,9 +22,9 @@ func ioWordCycles(formatted bool) int64 {
 // other IPs stay silent, and the busy time is precisely volume x rate.
 func TestIOBDNAEquivalence(t *testing.T) {
 	const steps = 3
-	runAllModes(t, "BDNA", 2, func(m *core.Machine) Result {
+	runAllModes(t, "BDNA", 2, func(m *core.Machine) job.Result {
 		n := m.NumCEs() * StripLen * 2
-		r, err := RunBDNA(m, workload.Params{Size: n, Iterations: steps, Prefetch: true}, workload.Attachments{})
+		r, err := runBDNA(m, workload.Params{Size: n, Iterations: steps, Prefetch: true}, workload.Attachments{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +33,7 @@ func TestIOBDNAEquivalence(t *testing.T) {
 			t.Fatalf("leader IP served %d requests / %d words, want %d / %d",
 				ip0.Requests, ip0.WordsMoved, steps, steps*n)
 		}
-		if want := int64(steps*n) * ioWordCycles(true); ip0.BusyCycles != want {
+		if want := int64(xylem.IOCost(int64(steps*n), true)); ip0.BusyCycles != want {
 			t.Fatalf("leader IP busy %d cycles, want exactly %d", ip0.BusyCycles, want)
 		}
 		for i, clu := range m.Clusters[1:] {
@@ -58,7 +49,7 @@ func TestIOBDNAEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ioWall := float64(steps*n) * float64(ioWordCycles(true))
+		ioWall := float64(xylem.IOCost(int64(steps*n), true))
 		measured := (float64(r.Cycles) - ioWall) / ioWall
 		if measured < spec.ratio*0.8 || measured > spec.ratio*1.35 {
 			t.Fatalf("BDNA compute/I-O ratio %.2f, want near profile target %.2f", measured, spec.ratio)
@@ -72,9 +63,9 @@ func TestIOBDNAEquivalence(t *testing.T) {
 // reads exactly its partition, raw, once per step.
 func TestIOMG3DEquivalence(t *testing.T) {
 	const steps = 3
-	runAllModes(t, "MG3D", 2, func(m *core.Machine) Result {
+	runAllModes(t, "MG3D", 2, func(m *core.Machine) job.Result {
 		n := m.NumCEs() * StripLen * 2
-		r, err := RunMG3D(m, workload.Params{Size: n, Iterations: steps}, workload.Attachments{})
+		r, err := runMG3D(m, workload.Params{Size: n, Iterations: steps}, workload.Attachments{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +76,7 @@ func TestIOMG3DEquivalence(t *testing.T) {
 				t.Fatalf("cluster %d IP served %d requests / %d words, want %d / %d",
 					i, ip.Requests, ip.WordsMoved, steps, steps*part)
 			}
-			if want := steps * part * ioWordCycles(false); ip.BusyCycles != want {
+			if want := int64(xylem.IOCost(steps*part, false)); ip.BusyCycles != want {
 				t.Fatalf("cluster %d IP busy %d cycles, want exactly %d", i, ip.BusyCycles, want)
 			}
 		}
@@ -107,7 +98,7 @@ func TestIOFaultEquivalence(t *testing.T) {
 		return cfg
 	}
 	for _, name := range []string{"bdna", "mg3d"} {
-		var ref Result
+		var ref job.Result
 		var refPrint string
 		for i := len(engineModes) - 1; i >= 0; i-- {
 			mode := engineModes[i]
@@ -116,7 +107,7 @@ func TestIOFaultEquivalence(t *testing.T) {
 			cfg.EngineMode = mode
 			cfg.Fault = ipFaultConfig()
 			m := core.MustNew(cfg)
-			r, err := workload.Run(name, m, workload.Params{Iterations: 2}, workload.Attachments{})
+			r, err := Run(name, m, workload.Params{Iterations: 2}, workload.Attachments{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -176,7 +167,7 @@ func TestIODeadlineDiagnostic(t *testing.T) {
 	if c.IORequests != 1 || c.IOWords != words {
 		t.Fatalf("CE I/O counters %d requests / %d words, want 1 / %d", c.IORequests, c.IOWords, words)
 	}
-	if want := int64(words) * ioWordCycles(true); c.IOWaitCycles != want {
+	if want := int64(xylem.IOCost(words, true)); c.IOWaitCycles != want {
 		t.Fatalf("CE waited %d cycles, want exactly %d", c.IOWaitCycles, want)
 	}
 	if m.IOWait.Parked() != 0 || m.IOWait.Completions() != 1 {
@@ -184,24 +175,24 @@ func TestIODeadlineDiagnostic(t *testing.T) {
 	}
 }
 
-// TestIORegistryNames checks the unified registry carries every kernel,
-// and that the I/O kernels run through it by name like any other.
+// TestIORegistryNames checks that the name table lists exactly the six
+// mnemonics, that the I/O kernels run through it by name like any
+// other, and that an unknown name lists the six.
 func TestIORegistryNames(t *testing.T) {
-	for _, want := range []string{"bdna", "cg", "mg3d", "rk", "tm", "vl"} {
-		if workload.Get(want) == nil {
-			t.Fatalf("workload %q not registered (have %v)", want, workload.Names())
-		}
+	want := []string{"bdna", "cg", "mg3d", "rk", "tm", "vl"}
+	if got := Names(); !slices.Equal(got, want) {
+		t.Fatalf("Names() = %v, want %v", got, want)
 	}
 	m := machineAt(1, sim.ModeWakeCached)
-	r, err := workload.Run("bdna", m, workload.Params{Iterations: 1}, workload.Attachments{})
+	r, err := Run("bdna", m, workload.Params{Iterations: 1}, workload.Attachments{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Check == 0 || len(r.Notes) == 0 {
-		t.Fatalf("registry run returned an empty result: %+v", r)
+		t.Fatalf("run by name returned an empty result: %+v", r)
 	}
-	if _, err := workload.Run("no-such-kernel", m, workload.Params{}, workload.Attachments{}); err == nil ||
-		!strings.Contains(err.Error(), "bdna") {
-		t.Fatalf("unknown-name error should list the registry, got: %v", err)
+	_, err = Run("no-such-kernel", m, workload.Params{}, workload.Attachments{})
+	if err == nil || !strings.Contains(err.Error(), "(available: "+strings.Join(want, ", ")+")") {
+		t.Fatalf("unknown-name error should list the six names, got: %v", err)
 	}
 }

@@ -6,61 +6,40 @@
 //   - VL: a vector load stream;
 //   - TM: a tridiagonal matrix-vector multiply;
 //   - CG: a conjugate-gradient solver on a 5-diagonal system, also used
-//     for the scalability study of Section 4.3.
+//     for the scalability study of Section 4.3;
+//
+// plus the two I/O-heavy Perfect codes, BDNA and MG3D. A kernel is
+// reached only by its name, through Run; Names lists them.
 //
 // Every kernel computes real floating-point results (verifiable against a
 // direct serial reference) while its address streams drive the simulated
-// machine;
-// the returned Result carries both the numerical check value and the
-// performance metrics the paper reports.
+// machine; the returned job.Result carries both the numerical check value
+// and the performance metrics the paper reports.
 package kernels
 
 import (
-	"math"
-
 	"repro/internal/core"
+	"repro/internal/job"
 	"repro/internal/perfmon"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
-// Mode, Result, Params and Attachments live in the workload package
-// with the unified Workload API; the aliases keep kernel callers
-// readable while the canonical definitions stay where drivers find
-// them.
-type (
-	// Mode selects the memory-system strategy of a kernel (Table 1).
-	Mode = workload.Mode
-	// Result reports one kernel execution.
-	Result = workload.Result
-	// Params is the serializable parameter set of a run.
-	Params = workload.Params
-	// Attachments carries the runtime-only observers of a run.
-	Attachments = workload.Attachments
-)
-
-// Kernel memory modes (aliases of the workload constants).
-const (
-	GMNoPrefetch = workload.GMNoPrefetch
-	GMPrefetch   = workload.GMPrefetch
-	GMCache      = workload.GMCache
-)
-
-// finish assembles a Result from a completed run.
-func finish(name string, m *core.Machine, start, end sim.Cycle, check float64, probe *perfmon.PrefetchProbe) Result {
-	r := Result{
-		Name:         name,
-		CEs:          m.NumCEs(),
-		Cycles:       end - start,
-		Flops:        m.TotalFlops(),
-		Check:        check,
-		Latency:      math.NaN(),
-		Interarrival: math.NaN(),
+// finish assembles a kernel's own fields of a job.Result from a completed
+// run: the Table 2 prefetch metrics are present only when a probe
+// measured at least one block.
+func finish(name string, m *core.Machine, start, end sim.Cycle, check float64, probe *perfmon.PrefetchProbe) job.Result {
+	flops := m.TotalFlops()
+	r := job.Result{
+		Workload: name,
+		CEs:      m.NumCEs(),
+		Cycles:   int64(end - start),
+		Flops:    flops,
+		MFLOPS:   core.MFLOPS(flops, end-start),
+		Check:    check,
 	}
-	r.MFLOPS = core.MFLOPS(r.Flops, r.Cycles)
 	if probe != nil && probe.Blocks() > 0 {
-		r.Latency = probe.MeanLatency()
-		r.Interarrival = probe.MeanInterarrival()
+		lat, ia := probe.MeanLatency(), probe.MeanInterarrival()
+		r.LatencyCycles, r.InterarrivalCycles = &lat, &ia
 	}
 	return r
 }

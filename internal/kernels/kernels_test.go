@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cedarfort"
 	"repro/internal/core"
+	"repro/internal/workload"
 )
 
 func testMachine(clusters int) *core.Machine {
@@ -15,20 +16,20 @@ func testMachine(clusters int) *core.Machine {
 }
 
 func TestModeString(t *testing.T) {
-	if GMNoPrefetch.String() != "GM/no-pref" || GMPrefetch.String() != "GM/pref" || GMCache.String() != "GM/cache" {
+	if workload.GMNoPrefetch.String() != "GM/no-pref" || workload.GMPrefetch.String() != "GM/pref" || workload.GMCache.String() != "GM/cache" {
 		t.Fatal("mode names drifted from Table 1")
 	}
-	if Mode(9).String() != "unknown" {
+	if workload.Mode(9).String() != "unknown" {
 		t.Fatal("unknown mode")
 	}
 }
 
 func TestRank64Numerics(t *testing.T) {
-	for _, mode := range []Mode{GMNoPrefetch, GMPrefetch, GMCache} {
-		in := NewRank64Input(64)
-		want := ReferenceRank64(in)
+	for _, mode := range []workload.Mode{workload.GMNoPrefetch, workload.GMPrefetch, workload.GMCache} {
+		in := newRank64Input(64)
+		want := referenceRank64(in)
 		m := testMachine(1)
-		res, err := RunRank64(m, in, Params{Mode: mode})
+		res, err := runRank64(m, in, workload.Params{Mode: mode})
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
@@ -47,51 +48,51 @@ func TestRank64Numerics(t *testing.T) {
 // cluster: GM/cache > GM/pref > GM/no-pref, with prefetch a ~3-4x
 // improvement and no-pref near 14.5 MFLOPS on 8 CEs.
 func TestRank64ModeOrdering(t *testing.T) {
-	rates := map[Mode]float64{}
-	for _, mode := range []Mode{GMNoPrefetch, GMPrefetch, GMCache} {
-		in := NewRank64Input(128)
+	rates := map[workload.Mode]float64{}
+	for _, mode := range []workload.Mode{workload.GMNoPrefetch, workload.GMPrefetch, workload.GMCache} {
+		in := newRank64Input(128)
 		m := testMachine(1)
-		res, err := RunRank64(m, in, Params{Mode: mode})
+		res, err := runRank64(m, in, workload.Params{Mode: mode})
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
 		rates[mode] = res.MFLOPS
 	}
-	if !(rates[GMCache] > rates[GMPrefetch] && rates[GMPrefetch] > rates[GMNoPrefetch]) {
+	if !(rates[workload.GMCache] > rates[workload.GMPrefetch] && rates[workload.GMPrefetch] > rates[workload.GMNoPrefetch]) {
 		t.Fatalf("mode ordering violated: %v", rates)
 	}
-	if rates[GMNoPrefetch] < 10 || rates[GMNoPrefetch] > 20 {
-		t.Fatalf("GM/no-pref on one cluster = %.1f MFLOPS, want ~14.5 (Table 1)", rates[GMNoPrefetch])
+	if rates[workload.GMNoPrefetch] < 10 || rates[workload.GMNoPrefetch] > 20 {
+		t.Fatalf("GM/no-pref on one cluster = %.1f MFLOPS, want ~14.5 (Table 1)", rates[workload.GMNoPrefetch])
 	}
-	imp := rates[GMPrefetch] / rates[GMNoPrefetch]
+	imp := rates[workload.GMPrefetch] / rates[workload.GMNoPrefetch]
 	if imp < 2.5 || imp > 6 {
 		t.Fatalf("prefetch improvement %.1fx, paper shows ~3.5x", imp)
 	}
 }
 
 func TestRank64Probe(t *testing.T) {
-	in := NewRank64Input(64)
+	in := newRank64Input(64)
 	m := testMachine(1)
-	res, err := RunRank64(m, in, Params{Mode: GMPrefetch, Probe: true})
+	res, err := runRank64(m, in, workload.Params{Mode: workload.GMPrefetch, Probe: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.IsNaN(res.Latency) || math.IsNaN(res.Interarrival) {
+	if res.LatencyCycles == nil || res.InterarrivalCycles == nil {
 		t.Fatal("probe produced no measurements")
 	}
-	if res.Latency < 8 {
-		t.Fatalf("latency %.1f below the 8-cycle minimum", res.Latency)
+	if *res.LatencyCycles < 8 {
+		t.Fatalf("latency %.1f below the 8-cycle minimum", *res.LatencyCycles)
 	}
-	if res.Interarrival < 1 {
-		t.Fatalf("interarrival %.2f below the 1-cycle minimum", res.Interarrival)
+	if *res.InterarrivalCycles < 1 {
+		t.Fatalf("interarrival %.2f below the 1-cycle minimum", *res.InterarrivalCycles)
 	}
 }
 
 func TestRank64SizeValidation(t *testing.T) {
 	m := testMachine(1)
-	in := NewRank64Input(64)
+	in := newRank64Input(64)
 	in.N = 4 // lie about the size: fewer columns than CEs
-	if _, err := RunRank64(m, in, Params{Mode: GMPrefetch}); err == nil {
+	if _, err := runRank64(m, in, workload.Params{Mode: workload.GMPrefetch}); err == nil {
 		t.Fatal("accepted n smaller than the CE count")
 	}
 }
@@ -99,10 +100,10 @@ func TestRank64SizeValidation(t *testing.T) {
 // TestRank64UnevenPartition: 3 clusters (24 CEs) with n=64 exercises the
 // remainder-spreading column partition.
 func TestRank64UnevenPartition(t *testing.T) {
-	in := NewRank64Input(64)
-	want := ReferenceRank64(in)
+	in := newRank64Input(64)
+	want := referenceRank64(in)
 	m := testMachine(3)
-	if _, err := RunRank64(m, in, Params{Mode: GMPrefetch}); err != nil {
+	if _, err := runRank64(m, in, workload.Params{Mode: workload.GMPrefetch}); err != nil {
 		t.Fatal(err)
 	}
 	for i := range want {
@@ -115,12 +116,12 @@ func TestRank64UnevenPartition(t *testing.T) {
 func TestVectorLoadNumericsAndSpeedup(t *testing.T) {
 	n := 8 * StripLen * 8
 	m1 := testMachine(1)
-	slow, err := RunVectorLoad(m1, Params{Size: n})
+	slow, err := runVectorLoad(m1, workload.Params{Size: n})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m2 := testMachine(1)
-	fast, err := RunVectorLoad(m2, Params{Size: n, Prefetch: true, Probe: true})
+	fast, err := runVectorLoad(m2, workload.Params{Size: n, Prefetch: true, Probe: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestVectorLoadNumericsAndSpeedup(t *testing.T) {
 	if fast.Cycles >= slow.Cycles {
 		t.Fatalf("prefetch VL (%d cycles) not faster than no-pref (%d)", fast.Cycles, slow.Cycles)
 	}
-	if math.IsNaN(fast.Latency) {
+	if fast.LatencyCycles == nil {
 		t.Fatal("VL probe missing")
 	}
 }
@@ -138,11 +139,11 @@ func TestVectorLoadNumericsAndSpeedup(t *testing.T) {
 func TestTriMatVecNumerics(t *testing.T) {
 	n := 8 * StripLen * 4
 	m := testMachine(1)
-	res, err := RunTriMatVec(m, Params{Size: n, Prefetch: true})
+	res, err := runTriMatVec(m, workload.Params{Size: n, Prefetch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ReferenceTriMatVec(n)
+	want := referenceTriMatVec(n)
 	if math.Abs(res.Check-want) > 1e-9*math.Abs(want) {
 		t.Fatalf("TM check = %g, want %g", res.Check, want)
 	}
@@ -153,10 +154,10 @@ func TestTriMatVecNumerics(t *testing.T) {
 
 func TestCGConverges(t *testing.T) {
 	n := 8 * StripLen * 4 // 1024
-	p := NewCGProblem(n, 64)
+	p := newCGProblem(n, 64)
 	m := testMachine(1)
 	rt := cedarfort.New(m, cedarfort.DefaultConfig())
-	res, err := RunCG(m, rt, p, Params{Iterations: 20, Prefetch: true})
+	res, err := runCG(m, rt, p, workload.Params{Iterations: 20, Prefetch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestCGConverges(t *testing.T) {
 }
 
 // serialCG is a plain single-thread conjugate gradient for verification.
-func serialCG(p *CGProblem, iters int) []float64 {
+func serialCG(p *cgProblem, iters int) []float64 {
 	n := p.N
 	x := make([]float64, n)
 	r := make([]float64, n)
@@ -218,11 +219,11 @@ func serialCG(p *CGProblem, iters int) []float64 {
 // 8 CEs; check direction and rough magnitude.
 func TestCGPrefetchHelps(t *testing.T) {
 	n := 8 * StripLen * 4
-	run := func(usePF bool) CGResult {
-		p := NewCGProblem(n, 64)
+	run := func(usePF bool) cgResult {
+		p := newCGProblem(n, 64)
 		m := testMachine(1)
 		rt := cedarfort.New(m, cedarfort.DefaultConfig())
-		res, err := RunCG(m, rt, p, Params{Iterations: 4, Prefetch: usePF})
+		res, err := runCG(m, rt, p, workload.Params{Iterations: 4, Prefetch: usePF})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,16 +245,5 @@ func TestCGProblemValidation(t *testing.T) {
 			t.Fatal("bad CG offset accepted")
 		}
 	}()
-	NewCGProblem(100, 1)
-}
-
-func TestResultString(t *testing.T) {
-	r := Result{Name: "RK GM/pref", CEs: 8, Cycles: 100, MFLOPS: 50, Latency: math.NaN()}
-	if s := r.String(); s == "" {
-		t.Fatal("empty String")
-	}
-	r.Latency, r.Interarrival = 9.4, 1.1
-	if s := r.String(); s == "" {
-		t.Fatal("empty String with probe")
-	}
+	newCGProblem(100, 1)
 }

@@ -66,13 +66,13 @@ func TestSharedOpsUnmodified(t *testing.T) {
 	}{
 		{"cg", func() error {
 			m := testMachine(1)
-			_, err := RunCG(m, cedarfort.New(m, cedarfort.DefaultConfig()), NewCGProblem(8*StripLen*4, 64),
-				Params{Iterations: 3, Prefetch: true})
+			_, err := runCG(m, cedarfort.New(m, cedarfort.DefaultConfig()), newCGProblem(8*StripLen*4, 64),
+				workload.Params{Iterations: 3, Prefetch: true})
 			return err
 		}},
 		{"mg3d", func() error {
 			m := testMachine(2)
-			res, err := RunMG3D(m, workload.Params{Iterations: 3, Prefetch: true}, workload.Attachments{})
+			res, err := runMG3D(m, workload.Params{Iterations: 3, Prefetch: true}, workload.Attachments{})
 			if want := serialMG3D(m.NumCEs()*StripLen*2, 3); err == nil && res.Check != want {
 				t.Errorf("mg3d check %v, serial reference %v", res.Check, want)
 			}

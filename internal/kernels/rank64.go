@@ -5,14 +5,15 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/isa"
+	"repro/internal/job"
 	"repro/internal/perfmon"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
-// Rank64Input holds the operands of a rank-64 update C += A * B with
+// rank64Input holds the operands of a rank-64 update C += A * B with
 // A (n x 64) and B (64 x n), all logically resident in global memory.
-type Rank64Input struct {
+type rank64Input struct {
 	N int
 	// A is stored strip-major: for row strip s and inner column k,
 	// A[s*64*32 + k*32 + r] is element (s*32+r, k). This is the layout
@@ -25,13 +26,13 @@ type Rank64Input struct {
 	C []float64
 }
 
-// NewRank64Input builds deterministic operands for an n x n update.
+// newRank64Input builds deterministic operands for an n x n update.
 // n must be a multiple of the 32-word strip length.
-func NewRank64Input(n int) *Rank64Input {
+func newRank64Input(n int) *rank64Input {
 	if n%StripLen != 0 {
 		panic(fmt.Sprintf("kernels: rank-64 size %d not a multiple of %d", n, StripLen))
 	}
-	in := &Rank64Input{
+	in := &rank64Input{
 		N: n,
 		A: make([]float64, n*64),
 		B: make([]float64, 64*n),
@@ -47,8 +48,8 @@ func NewRank64Input(n int) *Rank64Input {
 	return in
 }
 
-// ReferenceRank64 computes the update serially for verification.
-func ReferenceRank64(in *Rank64Input) []float64 {
+// referenceRank64 computes the update serially for verification.
+func referenceRank64(in *rank64Input) []float64 {
 	n := in.N
 	out := make([]float64, len(in.C))
 	copy(out, in.C)
@@ -67,24 +68,24 @@ func ReferenceRank64(in *Rank64Input) []float64 {
 	return out
 }
 
-// Rank64 runs the rank-64 update on m in the given memory mode and
+// runRank64 runs the rank-64 update on m in the given memory mode and
 // returns the performance result; in.C is updated in place with the real
 // product. Columns of C are partitioned statically over all CEs; each CE
 // iterates over the row strips of its columns, processing the 64 inner
 // columns of A as register-memory vector operations with two chained
 // flops per element ("all versions chain two operations per memory
-// request"). In GMCache mode each CE first transfers the strip's A block
-// into a cached cluster work array.
+// request"). In GM/cache mode each CE first transfers the strip's A
+// block into a cached cluster work array.
 //
 // Params.Probe, when true, attaches the paper's performance monitor to
 // CE 0's prefetch unit (monitoring all requests of a single processor,
 // as the paper does); Params.Mode selects the Table 1 variant.
-func RunRank64(m *core.Machine, in *Rank64Input, p workload.Params) (Result, error) {
+func runRank64(m *core.Machine, in *rank64Input, p workload.Params) (job.Result, error) {
 	mode, probe := p.Mode, p.Probe
 	n := in.N
 	nces := m.NumCEs()
 	if n < nces {
-		return Result{}, fmt.Errorf("kernels: rank-64 n=%d smaller than %d CEs", n, nces)
+		return job.Result{}, fmt.Errorf("kernels: rank-64 n=%d smaller than %d CEs", n, nces)
 	}
 	strips := n / StripLen
 
@@ -95,7 +96,7 @@ func RunRank64(m *core.Machine, in *Rank64Input, p workload.Params) (Result, err
 	cBase := m.AllocGlobal(uint64(n * n))
 
 	var pr *perfmon.PrefetchProbe
-	if probe && mode != GMNoPrefetch {
+	if probe && mode != workload.GMNoPrefetch {
 		pr = perfmon.AttachPrefetch(m.CE(0).PFU())
 	}
 
@@ -104,13 +105,13 @@ func RunRank64(m *core.Machine, in *Rank64Input, p workload.Params) (Result, err
 	// cooperatively, one slice each.
 	cesPerCluster := m.Config().Cluster.CEs
 	clusterWork := make([]uint64, len(m.Clusters))
-	if mode == GMCache {
+	if mode == workload.GMCache {
 		for ci, cl := range m.Clusters {
 			clusterWork[ci] = cl.Alloc(64 * StripLen)
 		}
 	}
 	var aOps [][]*isa.Op
-	if mode != GMCache {
+	if mode != workload.GMCache {
 		aOps = rank64AOps(mode, aBase, strips)
 	}
 	for id := 0; id < nces; id++ {
@@ -123,7 +124,7 @@ func RunRank64(m *core.Machine, in *Rank64Input, p workload.Params) (Result, err
 		var bWorkBase uint64
 		slice := 64 * StripLen / cesPerCluster
 		moveLo := (id % cesPerCluster) * slice
-		if mode == GMCache {
+		if mode == workload.GMCache {
 			bWorkBase = cl.Alloc(uint64(64 * (j1 - j0)))
 		}
 		prog := buildRank64Program(in, mode, aBase, bBase, cBase, clusterWork[ci], bWorkBase,
@@ -134,7 +135,7 @@ func RunRank64(m *core.Machine, in *Rank64Input, p workload.Params) (Result, err
 	start := m.Eng.Now()
 	end, err := m.RunUntilIdle(sim.Cycle(int64(n) * int64(n) * 2000 / int64(nces)))
 	if err != nil {
-		return Result{}, err
+		return job.Result{}, err
 	}
 	check := 0.0
 	for _, v := range in.C {
@@ -154,13 +155,13 @@ func RunRank64(m *core.Machine, in *Rank64Input, p workload.Params) (Result, err
 // consuming vector operations). Their addresses depend only on the strip
 // and the column within it, and a CE never modifies an operation, so one
 // set per job serves every CE and every column of C.
-func rank64AOps(mode Mode, aBase uint64, strips int) [][]*isa.Op {
+func rank64AOps(mode workload.Mode, aBase uint64, strips int) [][]*isa.Op {
 	aStrip := func(strip, k int) isa.Addr {
 		return isa.Addr{Space: isa.Global, Word: aBase + uint64(strip*64*StripLen+k*StripLen)}
 	}
 	ops := make([][]*isa.Op, strips)
 	for strip := range ops {
-		if mode == GMNoPrefetch {
+		if mode == workload.GMNoPrefetch {
 			for k := 0; k < 64; k++ {
 				ops[strip] = append(ops[strip], isa.NewVectorLoad(aStrip(strip, k), StripLen, 1, 2, false))
 			}
@@ -191,12 +192,12 @@ func rank64AOps(mode Mode, aBase uint64, strips int) [][]*isa.Op {
 // through the networks. The cluster's CEs advance through the same strip
 // sequence at the same pace, so no explicit barrier is modeled around
 // the cooperative move.
-func buildRank64Program(in *Rank64Input, mode Mode, aBase, bBase, cBase, workBase, bWorkBase uint64, j0, cols, strips, moveLo, moveHi int, aOps [][]*isa.Op) isa.Program {
+func buildRank64Program(in *rank64Input, mode workload.Mode, aBase, bBase, cBase, workBase, bWorkBase uint64, j0, cols, strips, moveLo, moveHi int, aOps [][]*isa.Op) isa.Program {
 	n := in.N
 	emitCStrip := func(g *isa.Gen, strip, col int) {
 		cStrip := cBase + uint64(col*n+strip*StripLen)
 		switch mode {
-		case GMNoPrefetch:
+		case workload.GMNoPrefetch:
 			g.Emit(isa.NewVectorLoad(isa.Addr{Space: isa.Global, Word: cStrip}, StripLen, 1, 0, false))
 		default:
 			g.Emit(
@@ -221,7 +222,7 @@ func buildRank64Program(in *Rank64Input, mode Mode, aBase, bBase, cBase, workBas
 		g.Emit(st)
 	}
 
-	if mode == GMCache {
+	if mode == workload.GMCache {
 		s := -1
 		j := j0 - 1
 		stagedB := false
@@ -294,7 +295,7 @@ func buildRank64Program(in *Rank64Input, mode Mode, aBase, bBase, cBase, workBas
 			needB = false
 			// B column once per column, held in registers across strips.
 			bCol := bBase + uint64(j)
-			if mode == GMNoPrefetch {
+			if mode == workload.GMNoPrefetch {
 				g.Emit(isa.NewVectorLoad(isa.Addr{Space: isa.Global, Word: bCol}, 64, n, 0, false))
 			} else {
 				g.Emit(

@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/job"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
+	"repro/internal/workload"
 )
 
 // TestFourClusterFullSizeTelemetryEquivalence is the full-size
@@ -19,13 +21,13 @@ func TestFourClusterFullSizeTelemetryEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-size 4-cluster equivalence run; skipped with -short")
 	}
-	run := func(mode sim.EngineMode) (*core.Machine, Result, []byte) {
+	run := func(mode sim.EngineMode) (*core.Machine, job.Result, []byte) {
 		t.Helper()
 		cfg := core.ConfigClusters(4) // as-built: default global memory, no shrinking
 		cfg.EngineMode = mode
 		m := core.MustNew(cfg)
 		s := m.NewSampler(1000)
-		r, err := RunTriMatVec(m, Params{Size: m.NumCEs() * StripLen * 2, Prefetch: true})
+		r, err := runTriMatVec(m, workload.Params{Size: m.NumCEs() * StripLen * 2, Prefetch: true})
 		if err != nil {
 			t.Fatal(err)
 		}

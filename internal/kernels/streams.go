@@ -6,12 +6,13 @@ import (
 	"repro/internal/ce"
 	"repro/internal/core"
 	"repro/internal/isa"
+	"repro/internal/job"
 	"repro/internal/perfmon"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
-// VectorLoad runs the VL kernel: every CE streams its contiguous segment
+// runVectorLoad runs the VL kernel: every CE streams its contiguous segment
 // of an n-word global vector through strip-mined vector operations (one
 // chained flop per element — a vector scale), with compiler-style
 // 32-word prefetches inserted before each vector operation when prefetch
@@ -20,7 +21,7 @@ import (
 //
 // Params used: Size (vector length; default 4 strips per CE), Prefetch,
 // Probe.
-func RunVectorLoad(m *core.Machine, p workload.Params) (Result, error) {
+func runVectorLoad(m *core.Machine, p workload.Params) (job.Result, error) {
 	nces := m.NumCEs()
 	n := p.Size
 	if n == 0 {
@@ -28,10 +29,10 @@ func RunVectorLoad(m *core.Machine, p workload.Params) (Result, error) {
 	}
 	usePrefetch, probe := p.Prefetch, p.Probe
 	if n%(nces*StripLen) != 0 {
-		return Result{}, fmt.Errorf("kernels: VL n=%d not a multiple of %d", n, nces*StripLen)
+		return job.Result{}, fmt.Errorf("kernels: VL n=%d not a multiple of %d", n, nces*StripLen)
 	}
 	if err := m.FitGlobal("kernels: VL", uint64(n), 2, 0); err != nil {
-		return Result{}, err
+		return job.Result{}, err
 	}
 	x := make([]float64, n)
 	y := make([]float64, n)
@@ -73,7 +74,7 @@ func RunVectorLoad(m *core.Machine, p workload.Params) (Result, error) {
 	start := m.Eng.Now()
 	end, err := m.RunUntilIdle(sim.Cycle(n) * 100)
 	if err != nil {
-		return Result{}, err
+		return job.Result{}, err
 	}
 	check := 0.0
 	for _, v := range y {
@@ -86,7 +87,7 @@ func RunVectorLoad(m *core.Machine, p workload.Params) (Result, error) {
 	return finish(name, m, start, end, check, pr), nil
 }
 
-// TriMatVec runs the TM kernel: y = T x for a tridiagonal matrix T with
+// runTriMatVec runs the TM kernel: y = T x for a tridiagonal matrix T with
 // diagonals (a, b, c), strip-mined with compiler-generated 32-word
 // prefetches. Register-register vector operations carry part of the
 // arithmetic, which reduces the demand on the memory system relative to
@@ -95,7 +96,7 @@ func RunVectorLoad(m *core.Machine, p workload.Params) (Result, error) {
 //
 // Params used: Size (system order; default 2 strips per CE), Prefetch,
 // Probe.
-func RunTriMatVec(m *core.Machine, p workload.Params) (Result, error) {
+func runTriMatVec(m *core.Machine, p workload.Params) (job.Result, error) {
 	nces := m.NumCEs()
 	n := p.Size
 	if n == 0 {
@@ -103,10 +104,10 @@ func RunTriMatVec(m *core.Machine, p workload.Params) (Result, error) {
 	}
 	usePrefetch, probe := p.Prefetch, p.Probe
 	if n%(nces*StripLen) != 0 {
-		return Result{}, fmt.Errorf("kernels: TM n=%d not a multiple of %d", n, nces*StripLen)
+		return job.Result{}, fmt.Errorf("kernels: TM n=%d not a multiple of %d", n, nces*StripLen)
 	}
 	if err := m.FitGlobal("kernels: TM", uint64(n), 5, 0); err != nil {
-		return Result{}, err
+		return job.Result{}, err
 	}
 	a := make([]float64, n) // subdiagonal (a[0] unused)
 	b := make([]float64, n) // main diagonal
@@ -179,7 +180,7 @@ func RunTriMatVec(m *core.Machine, p workload.Params) (Result, error) {
 	start := m.Eng.Now()
 	end, err := m.RunUntilIdle(sim.Cycle(n) * 200)
 	if err != nil {
-		return Result{}, err
+		return job.Result{}, err
 	}
 	check := 0.0
 	for _, v := range y {
@@ -192,9 +193,9 @@ func RunTriMatVec(m *core.Machine, p workload.Params) (Result, error) {
 	return finish(name, m, start, end, check, pr), nil
 }
 
-// ReferenceTriMatVec computes y = T x serially from the same seed,
-// for verification of TriMatVec's Check value.
-func ReferenceTriMatVec(n int) float64 {
+// referenceTriMatVec computes y = T x serially from the same seed,
+// for verification of runTriMatVec's Check value.
+func referenceTriMatVec(n int) float64 {
 	a := make([]float64, n)
 	b := make([]float64, n)
 	c := make([]float64, n)

@@ -8,8 +8,10 @@ import (
 	"repro/internal/cedarfort"
 	"repro/internal/core"
 	"repro/internal/isa"
+	"repro/internal/job"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
+	"repro/internal/workload"
 )
 
 // The telemetry layer rides on the engine's quiescence contract: a
@@ -19,10 +21,10 @@ import (
 // registry, the sampler and the trace exporter.
 
 func TestTelemetryFingerprintEngineEquivalence(t *testing.T) {
-	run := func(m *core.Machine) (Result, *telemetry.Sampler) {
+	run := func(m *core.Machine) (job.Result, *telemetry.Sampler) {
 		t.Helper()
 		s := m.NewSampler(500)
-		r, err := RunVectorLoad(m, Params{Size: m.NumCEs() * StripLen * 4, Prefetch: true})
+		r, err := runVectorLoad(m, workload.Params{Size: m.NumCEs() * StripLen * 4, Prefetch: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,11 +77,11 @@ func TestSamplerDoesNotPerturbRun(t *testing.T) {
 	}
 	plain, sampled := mk(), mk()
 	s := sampled.NewSampler(250)
-	rp, err := RunRank64(plain, NewRank64Input(64), Params{Mode: GMCache})
+	rp, err := runRank64(plain, newRank64Input(64), workload.Params{Mode: workload.GMCache})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := RunRank64(sampled, NewRank64Input(64), Params{Mode: GMCache})
+	rs, err := runRank64(sampled, newRank64Input(64), workload.Params{Mode: workload.GMCache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,12 +129,12 @@ func TestXDOALLPhaseMarks(t *testing.T) {
 // entry and exit to the sampler, and both engine paths see the same
 // marks at the same cycles.
 func TestCGPhaseMarks(t *testing.T) {
-	run := func(m *core.Machine) (*telemetry.Sampler, CGResult) {
+	run := func(m *core.Machine) (*telemetry.Sampler, cgResult) {
 		t.Helper()
 		s := m.NewSampler(1000)
 		rt := cedarfort.New(m, cedarfort.DefaultConfig())
 		rt.Phases = s
-		res, err := RunCG(m, rt, NewCGProblem(m.NumCEs()*StripLen*2, 5), Params{Iterations: 3, Prefetch: true})
+		res, err := runCG(m, rt, newCGProblem(m.NumCEs()*StripLen*2, 5), workload.Params{Iterations: 3, Prefetch: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +168,7 @@ func TestCGPhaseMarks(t *testing.T) {
 func TestMachineFlameShape(t *testing.T) {
 	fast, _ := enginePair(1)
 	s := fast.NewSampler(500)
-	if _, err := RunVectorLoad(fast, Params{Size: fast.NumCEs() * StripLen * 2, Prefetch: true}); err != nil {
+	if _, err := runVectorLoad(fast, workload.Params{Size: fast.NumCEs() * StripLen * 2, Prefetch: true}); err != nil {
 		t.Fatal(err)
 	}
 	s.Final()

@@ -291,49 +291,15 @@ type Engine struct {
 // New returns an empty engine at cycle zero in ModeWakeCached.
 func New() *Engine { return &Engine{nextSample: Never, curIdx: -1} }
 
-// SetMode selects the engine path. Switching settles any deferred skip
-// accounting, clears dormancy, and rebuilds the wake calendar with every
-// idle component due at the current cycle, so the toggle is safe between
-// runs: the new path starts from fully settled state and re-discovers
-// quiescence on its own terms.
+// SetMode selects the engine path. The mode is chosen on an empty
+// engine: Register seeds each component's calendar state for the path
+// in force, so SetMode panics once a component has registered or time
+// has moved.
 func (e *Engine) SetMode(m EngineMode) {
-	if m == e.mode {
-		return
+	if len(e.comps) > 0 || e.now != 0 {
+		panic("sim: SetMode after a component registered or time moved")
 	}
-	e.Settle()
-	if e.mode == ModeNaive {
-		// The naive path executed every cycle itself, so nothing is owed:
-		// without this, lastTick left stale from before a naive stint
-		// would double-credit the naive-executed span through SkipCycles
-		// at the first fast-path tick.
-		for i := range e.lastTick {
-			e.lastTick[i] = e.now - 1
-		}
-	}
-	for i := range e.dormant {
-		e.dormant[i] = false
-	}
-	e.nDormant = 0
 	e.mode = m
-	e.rebuild()
-}
-
-// rebuild re-seeds the calendar for the current mode: every idle
-// component becomes due at the current cycle — exactly the state of a
-// freshly built engine — and the first executed cycle re-queries them
-// all. The naive path uses no calendar.
-func (e *Engine) rebuild() {
-	e.cal.reset()
-	clear(e.due)
-	clear(e.next)
-	if e.mode == ModeNaive {
-		return
-	}
-	for i, ic := range e.idle {
-		if ic != nil {
-			e.due[i>>6] |= 1 << uint(i&63)
-		}
-	}
 }
 
 // Mode reports the selected engine path.

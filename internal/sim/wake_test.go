@@ -302,27 +302,6 @@ func TestDeadlineSilentWhenProgressPossible(t *testing.T) {
 	}
 }
 
-func TestSetModeClearsDormancy(t *testing.T) {
-	e := New()
-	d := &doorbell{}
-	e.Register("bell", d)
-	e.Register("busy", ComponentFunc(func(Cycle) {}))
-	e.Run(10) // bell is now dormant
-	// Switching paths must drop cached dormancy: the calendar is rebuilt
-	// with every component due, so even a stimulus without a Wake is
-	// observed at the first cycle after the switch.
-	e.SetMode(ModeNaive)
-	e.SetMode(ModeWakeCached)
-	d.pending++ // no Wake on purpose
-	if err := e.CheckDormant(); err != nil {
-		t.Fatalf("dormancy survived the mode switch: %v", err)
-	}
-	e.Run(10)
-	if len(d.ticksAt) != 1 || d.ticksAt[0] != 10 {
-		t.Fatalf("bell ticked at %v after mode switch, want [10]", d.ticksAt)
-	}
-}
-
 func TestModeStrings(t *testing.T) {
 	cases := map[EngineMode]string{
 		ModeWakeCached: "wake-cached",

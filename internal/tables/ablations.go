@@ -9,6 +9,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/report"
+	"repro/internal/workload"
 )
 
 // RunAblations varies one design choice at a time on the workload that
@@ -20,24 +21,24 @@ func RunAblations() (*report.Table, error) {
 	t := report.NewTable("Ablations: one design choice varied at a time (simulated)",
 		"design choice", "setting", "workload", "result")
 	var errs []error
-	rank64 := func(choice, setting string, clusters int, mode kernels.Mode, alter func(*core.Config)) {
+	rank64 := func(choice, setting string, clusters int, mode workload.Mode, alter func(*core.Config)) {
 		cfg := core.ConfigClusters(clusters)
 		alter(&cfg)
-		res, err := kernels.RunRank64(core.MustNew(cfg), kernels.NewRank64Input(64), kernels.Params{Mode: mode})
+		res, err := kernels.Run("rk", core.MustNew(cfg), workload.Params{Mode: mode, Size: 64}, workload.Attachments{})
 		errs = append(errs, err)
 		t.AddRow(choice, setting, fmt.Sprintf("rank-64 n=64 %v, %d cl.", mode, clusters),
 			fmt.Sprintf("%#.4g MFLOPS", res.MFLOPS))
 	}
 	for _, lim := range []int{1, 2, 4, 8} {
-		rank64("CE outstanding requests", fmt.Sprintf("limit %d", lim), 1, kernels.GMNoPrefetch,
+		rank64("CE outstanding requests", fmt.Sprintf("limit %d", lim), 1, workload.GMNoPrefetch,
 			func(c *core.Config) { c.CE.MaxOutstanding = lim })
 	}
 	for _, qw := range []int{2, 8} {
-		rank64("switch queue depth", fmt.Sprintf("%d words", qw), 4, kernels.GMPrefetch,
+		rank64("switch queue depth", fmt.Sprintf("%d words", qw), 4, workload.GMPrefetch,
 			func(c *core.Config) { c.NetQueueWords = qw })
 	}
-	rank64("network fabric", "omega", 4, kernels.GMPrefetch, func(*core.Config) {})
-	rank64("network fabric", "ideal", 4, kernels.GMPrefetch, func(c *core.Config) { c.IdealNetwork = true })
+	rank64("network fabric", "omega", 4, workload.GMPrefetch, func(*core.Config) {})
+	rank64("network fabric", "ideal", 4, workload.GMPrefetch, func(c *core.Config) { c.IdealNetwork = true })
 	for _, setting := range []string{"Cedar sync", "software sync"} {
 		cfg := cedarfort.DefaultConfig()
 		cfg.UseCedarSync = setting == "Cedar sync"
@@ -47,9 +48,9 @@ func RunAblations() (*report.Table, error) {
 		t.AddRow("loop self-scheduling", setting, "XDOALL 128 x 100 cycles, 1 cl.",
 			fmt.Sprintf("%#.4g us", cycles.Seconds()*1e6))
 	}
-	rank64("cluster cache", "as built", 1, kernels.GMCache, func(*core.Config) {})
-	rank64("cluster cache", "quarter size", 1, kernels.GMCache, func(c *core.Config) { c.Cache.Words = 16 << 10 })
-	rank64("cluster cache", "single bank", 1, kernels.GMCache, func(c *core.Config) {
+	rank64("cluster cache", "as built", 1, workload.GMCache, func(*core.Config) {})
+	rank64("cluster cache", "quarter size", 1, workload.GMCache, func(c *core.Config) { c.Cache.Words = 16 << 10 })
+	rank64("cluster cache", "single bank", 1, workload.GMCache, func(c *core.Config) {
 		c.Cache.Banks = 1
 		c.Cache.BankAccessesPerCycle = 1
 	})

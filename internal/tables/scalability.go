@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/cedarfort"
 	"repro/internal/compare"
 	"repro/internal/core"
 	"repro/internal/kernels"
@@ -45,15 +44,13 @@ func cgMachine(ces int) (*core.Machine, error) {
 	return core.New(cfg)
 }
 
-// cgRate runs the CG kernel and returns MFLOPS.
+// cgRate runs the cg workload and returns MFLOPS.
 func cgRate(ces, n, iters int) (float64, error) {
 	m, err := cgMachine(ces)
 	if err != nil {
 		return 0, err
 	}
-	rt := cedarfort.New(m, cedarfort.DefaultConfig())
-	p := kernels.NewCGProblem(n, 64)
-	res, err := kernels.RunCG(m, rt, p, workload.Params{Iterations: iters, Prefetch: true})
+	res, err := kernels.Run("cg", m, workload.Params{Size: n, Iterations: iters, Prefetch: true}, workload.Attachments{})
 	if err != nil {
 		return 0, err
 	}

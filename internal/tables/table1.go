@@ -5,21 +5,21 @@ import (
 	"io"
 
 	"repro/internal/job"
-	"repro/internal/kernels"
 	"repro/internal/report"
+	"repro/internal/workload"
 )
 
 // Table1Published holds the paper's Table 1 (MFLOPS for the rank-64
 // update of a 1K x 1K matrix), indexed [mode][clusters-1].
-var Table1Published = map[kernels.Mode][4]float64{
-	kernels.GMNoPrefetch: {14.5, 29.0, 43.0, 55.0},
-	kernels.GMPrefetch:   {50.0, 84.0, 96.0, 104.0},
-	kernels.GMCache:      {52.0, 104.0, 152.0, 208.0},
+var Table1Published = map[workload.Mode][4]float64{
+	workload.GMNoPrefetch: {14.5, 29.0, 43.0, 55.0},
+	workload.GMPrefetch:   {50.0, 84.0, 96.0, 104.0},
+	workload.GMCache:      {52.0, 104.0, 152.0, 208.0},
 }
 
 // Table1Cell is one measured cell.
 type Table1Cell struct {
-	Mode     kernels.Mode
+	Mode     workload.Mode
 	Clusters int
 	MFLOPS   float64
 	Paper    float64
@@ -32,7 +32,7 @@ type Table1Data struct {
 }
 
 // Get returns the measured MFLOPS for a mode and cluster count.
-func (d *Table1Data) Get(mode kernels.Mode, clusters int) float64 {
+func (d *Table1Data) Get(mode workload.Mode, clusters int) float64 {
 	for _, c := range d.Cells {
 		if c.Mode == mode && c.Clusters == clusters {
 			return c.MFLOPS
@@ -75,7 +75,7 @@ func (d *Table1Data) Render(w io.Writer) error {
 	t := report.NewTable(
 		fmt.Sprintf("Table 1: MFLOPS for rank-64 update on Cedar (n=%d; paper n=1K in parentheses)", d.N),
 		"version", "1 cl.", "2 cl.", "3 cl.", "4 cl.")
-	for _, mode := range []kernels.Mode{kernels.GMNoPrefetch, kernels.GMPrefetch, kernels.GMCache} {
+	for _, mode := range []workload.Mode{workload.GMNoPrefetch, workload.GMPrefetch, workload.GMCache} {
 		row := []string{mode.String()}
 		for cl := 1; cl <= 4; cl++ {
 			row = append(row, fmt.Sprintf("%s (%s)",

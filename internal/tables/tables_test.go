@@ -6,8 +6,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/kernels"
 	"repro/internal/perfect"
+	"repro/internal/workload"
 )
 
 // TestTable1ShapeSmall regenerates Table 1 at a reduced size and checks
@@ -23,18 +23,18 @@ func TestTable1ShapeSmall(t *testing.T) {
 		t.Fatal(err)
 	}
 	for cl := 1; cl <= 4; cl++ {
-		nopref := d.Get(kernels.GMNoPrefetch, cl)
-		pref := d.Get(kernels.GMPrefetch, cl)
-		cache := d.Get(kernels.GMCache, cl)
+		nopref := d.Get(workload.GMNoPrefetch, cl)
+		pref := d.Get(workload.GMPrefetch, cl)
+		cache := d.Get(workload.GMCache, cl)
 		if !(cache > pref && pref > nopref) {
 			t.Fatalf("clusters=%d: ordering violated: %f %f %f", cl, nopref, pref, cache)
 		}
 	}
-	if v := d.Get(kernels.GMNoPrefetch, 1); v < 10 || v > 18 {
+	if v := d.Get(workload.GMNoPrefetch, 1); v < 10 || v > 18 {
 		t.Fatalf("GM/no-pref 1 cluster = %.1f, want ~14.5", v)
 	}
 	// GM/cache scales nearly linearly with clusters.
-	scale := d.Get(kernels.GMCache, 4) / d.Get(kernels.GMCache, 1)
+	scale := d.Get(workload.GMCache, 4) / d.Get(workload.GMCache, 1)
 	if scale < 3.0 {
 		t.Fatalf("GM/cache 4-cluster scaling = %.2f, want ~3.5-4", scale)
 	}

@@ -2,8 +2,8 @@
 // registry in which every simulated component publishes its counters and
 // gauges under a stable hierarchical path, a phase-interval sampler that
 // snapshots the registry as simulated time advances, and a trace
-// exporter that renders sampler output (plus performance-monitor events)
-// as Chrome trace_event JSON loadable in Perfetto.
+// exporter that renders sampler output as Chrome trace_event JSON
+// loadable in Perfetto.
 //
 // The registry is pull-based: a component registers the counter it
 // already maintains (`reg.Counter("cluster0/ce3/stall_mem",

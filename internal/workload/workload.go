@@ -1,11 +1,8 @@
-// Package workload defines the single entry point every kernel on the
-// simulated Cedar shares: a Func runs against a core.Machine under one
-// serializable Params set plus runtime Attachments, and reports one
-// Result. The package replaces the divergent positional parameters the
-// kernel entry points had grown (`usePrefetch, probe bool` here, `mode
-// Mode` there) and carries the registry that lets drivers like
-// cmd/cedarsim and cmd/cedard select workloads by name instead of
-// hard-coded switches.
+// Package workload defines the parameters every kernel on the simulated
+// Cedar shares: one serializable Params set plus runtime Attachments. It
+// replaces the divergent positional parameters the kernel entry points
+// had grown (`usePrefetch, probe bool` here, `mode Mode` there); the
+// kernels themselves are reached by name through kernels.Run.
 //
 // The Params/Attachments split is deliberate API design: Params is a
 // comparable value type holding exactly the inputs that determine a
@@ -16,14 +13,7 @@
 // only what a normalized Spec converts to.
 package workload
 
-import (
-	"fmt"
-	"math"
-
-	"repro/internal/cedarfort"
-	"repro/internal/core"
-	"repro/internal/sim"
-)
+import "repro/internal/cedarfort"
 
 // Mode selects the memory-system strategy of a kernel, matching the
 // three versions of the paper's Table 1.
@@ -97,39 +87,3 @@ type Attachments struct {
 	// their runtime.
 	Phases cedarfort.PhaseObserver
 }
-
-// Result reports one kernel execution.
-type Result struct {
-	// Name identifies the kernel and variant.
-	Name string
-	// CEs is the processor count used.
-	CEs int
-	// Cycles is the elapsed simulated time.
-	Cycles sim.Cycle
-	// Flops is the floating-point operation count performed by the CEs.
-	Flops int64
-	// MFLOPS is the paper's rate metric.
-	MFLOPS float64
-	// Check is a kernel-specific numerical checksum for verification.
-	Check float64
-	// Latency and Interarrival are the Table 2 prefetch metrics in
-	// cycles (NaN when the kernel was run without a probe or without
-	// prefetching).
-	Latency      float64
-	Interarrival float64
-	// Notes carries kernel-specific result lines (a CG residual, an I/O
-	// volume) for drivers to print verbatim.
-	Notes []string
-}
-
-func (r Result) String() string {
-	s := fmt.Sprintf("%-14s P=%-3d %8d cycles  %7.1f MFLOPS", r.Name, r.CEs, r.Cycles, r.MFLOPS)
-	if !math.IsNaN(r.Latency) {
-		s += fmt.Sprintf("  lat=%5.1f  ia=%4.2f", r.Latency, r.Interarrival)
-	}
-	return s
-}
-
-// Func is a runnable kernel: it drives a machine under the shared
-// Params, with runtime observers passed separately.
-type Func func(m *core.Machine, p Params, att Attachments) (Result, error)

@@ -9,7 +9,7 @@
 //     I/O statement parks while its transfer is outstanding and resumes
 //     at the completion cycle.
 //
-//   - File-system costs (FS), whose structure (formatted conversion
+//   - File-system costs (IOCost), whose structure (formatted conversion
 //     versus raw transfer) explains the BDNA hand optimization: replacing
 //     formatted with unformatted I/O cut that code's time from 111 s to
 //     70 s.
@@ -42,22 +42,12 @@ const (
 	FormatPerWord = sim.Cycle((9*time.Microsecond + sim.CycleTime - 1) / sim.CycleTime)
 )
 
-// FS is the file-system cost model; the zero value is ready to use.
-type FS struct {
-	// Counters.
-	WordsFormatted   int64
-	WordsUnformatted int64
-}
-
-// FormattedIO returns the cost of reading or writing n words with format
-// conversion.
-func (f *FS) FormattedIO(n int64) sim.Cycle {
-	f.WordsFormatted += n
-	return sim.Cycle(n) * (TransferPerWord + FormatPerWord)
-}
-
-// UnformattedIO returns the cost of raw binary transfer of n words.
-func (f *FS) UnformattedIO(n int64) sim.Cycle {
-	f.WordsUnformatted += n
-	return sim.Cycle(n) * TransferPerWord
+// IOCost returns the cost of reading or writing n words: the raw
+// transfer, plus the conversion when the I/O is formatted.
+func IOCost(n int64, formatted bool) sim.Cycle {
+	perWord := TransferPerWord
+	if formatted {
+		perWord += FormatPerWord
+	}
+	return sim.Cycle(n) * perWord
 }
