@@ -91,16 +91,20 @@ elif [ -n "$$base" ]; then \
 fi
 endef
 
-# A statement-coverage floor on the telemetry layer: its correctness
-# story is "every sample is bit-exact", so the package must stay well
-# covered. A failing test fails the leg whatever the coverage.
+# Statement-coverage floors. The telemetry layer's correctness story is
+# "every sample is bit-exact"; the omega network's per-switch bookkeeping
+# (occupancy bits, head digits, idle switches) must stay exercised on the
+# drop-fault paths too. A failing test fails the leg whatever the
+# coverage.
 cover:
 	@floor=85; \
-	out=$$($(GO) test -cover ./internal/telemetry) || { echo "$$out" >&2; exit 1; }; \
+	for pkg in ./internal/telemetry ./internal/network; do \
+	out=$$($(GO) test -cover $$pkg) || { echo "$$out" >&2; exit 1; }; \
 	pct=$$(echo "$$out" | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p'); \
-	echo "internal/telemetry statement coverage: $$pct% (floor $$floor%)"; \
+	echo "$$pkg statement coverage: $$pct% (floor $$floor%)"; \
 	awk -v p="$$pct" -v f="$$floor" 'BEGIN { exit (p+0 >= f) ? 0 : 1 }' || \
-	{ echo "telemetry coverage below floor" >&2; exit 1; }
+	{ echo "$$pkg coverage below floor" >&2; exit 1; }; \
+	done
 
 # Each leg checks something no other leg does. `test` runs the cedard
 # smoke test, the seeded engine-equivalence replays and the chaos soak;

@@ -7,15 +7,18 @@ import (
 )
 
 // BenchmarkNetworkTick times one cycle of Cedar's 64-port radix-8 omega
-// network (2-word queues) at offered loads of 0.1 and 1.0 packets per
-// port per cycle, with sinks that always accept. One op is one Tick plus
-// that cycle's offers. Packets are recycled through a free list, so a
-// steady-state tick allocates nothing.
+// network (2-word queues), with sinks that always accept. sparse, light
+// and saturated offer 1-word packets to uniform random ports at 0.01, 0.1
+// and 1.0 packets per port per cycle; hotspot offers a 2-word packet from
+// every port to port 0 every cycle, so most queue heads wait behind the
+// hot port. One op is one Tick plus that cycle's offers. Packets are
+// recycled through a free list, so a steady-state tick allocates nothing.
 func BenchmarkNetworkTick(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		load float64
-	}{{"light", 0.1}, {"saturated", 1.0}} {
+		hot  bool
+	}{{"sparse", 0.01, false}, {"light", 0.1, false}, {"saturated", 1.0, false}, {"hotspot", 1.0, true}} {
 		b.Run(bc.name, func(b *testing.B) {
 			const ports = 64
 			n := MustNew("bench", ports, 8, 0)
@@ -43,6 +46,9 @@ func BenchmarkNetworkTick(b *testing.B) {
 					}
 					p := free[len(free)-1]
 					*p = Packet{Dst: r.Intn(ports), Src: src, Words: 1, Kind: Read}
+					if bc.hot {
+						p.Dst, p.Words = 0, 2
+					}
 					if n.Offer(now, src, p) {
 						free = free[:len(free)-1]
 					}

@@ -105,9 +105,13 @@ func (n *Network) DropSwitchHead(s, swi, in int, allow func(*Packet) bool) *Pack
 		return nil
 	}
 	x.in[in].pop()
-	if x.in[in].n == 0 {
-		x.inMask &^= 1 << uint(in)
+	x.nextHead(in, n.digits[s])
+	if x.inMask == 0 {
+		n.inOcc[s][swi>>6] &^= 1 << uint(swi&63)
 	}
+	// A new head, or another claimant of the dropped head's output, may
+	// move now.
+	x.routeAt = 0
 	n.Dropped++
 	return pk
 }

@@ -132,6 +132,48 @@ func TestDropSwitchHead(t *testing.T) {
 	}
 }
 
+// TestDropWakesIdleSwitch: a switch whose round-robin winner does not fit
+// its output stalls every claimant of that output and goes idle; dropping
+// the winner must let the next claimant, which fits, move on the next
+// cycle, as it would if the switch routed every cycle.
+func TestDropWakesIdleSwitch(t *testing.T) {
+	// Four ports of 2x2 switches: sources 0 and 1 reach stage-1 switch 0
+	// on inputs 0 and 1, and destination 0 is that switch's output 0.
+	n := MustNew("t", 4, 2, 2)
+	accept := false
+	for p := 0; p < 4; p++ {
+		n.SetSink(p, SinkFunc(func(*Packet) bool { return accept }))
+	}
+	now := sim.Cycle(0)
+	run := func(cycles int) {
+		for i := 0; i < cycles; i++ {
+			n.Tick(now)
+			now++
+		}
+	}
+	x := &n.sw[1][0]
+	// A 1-word packet fills half of output 0 and stays there, the sink
+	// refusing it; output 0's round-robin pointer now favours input 1.
+	n.Offer(now, 0, &Packet{Dst: 0, Words: 1, Tag: 1})
+	run(6)
+	// A 2-word packet waits on input 1 and a 1-word packet on input 0:
+	// input 1 wins output 0 but does not fit, so both stall.
+	n.Offer(now, 1, &Packet{Dst: 0, Words: 2, Tag: 2})
+	run(6)
+	n.Offer(now, 0, &Packet{Dst: 0, Words: 1, Tag: 3})
+	run(6)
+	if x.out[0].n != 1 || x.in[0].n != 1 || x.in[1].n != 1 {
+		t.Fatalf("set-up: output 0 holds %d, inputs %d and %d; want 1, 1, 1", x.out[0].n, x.in[0].n, x.in[1].n)
+	}
+	if pk := n.DropSwitchHead(1, 0, 1, nil); pk == nil || pk.Tag != 2 {
+		t.Fatalf("dropped %v, want the 2-word packet", pk)
+	}
+	run(1)
+	if x.out[0].n != 2 || x.in[0].n != 0 {
+		t.Fatalf("after the drop: output 0 holds %d, input 0 %d; want the 1-word packet moved (2, 0)", x.out[0].n, x.in[0].n)
+	}
+}
+
 func TestFaultsAreNoOpsOnIdealNetwork(t *testing.T) {
 	n := MustNewIdeal("i", 8, 8)
 	n.StallEntry(0, 0, 100)

@@ -16,22 +16,32 @@ import (
 // occupancy or link timing shows up as a digest mismatch. A rewrite of the
 // per-cycle path must reproduce them exactly; only a deliberate change to
 // the network's timing may re-record them.
+//
+// hot 0 draws uniform destinations. hot > 0 sends seven offers in eight as
+// 2-word packets to one of hot ports, so blocked trees build behind the
+// hot ports and most queue heads wait on a busy or full output: the
+// traffic where the network skips switches that cannot move.
 var goldenTraceCases = []struct {
-	ports, radix, queueWords int
-	digest                   string
+	ports, radix, queueWords, hot int
+	digest                        string
 }{
-	{8, 2, 2, "5e0afd7af66f3047d1626ed7bfdf2e8531b0b8389d9404a17bd12a07628c9de0"},
-	{9, 3, 2, "bd2dcb1ec0ce73d8fe637f969415e8e8cb4d4c0e67b78c6e52fe2e597b919b61"},
-	{64, 8, 2, "c4b3840f80113ebb09150b007ca97ca848444d2942105664910239132792c336"},
-	{64, 8, 8, "627d7cb98fad719e9928359d702207149fb75c5938aa9927a4771a53d3e6891b"},
-	{256, 16, 2, "fd8e3459542377eea3751add767c823abea16bd17bae36b456bf6fa0f7c7d337"},
+	{8, 2, 2, 0, "5e0afd7af66f3047d1626ed7bfdf2e8531b0b8389d9404a17bd12a07628c9de0"},
+	{9, 3, 2, 0, "bd2dcb1ec0ce73d8fe637f969415e8e8cb4d4c0e67b78c6e52fe2e597b919b61"},
+	{64, 8, 2, 0, "c4b3840f80113ebb09150b007ca97ca848444d2942105664910239132792c336"},
+	{64, 8, 8, 0, "627d7cb98fad719e9928359d702207149fb75c5938aa9927a4771a53d3e6891b"},
+	{256, 16, 2, 0, "fd8e3459542377eea3751add767c823abea16bd17bae36b456bf6fa0f7c7d337"},
+	{8, 2, 2, 1, "941bda86b71a4d55f80dbbf733349bdba7b28356246062d9f4831c695d4472e3"},
+	{9, 3, 2, 2, "3b5210aa820533fa6915b8698977fb5588648765883ee157150177f418948de2"},
+	{64, 8, 2, 1, "3c5186513f810e4ea2f1f1de39c7b4505e649136bce8efd91a2a666dbcee6cf7"},
+	{64, 8, 2, 2, "14e0cfb80a40a97712ee9b6096e105ec33ad1d5b900ad64f161d5807287e0942"},
+	{64, 8, 8, 1, "d3f8c284e84de790e1f73e0d622acadaf212330af94e8c6fc31673d5850e69c5"},
 }
 
 // goldenTraceDigest drives seeded random traffic through sinks that
 // randomly refuse packets, interleaving every stall and drop fault, and
-// hashes what the network did. The network is returned for the test's
-// vacuity checks.
-func goldenTraceDigest(ports, radix, queueWords int) (string, *Network) {
+// hashes what the network did. The network and the mean transit of the
+// delivered packets are returned for the test's vacuity checks.
+func goldenTraceDigest(ports, radix, queueWords, hot int) (string, *Network, float64) {
 	const (
 		trafficCycles = 1500
 		drainCycles   = 3000
@@ -51,8 +61,10 @@ func goldenTraceDigest(ports, radix, queueWords int) (string, *Network) {
 	for p := 0; p < ports; p++ {
 		n.SetSink(p, SinkFunc(func(*Packet) bool { return r.Intn(4) != 0 }))
 	}
+	var transit sim.Cycle
 	n.OnDeliver = func(c sim.Cycle, port int, p *Packet) {
 		put(1, int64(c), int64(port), int64(p.Tag))
+		transit += c - p.Born
 	}
 	tag := uint64(0)
 	switchPorts := ports / radix
@@ -67,7 +79,11 @@ func goldenTraceDigest(ports, radix, queueWords int) (string, *Network) {
 			_ = r.Intn(5)
 			for k := 0; k < offers; k++ {
 				src, dst := r.Intn(ports), r.Intn(ports)
-				p := &Packet{Dst: dst, Src: src, Words: 1 + r.Intn(4), Kind: Read, Tag: tag}
+				words := 1 + r.Intn(4)
+				if hot > 0 && r.Intn(8) != 0 {
+					dst, words = dst%hot*(ports/hot), 2
+				}
+				p := &Packet{Dst: dst, Src: src, Words: words, Kind: Read, Tag: tag}
 				tag++
 				ok := n.Offer(now, src, p)
 				put(2, int64(c), int64(src), int64(p.Tag), b2i(ok))
@@ -81,7 +97,7 @@ func goldenTraceDigest(ports, radix, queueWords int) (string, *Network) {
 	}
 	put(n.Injected, n.Delivered, n.WordsIn, n.Rejected, n.Dropped, n.FaultStalls, int64(n.EntryPackets()), int64(n.InFlight()))
 	putStages(n, put)
-	return hex.EncodeToString(h.Sum(nil)), n
+	return hex.EncodeToString(h.Sum(nil)), n, float64(transit) / float64(n.Delivered)
 }
 
 // goldenFaults applies, each with a small probability, one of every
@@ -125,13 +141,16 @@ func b2i(b bool) int64 {
 }
 
 // TestGoldenDeliveryTrace: the network's delivery trace under seeded
-// random traffic, faults and refusing sinks matches the recorded digest
-// for every shape, including a non-power-of-two radix.
+// random and hot-spot traffic, faults and refusing sinks matches the
+// recorded digest for every shape, including a non-power-of-two radix.
 func TestGoldenDeliveryTrace(t *testing.T) {
 	for _, tc := range goldenTraceCases {
 		name := fmt.Sprintf("p%d_r%d_q%d", tc.ports, tc.radix, tc.queueWords)
+		if tc.hot > 0 {
+			name += fmt.Sprintf("_hot%d", tc.hot)
+		}
 		t.Run(name, func(t *testing.T) {
-			got, n := goldenTraceDigest(tc.ports, tc.radix, tc.queueWords)
+			got, n, transit := goldenTraceDigest(tc.ports, tc.radix, tc.queueWords, tc.hot)
 			if got != tc.digest {
 				t.Errorf("delivery-trace digest %s, want %s", got, tc.digest)
 			}
@@ -140,6 +159,11 @@ func TestGoldenDeliveryTrace(t *testing.T) {
 			if n.InFlight() != 0 || n.Rejected == 0 || n.Dropped == 0 || n.FaultStalls == 0 {
 				t.Errorf("vacuous trace: in flight %d, rejected %d, dropped %d, stalls %d",
 					n.InFlight(), n.Rejected, n.Dropped, n.FaultStalls)
+			}
+			// Hot-spot traffic must back up: a packet's mean transit at
+			// least three times the unloaded k+1 cycles.
+			if unloaded := float64(n.Stages() + 1); tc.hot > 0 && transit < 3*unloaded {
+				t.Errorf("hot spot does not back up: mean transit %.1f cycles, unloaded %.0f", transit, unloaded)
 			}
 		})
 	}

@@ -30,6 +30,12 @@ func (q *pktQueue) canAccept(w int) bool {
 	return q.n == 0 || q.words+w <= len(q.ring)
 }
 
+// full reports whether the queue accepts no packet at all, which needs no
+// look at the packet waiting to enter.
+func (q *pktQueue) full() bool {
+	return q.words >= len(q.ring)
+}
+
 // agePenalty returns the extra handshake cycle a transfer costs when the
 // departing packet had to sit in its queue behind congestion. A smooth
 // pipelined stream moves every packet one hop per cycle (preserving the
@@ -92,39 +98,83 @@ type crossbar struct {
 	outFreeAt []sim.Cycle // internal transfer path busy-until, per output
 	inMask    uint32
 	outMask   uint32
+
+	// dig[i] is the routing digit of input i's head packet, set when the
+	// head reaches the front of its queue, so route reads no packet to
+	// find which output each head wants.
+	dig [16]uint8
+
+	// routeAt is the first cycle route could move a packet. route sets it
+	// when it moves nothing: to the earliest busy-until among the wanted
+	// outputs that were busy, or Never if every wanted output was full.
+	// A new input head, a dropped input head or an output pop resets it
+	// to 0.
+	routeAt sim.Cycle
 }
 
-// route moves packets from input queues to output queues according to the
-// routing digit digits[p.Dst]. Each output accepts at most one packet per
+// route moves packets from input queues to output queues according to
+// their heads' routing digits. Each output accepts at most one packet per
 // transfer slot; blocked heads cause head-of-line blocking, which is how
-// contention propagates upstream in the real switch.
-func (x *crossbar) route(now sim.Cycle, digits []uint8) {
+// contention propagates upstream in the real switch. digits is the
+// stage's routing-digit table. route reports whether it moved a packet.
+func (x *crossbar) route(now sim.Cycle, digits []uint8) bool {
 	// One pass over non-empty inputs: which output does each head want?
+	// A head exposed by a move below is not in this snapshot, so it routes
+	// no earlier than the next cycle.
 	var wantMask uint32 // outputs with at least one claimant
 	var claim [16]uint32
 	for m := x.inMask; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros32(m)
-		d := digits[x.in[i].head().Dst]
+		d := x.dig[i]
 		claim[d] |= 1 << uint(i)
 		wantMask |= 1 << d
 	}
+	moved := false
+	retry := sim.Never
 	for m := wantMask; m != 0; m &= m - 1 {
 		o := bits.TrailingZeros32(m)
-		if x.outFreeAt[o] > now {
+		if t := x.outFreeAt[o]; t > now {
+			retry = min(retry, t)
 			continue
+		}
+		if x.out[o].full() {
+			continue // output full: everyone wanting o stalls
 		}
 		i := rrPick(claim[o], x.rr[o])
 		p := x.in[i].head()
 		if !x.out[o].canAccept(p.Words) {
-			continue // output full: everyone wanting o stalls
+			continue // the winner does not fit: everyone wanting o stalls
 		}
 		x.out[o].push(x.in[i].pop(), now)
-		if x.in[i].n == 0 {
-			x.inMask &^= 1 << uint(i)
-		}
+		x.nextHead(i, digits)
 		x.outMask |= 1 << uint(o)
 		x.outFreeAt[o] = now + sim.Cycle(p.Words)
 		x.rr[o] = uint8(i + 1)
+		moved = true
+	}
+	if !moved {
+		x.routeAt = retry
+	}
+	return moved
+}
+
+// nextHead records input i's next head packet, if it has one, after its
+// head left the queue.
+func (x *crossbar) nextHead(i int, digits []uint8) {
+	if h := x.in[i].head(); h != nil {
+		x.dig[i] = digits[h.Dst]
+	} else {
+		x.inMask &^= 1 << uint(i)
+	}
+}
+
+// popOut removes the head of output queue o.
+func (x *crossbar) popOut(o int) {
+	q := &x.out[o]
+	q.pop()
+	x.routeAt = 0
+	if q.n == 0 {
+		x.outMask &^= 1 << uint(o)
 	}
 }
 
@@ -156,6 +206,12 @@ type Network struct {
 	stages int
 
 	sw [][]crossbar // [stage][switch]
+
+	// inOcc[s] and outOcc[s] hold one bit per switch of stage s with a
+	// non-empty input or output queue, so a pass visits only switches
+	// with packets, in ascending switch order, the order a full scan
+	// would visit them.
+	inOcc, outOcc [][]uint64
 
 	// wire[p] is where the shuffle wiring takes output port p of one
 	// column (or entry register p): the same permutation before every
@@ -246,6 +302,10 @@ func New(name string, ports, radix, queueWords int) (*Network, error) {
 	digits := make([]uint8, stages*ports)
 	n.sw = make([][]crossbar, stages)
 	n.linkFreeAt = make([][]sim.Cycle, stages)
+	occWords := (switches + 63) / 64
+	occ := make([]uint64, 2*stages*occWords)
+	n.inOcc = make([][]uint64, stages)
+	n.outOcc = make([][]uint64, stages)
 	for s := 0; s < stages; s++ {
 		n.sw[s], xbars = xbars[:switches], xbars[switches:]
 		for j := range n.sw[s] {
@@ -255,6 +315,8 @@ func New(name string, ports, radix, queueWords int) (*Network, error) {
 			x.rr, rr = rr[:radix], rr[radix:]
 			x.outFreeAt, outFree = outFree[:radix], outFree[radix:]
 		}
+		n.inOcc[s], occ = occ[:occWords], occ[occWords:]
+		n.outOcc[s], occ = occ[:occWords], occ[occWords:]
 		n.linkFreeAt[s] = make([]sim.Cycle, ports)
 		n.digits[s], digits = digits[:ports], digits[ports:]
 		for dst := range n.digits[s] {
@@ -392,95 +454,127 @@ func (n *Network) Tick(now sim.Cycle) {
 	}
 	last := n.stages - 1
 	// Delivery links: last-stage output queues to sinks.
-	port0 := 0
-	for swi := range n.sw[last] {
-		x := &n.sw[last][swi]
-		for m := x.outMask; m != 0; m &= m - 1 {
-			o := bits.TrailingZeros32(m)
-			port := port0 + o
-			if n.deliverFree[port] > now {
-				continue
+	occ := n.outOcc[last]
+	for wi, word := range occ {
+		for m := word; m != 0; m &= m - 1 {
+			swi := wi<<6 | bits.TrailingZeros64(m)
+			x := &n.sw[last][swi]
+			port0 := swi * n.radix
+			for om := x.outMask; om != 0; om &= om - 1 {
+				o := bits.TrailingZeros32(om)
+				port := port0 + o
+				if n.deliverFree[port] > now {
+					continue
+				}
+				q := &x.out[o]
+				p := q.head()
+				sink := n.sinks[port]
+				if sink == nil {
+					panic(fmt.Sprintf("network %s: delivery to port %d with no sink", n.name, port))
+				}
+				if !sink.Offer(p) {
+					continue
+				}
+				x.popOut(o)
+				n.deliverFree[port] = now + sim.Cycle(p.Words) + agePenalty(p, now)
+				n.Delivered++
+				if n.OnDeliver != nil {
+					n.OnDeliver(now, port, p)
+				}
 			}
-			q := &x.out[o]
-			p := q.head()
-			sink := n.sinks[port]
-			if sink == nil {
-				panic(fmt.Sprintf("network %s: delivery to port %d with no sink", n.name, port))
-			}
-			if !sink.Offer(p) {
-				continue
-			}
-			q.pop()
-			if q.n == 0 {
-				x.outMask &^= 1 << uint(o)
-			}
-			n.deliverFree[port] = now + sim.Cycle(p.Words) + agePenalty(p, now)
-			n.Delivered++
-			if n.OnDeliver != nil {
-				n.OnDeliver(now, port, p)
+			if x.outMask == 0 {
+				occ[wi] &^= 1 << uint(swi&63)
 			}
 		}
-		port0 += n.radix
 	}
 	// Inter-stage links: stage s-1 outputs to stage s inputs through the
 	// shuffle wiring, one word per cycle per link.
 	for s := last; s >= 1; s-- {
 		free := n.linkFreeAt[s-1]
-		next := n.sw[s]
-		port0 := 0
-		for swi := range n.sw[s-1] {
-			x := &n.sw[s-1][swi]
-			for m := x.outMask; m != 0; m &= m - 1 {
-				o := bits.TrailingZeros32(m)
-				port := port0 + o
-				if free[port] > now {
-					continue
+		next, nextOcc, digits := n.sw[s], n.inOcc[s], n.digits[s]
+		occ := n.outOcc[s-1]
+		for wi, word := range occ {
+			for m := word; m != 0; m &= m - 1 {
+				swi := wi<<6 | bits.TrailingZeros64(m)
+				x := &n.sw[s-1][swi]
+				port0 := swi * n.radix
+				for om := x.outMask; om != 0; om &= om - 1 {
+					o := bits.TrailingZeros32(om)
+					port := port0 + o
+					if free[port] > now {
+						continue
+					}
+					w := n.wire[port]
+					dx := &next[w.sw]
+					q := &dx.in[w.in]
+					if q.full() {
+						continue
+					}
+					p := x.out[o].head()
+					if !q.canAccept(p.Words) {
+						continue
+					}
+					if q.push(p, now); q.n == 1 {
+						dx.dig[w.in] = digits[p.Dst]
+						dx.routeAt = 0
+					}
+					dx.inMask |= 1 << uint(w.in)
+					nextOcc[w.sw>>6] |= 1 << uint(w.sw&63)
+					x.popOut(o)
+					free[port] = now + sim.Cycle(p.Words)
 				}
-				q := &x.out[o]
-				p := q.head()
-				w := n.wire[port]
-				dx := &next[w.sw]
-				if !dx.in[w.in].canAccept(p.Words) {
-					continue
+				if x.outMask == 0 {
+					occ[wi] &^= 1 << uint(swi&63)
 				}
-				dx.in[w.in].push(q.pop(), now)
-				dx.inMask |= 1 << uint(w.in)
-				if q.n == 0 {
-					x.outMask &^= 1 << uint(o)
-				}
-				free[port] = now + sim.Cycle(p.Words)
 			}
-			port0 += n.radix
 		}
 	}
 	// Crossbar internal routing, downstream stages first.
 	for s := last; s >= 0; s-- {
 		digits := n.digits[s]
-		for swi := range n.sw[s] {
-			if x := &n.sw[s][swi]; x.inMask != 0 {
-				x.route(now, digits)
+		in, out := n.inOcc[s], n.outOcc[s]
+		for wi, word := range in {
+			for m := word; m != 0; m &= m - 1 {
+				swi := wi<<6 | bits.TrailingZeros64(m)
+				x := &n.sw[s][swi]
+				if x.routeAt > now || !x.route(now, digits) {
+					continue
+				}
+				out[wi] |= 1 << uint(swi&63)
+				if x.inMask == 0 {
+					in[wi] &^= 1 << uint(swi&63)
+				}
 			}
 		}
 	}
 	// Entry registers feed the first switch column through the shuffle
 	// wiring, one word per cycle per port. Processed last so an injected
 	// packet is routed no earlier than the following cycle.
-	first := n.sw[0]
+	first, firstOcc, digits := n.sw[0], n.inOcc[0], n.digits[0]
 	for wi, word := range n.entryMask {
 		for m := word; m != 0; m &= m - 1 {
 			port := wi<<6 | bits.TrailingZeros64(m)
 			if n.entryFree[port] > now {
 				continue
 			}
-			q := &n.entry[port]
-			p := q.head()
 			w := n.wire[port]
 			dx := &first[w.sw]
-			if !dx.in[w.in].canAccept(p.Words) {
+			dq := &dx.in[w.in]
+			if dq.full() {
 				continue
 			}
-			dx.in[w.in].push(q.pop(), now)
+			q := &n.entry[port]
+			p := q.head()
+			if !dq.canAccept(p.Words) {
+				continue
+			}
+			if dq.push(p, now); dq.n == 1 {
+				dx.dig[w.in] = digits[p.Dst]
+				dx.routeAt = 0
+			}
 			dx.inMask |= 1 << uint(w.in)
+			firstOcc[w.sw>>6] |= 1 << uint(w.sw&63)
+			q.pop()
 			if q.n == 0 {
 				n.entryMask[wi] &^= 1 << uint(port&63)
 			}

@@ -76,14 +76,6 @@ func (c *calendar) remove(i int) bool {
 	return true
 }
 
-// reset removes every entry.
-func (c *calendar) reset() {
-	for _, i := range c.heap {
-		c.pos[i] = -1
-	}
-	c.heap = c.heap[:0]
-}
-
 func (c *calendar) siftUp(p int) {
 	for p > 0 {
 		parent := (p - 1) / 2

@@ -91,24 +91,3 @@ func TestCalendarDoublePushPanics(t *testing.T) {
 	c.push(0, 5)
 	c.push(0, 7)
 }
-
-func TestCalendarResetClearsMembership(t *testing.T) {
-	c := newTestCalendar(4)
-	for i := 0; i < 4; i++ {
-		c.push(i, Cycle(i))
-	}
-	c.reset()
-	if !c.empty() {
-		t.Fatal("calendar not empty after reset")
-	}
-	for i := 0; i < 4; i++ {
-		if c.pos[i] >= 0 {
-			t.Fatalf("component %d still scheduled after reset", i)
-		}
-	}
-	// Entries must be re-pushable after reset.
-	c.push(2, 9)
-	if c.heap[0] != 2 || c.minAt() != 9 {
-		t.Fatalf("min = (%d, %d) after reset+push, want (2, 9)", c.heap[0], c.minAt())
-	}
-}
