@@ -113,22 +113,26 @@ func TestDropRespectsAllowPredicate(t *testing.T) {
 
 func TestDropSwitchHead(t *testing.T) {
 	r := newFaultRig(t)
-	r.n.Offer(r.eng.Now(), 0, &Packet{Dst: 3, Words: 1, Kind: Read})
-	// After two cycles the packet has left the entry register for the
-	// (single) switch column.
-	r.eng.Run(2)
+	r.n.Offer(r.eng.Now(), 0, &Packet{Dst: 3, Words: 1, Kind: Read, Tag: 1})
+	// After one cycle the packet has left the entry register for an input
+	// queue of the (single) switch column, where it routes no earlier than
+	// the next cycle.
+	r.eng.Run(1)
 	if r.n.EntryPackets() != 0 {
-		t.Fatalf("packet still in entry register after 2 cycles")
+		t.Fatalf("packet still in entry register after 1 cycle")
 	}
 	wired := r.n.shuffle(0)
-	pk := r.n.DropSwitchHead(0, wired/r.n.Radix(), wired%r.n.Radix(), nil)
-	if pk == nil {
-		// The packet may already sit in an output queue; this drop API
-		// only covers input queues, so nothing was dropped.
-		t.Skip("packet advanced past the input queue; covered by entry-drop test")
+	if pk := r.n.DropSwitchHead(0, wired/r.n.Radix(), wired%r.n.Radix(), nil); pk == nil || pk.Tag != 1 {
+		t.Fatalf("DropSwitchHead = %+v, want the offered packet", pk)
 	}
-	if r.n.InFlight() != 0 {
-		t.Fatalf("InFlight = %d after switch drop, want 0", r.n.InFlight())
+	if r.n.InFlight() != 0 || r.n.Dropped != 1 {
+		t.Fatalf("after switch drop: InFlight %d, Dropped %d; want 0, 1", r.n.InFlight(), r.n.Dropped)
+	}
+	// The emptied switch routes the next packet through the same input.
+	r.n.Offer(r.eng.Now(), 0, &Packet{Dst: 3, Words: 1, Kind: Read, Tag: 2})
+	r.drain(t)
+	if len(r.got[3]) != 1 || r.got[3][0].Tag != 2 {
+		t.Fatalf("port 3 got %d packets, want only the second", len(r.got[3]))
 	}
 }
 

@@ -158,6 +158,17 @@ func (x *crossbar) route(now sim.Cycle, digits []uint8) bool {
 	return moved
 }
 
+// pushIn queues p on input in. A packet that becomes the input's head has
+// its routing digit recorded and may move, so the switch stops idling.
+func (x *crossbar) pushIn(in int32, p *Packet, now sim.Cycle, digits []uint8) {
+	q := &x.in[in]
+	if q.push(p, now); q.n == 1 {
+		x.dig[in] = digits[p.Dst]
+		x.inMask |= 1 << uint(in)
+		x.routeAt = 0
+	}
+}
+
 // nextHead records input i's next head packet, if it has one, after its
 // head left the queue.
 func (x *crossbar) nextHead(i int, digits []uint8) {
@@ -514,11 +525,7 @@ func (n *Network) Tick(now sim.Cycle) {
 					if !q.canAccept(p.Words) {
 						continue
 					}
-					if q.push(p, now); q.n == 1 {
-						dx.dig[w.in] = digits[p.Dst]
-						dx.routeAt = 0
-					}
-					dx.inMask |= 1 << uint(w.in)
+					dx.pushIn(w.in, p, now, digits)
 					nextOcc[w.sw>>6] |= 1 << uint(w.sw&63)
 					x.popOut(o)
 					free[port] = now + sim.Cycle(p.Words)
@@ -568,11 +575,7 @@ func (n *Network) Tick(now sim.Cycle) {
 			if !dq.canAccept(p.Words) {
 				continue
 			}
-			if dq.push(p, now); dq.n == 1 {
-				dx.dig[w.in] = digits[p.Dst]
-				dx.routeAt = 0
-			}
-			dx.inMask |= 1 << uint(w.in)
+			dx.pushIn(w.in, p, now, digits)
 			firstOcc[w.sw>>6] |= 1 << uint(w.sw&63)
 			q.pop()
 			if q.n == 0 {
